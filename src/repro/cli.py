@@ -75,14 +75,10 @@ The subcommands cover the common workflows without writing any Python:
 simulation matrices in N worker processes (default: the ``REPRO_JOBS``
 environment variable, or 1), ``--cache-dir`` to relocate
 the result store (the ``REPRO_CACHE_DIR`` environment variable does the
-same), and ``--kernel reference|fast|fast-sharded`` to pick the execution
+same), and ``--kernel reference|fast`` to pick the execution
 kernel (the ``REPRO_KERNEL`` environment variable does the same; the
 kernels produce bit-identical statistics, so this never changes any
-result).  ``--shards K`` (or ``REPRO_SHARDS``) splits each single-core
-replay into K trace-window shards that run as sibling pool tasks under
-``--jobs``, each re-warming over ``--shard-overlap`` accesses of its
-predecessor's tail before sampling (see :mod:`repro.sim.shard`; sharded
-runs key the store separately from sequential ones).  A second invocation
+result).  A second invocation
 with the same parameters replays completed simulations from the store
 instead of re-running them.
 
@@ -133,12 +129,13 @@ from repro import obs
 from repro.client import ServiceClient, ServiceError
 from repro.experiments import figures
 from repro.experiments.configs import configuration_signatures
-from repro.experiments.parallel import resolve_jobs, resolve_shards
+from repro.experiments.parallel import resolve_jobs
 from repro.experiments.runner import ExperimentRunner
 from repro.experiments.store import ResultStore, default_store
 from repro.experiments.studies import STUDIES
 from repro.experiments.study import parse_assignments
 from repro.sim.config import SystemConfig
+from repro.sim.kernel import KERNELS
 from repro.workloads.registry import available_workloads
 
 #: Figure/table name → harness function.  Functions that take a runner get
@@ -338,24 +335,6 @@ def build_parser() -> argparse.ArgumentParser:
     info_parser.add_argument(
         "trace", help="trace workload name (trace:<name> or <name>) or a file path"
     )
-    info_parser.add_argument(
-        "--shards",
-        type=int,
-        default=None,
-        help="also show the shard plan a run with --shards N would use",
-    )
-    info_parser.add_argument(
-        "--shard-overlap",
-        default=None,
-        metavar="N|warmup|full",
-        help="overlap policy for the reported shard plan (default: warmup)",
-    )
-    info_parser.add_argument(
-        "--warmup-fraction",
-        type=float,
-        default=0.4,
-        help="warm-up fraction assumed by the reported shard plan",
-    )
 
     sample_parser = trace_subparsers.add_parser(
         "sample", help="write a sampled sub-trace (window or systematic) to disk"
@@ -517,13 +496,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="where to write the JSON record (default: ./BENCH_engine.json; "
         "'-' skips writing)",
     )
-    bench_parser.add_argument(
-        "--shards",
-        default="2,4",
-        metavar="K[,K...]",
-        help="comma-separated shard counts for the sharded replay cases "
-        "(default: 2,4; empty string skips them)",
-    )
 
     cache_parser = subparsers.add_parser(
         "cache", help="inspect or clear the persistent result store"
@@ -572,7 +544,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve_parser.add_argument(
         "--kernel",
-        choices=("reference", "fast", "fast-sharded"),
+        choices=KERNELS,
         default=None,
         help="execution kernel for submitted simulations (default: fast)",
     )
@@ -723,28 +695,11 @@ def _add_execution_arguments(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument(
         "--kernel",
-        choices=("reference", "fast", "fast-sharded"),
+        choices=KERNELS,
         default=None,
-        help="execution kernel (default: fast, or $REPRO_KERNEL); all "
+        help="execution kernel (default: fast, or $REPRO_KERNEL); both "
         "produce bit-identical statistics — 'reference' is the readable "
-        "debugging implementation, 'fast-sharded' an alias of fast that "
-        "pairs with --shards",
-    )
-    parser.add_argument(
-        "--shards",
-        type=int,
-        default=None,
-        help="split each single-core replay into N trace-window shards "
-        "(default: 1, or $REPRO_SHARDS); shards of one run execute in "
-        "pool workers alongside other runs under --jobs",
-    )
-    parser.add_argument(
-        "--shard-overlap",
-        default=None,
-        metavar="N|warmup|full",
-        help="warm-up overlap each shard replays before its sampling window "
-        "opens: an access count, 'warmup' (one warm-up length; default), or "
-        "'full' (the entire sequential prefix — bit-identical to unsharded)",
+        "debugging implementation",
     )
     parser.add_argument(
         "--telemetry",
@@ -771,12 +726,6 @@ def _trace_overrides(args: argparse.Namespace) -> dict:
     return {"length": length}
 
 
-def _resolve_shards(args: argparse.Namespace) -> int:
-    """The shard count for this invocation: flag, then environment, then 1."""
-
-    return resolve_shards(getattr(args, "shards", None))
-
-
 def _resolve_jobs(args: argparse.Namespace) -> int:
     """The worker count for this invocation: flag, then environment, then 1."""
 
@@ -794,8 +743,6 @@ def _make_runner(args: argparse.Namespace) -> ExperimentRunner:
         jobs=_resolve_jobs(args),
         store=_store_for(args),
         kernel=getattr(args, "kernel", None),
-        shards=_resolve_shards(args),
-        shard_overlap=getattr(args, "shard_overlap", None) or "warmup",
     )
 
 
@@ -933,8 +880,6 @@ def _command_study(args: argparse.Namespace) -> str | None:
             jobs=_resolve_jobs(args),
             store=store,
             kernel=args.kernel,
-            shards=_resolve_shards(args),
-            shard_overlap=args.shard_overlap or "warmup",
         )
         rendered = study.run(runner).rendered
         if args.all:
@@ -1119,32 +1064,6 @@ def _command_trace(args: argparse.Namespace) -> str:
         from repro.workloads.trace import LINE_SHIFT
 
         path = _resolve_trace_source(args.trace)
-        if args.shards is not None:
-            # The plan needs only the record count: read the bounded header
-            # prefix (gzip files included — no payload decompression) so
-            # planning over a multi-GB capture stays instant.
-            from repro.sim.shard import plan_shards
-
-            if args.shards < 1:
-                raise ValueError(f"--shards must be at least 1, got {args.shards}")
-            header = read_header(path)
-            plan = plan_shards(
-                total_accesses=header.records,
-                warmup_accesses=int(header.records * args.warmup_fraction),
-                shards=args.shards,
-                overlap=args.shard_overlap,
-            )
-            lines = [
-                f"file:         {path} ({path.stat().st_size} bytes"
-                f"{', gzip' if header.compressed else ''})",
-                f"name:         {header.name}",
-                f"format:       .rtrc v{header.version}, line shift "
-                f"{header.line_shift}",
-                f"accesses:     {header.records}",
-                "shard plan:",
-            ]
-            lines.extend(f"  {line}" for line in plan.describe())
-            return "\n".join(lines)
         try:
             trace, header = open_trace(path)
         except TraceFormatError:
@@ -1262,8 +1181,6 @@ def _command_explore(args: argparse.Namespace) -> str:
             use_cache=not args.no_cache,
             jobs=_resolve_jobs(args),
             kernel=args.kernel,
-            shards=_resolve_shards(args),
-            shard_overlap=args.shard_overlap or "warmup",
         )
         return explore.render_search(result)
 
@@ -1305,8 +1222,6 @@ def _command_explore(args: argparse.Namespace) -> str:
         use_cache=not args.no_cache,
         jobs=_resolve_jobs(args),
         kernel=args.kernel,
-        shards=_resolve_shards(args),
-        shard_overlap=args.shard_overlap or "warmup",
         **tuning,
     )
     return explore.render_search(result)
@@ -1322,18 +1237,7 @@ def _command_bench(args: argparse.Namespace) -> str:
         write_bench,
     )
 
-    raw_shards = [part.strip() for part in args.shards.split(",") if part.strip()]
-    try:
-        shard_counts = tuple(int(part) for part in raw_shards)
-    except ValueError:
-        raise ValueError(
-            f"--shards {args.shards!r}: expected comma-separated integers"
-        ) from None
-    if any(count < 2 for count in shard_counts):
-        raise ValueError("--shards: bench shard counts must be at least 2")
-    record = run_bench(
-        length=args.length, repeats=args.repeats, shard_counts=shard_counts
-    )
+    record = run_bench(length=args.length, repeats=args.repeats)
     lines = [render_bench(record)]
     if args.output != "-":
         path = write_bench(record, args.output or BENCH_FILENAME)

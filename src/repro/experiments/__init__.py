@@ -53,7 +53,7 @@ from repro.experiments.jobs import (
     execute_multiprogram_spec,
     execute_spec,
 )
-from repro.experiments.parallel import BatchExecutor, resolve_jobs, resolve_shards
+from repro.experiments.parallel import BatchExecutor, resolve_jobs
 from repro.experiments.runner import ExperimentRunner
 from repro.experiments.store import (
     ResultStore,
@@ -91,7 +91,6 @@ __all__ = [
     "execute_multiprogram_spec",
     "execute_spec",
     "resolve_jobs",
-    "resolve_shards",
     "set_default_store",
     "store_stats_payload",
     "figures",

@@ -25,18 +25,6 @@ Both kernels must agree bit-for-bit on every statistic; a mismatch makes
 the bench fail (and exit non-zero from the CLI) rather than report a
 meaningless rate.  Timing uses best-of-``repeats`` wall time over the whole
 run, warm-up included.
-
-The replay-hot case is additionally measured **sharded** (see
-:mod:`repro.sim.shard`): for each requested shard count K the trace is
-split into K windows with warm-up overlap, every window is replayed on a
-fresh simulator and timed individually, and the *critical path* — the
-slowest single window — is reported as the sharded wall time.  On a machine
-with ≥ K idle cores that equals end-to-end wall time; reporting it keeps
-the bench honest on builders with fewer cores, where the windows timeshare.
-Sharded cases gate on the parity contract (merged statistics vs the
-sequential fast kernel, within :data:`~repro.sim.shard.
-SHARD_PARITY_TOLERANCE`; ``accesses`` exactly equal) and **never** on
-speed — a slow build box must not fail CI, a wrong merge must.
 """
 
 from __future__ import annotations
@@ -53,13 +41,7 @@ from pathlib import Path
 from repro.experiments.configs import build_prefetchers
 from repro.sim.config import SystemConfig
 from repro.sim.engine import Simulator
-from repro.sim.kernel import run_fast_window, run_simulation
-from repro.sim.shard import (
-    SHARD_PARITY_TOLERANCE,
-    merge_shard_outcomes,
-    plan_shards,
-    shard_parity_report,
-)
+from repro.sim.kernel import KERNELS, run_simulation
 from repro.sim.stream import access_columns
 from repro.sim.timing import TimingModel
 
@@ -69,12 +51,6 @@ BENCH_FILENAME = "BENCH_engine.json"
 
 #: Lines in the replay-hot chain: well inside the scaled 4 KiB L1.
 _HOT_CHAIN_LINES = 48
-
-#: The kernels every case is cross-checked and timed under.  Deliberately
-#: not :data:`~repro.sim.kernel.KERNELS`: ``fast-sharded`` is the fast
-#: kernel under a different replay plan, measured by the sharded cases
-#: below, not a third implementation to compare.
-_COMPARED_KERNELS = ("reference", "fast")
 
 
 class BenchParityError(RuntimeError):
@@ -203,40 +179,6 @@ def _bench_cases(length: int, trace_dir: Path) -> list[BenchCase]:
     ]
 
 
-def _measure_sharded(
-    case: BenchCase,
-    system: SystemConfig,
-    shards: int,
-    repeats: int,
-    warmup_fraction: float,
-) -> tuple[float, dict, object]:
-    """Critical-path wall time, merged statistics and the plan for one K.
-
-    Every window is replayed on a fresh simulator and timed individually
-    (best of ``repeats``); the critical path is the slowest window — what
-    end-to-end wall time becomes once each window has an idle core.
-    """
-
-    warmup = int(len(case.trace) * warmup_fraction)
-    plan = plan_shards(len(case.trace), warmup, shards, overlap="warmup")
-    best: list[float | None] = [None] * plan.shard_count
-    outcomes = []
-    for _ in range(repeats):
-        outcomes = []
-        for window in plan.windows:
-            simulator = _simulator(system, case.configuration)
-            started = time.perf_counter()
-            outcome = run_fast_window(
-                simulator, case.trace, window, workload_name=case.workload
-            )
-            elapsed = time.perf_counter() - started
-            if best[window.index] is None or elapsed < best[window.index]:
-                best[window.index] = elapsed
-            outcomes.append(outcome)
-    merged = merge_shard_outcomes(outcomes)
-    return max(best), asdict(merged), plan
-
-
 def _best_of(action, repeats: int) -> float:
     """Best wall time of ``action()`` over ``repeats`` runs."""
 
@@ -259,8 +201,8 @@ def _measure_trace_io(trace_dir: Path, repeats: int) -> dict:
       the whole payload, then columns are ready;
     * ``v2_full_load`` — decode every delta/varint chunk into columns;
     * ``v2_window_decode`` — a fresh open followed by one window's
-      columns, touching only the chunks the window covers (the sharded /
-      sampled access pattern v2 exists for).  The timed v2 copy is
+      columns, touching only the chunks the window covers (the sampled
+      access pattern v2 exists for).  The timed v2 copy is
       re-chunked at 4096 records — the bench trace fits inside one
       default 64Ki chunk, which would make the window decode degenerate
       to a full decode and measure nothing.
@@ -324,16 +266,12 @@ def run_bench(
     repeats: int = 3,
     scale: float = 1.0,
     warmup_fraction: float = 0.25,
-    shard_counts: tuple = (2, 4),
 ) -> dict:
     """Run every bench case under both kernels; return the JSON-safe record.
 
     Raises :class:`BenchParityError` if any case's statistics differ
     between kernels — speed numbers for diverging simulations would be
     meaningless, and the parity guarantee is the fast kernel's contract.
-    The replay-hot case is additionally replayed sharded at every K in
-    ``shard_counts`` (warm-up overlap), parity-gated against the sequential
-    fast kernel's statistics.
     """
 
     if length <= 0:
@@ -351,16 +289,15 @@ def run_bench(
         },
         "length": length,
         "repeats": repeats,
-        "kernels": list(_COMPARED_KERNELS),
+        "kernels": list(KERNELS),
         "cases": [],
     }
-    sharded_source: tuple[BenchCase, float, dict] | None = None
     with tempfile.TemporaryDirectory(prefix="repro-bench-") as tmp:
         for case in _bench_cases(length, Path(tmp)):
             _assert_prepared(case)
             timings: dict[str, float] = {}
             statistics: dict[str, dict] = {}
-            for kernel in _COMPARED_KERNELS:
+            for kernel in KERNELS:
                 timings[kernel], statistics[kernel] = _measure(
                     case, system, kernel, repeats, warmup_fraction
                 )
@@ -392,56 +329,6 @@ def run_bench(
                     "parity": True,
                 }
             )
-            if case.name == "replay-hot":
-                sharded_source = (case, timings["fast"], statistics["fast"])
-
-        # Sharded replay scales the hot case: the gate is parity (wrong
-        # merged statistics fail the bench), never speed (a loaded builder
-        # must not).
-        for shards in shard_counts:
-            if sharded_source is None:
-                break
-            case, fast_time, fast_stats = sharded_source
-            critical, merged, plan = _measure_sharded(
-                case, system, shards, repeats, warmup_fraction
-            )
-            report = shard_parity_report(fast_stats, merged)
-            if report["accesses"] != 0:
-                raise BenchParityError(
-                    f"{case.name} (K={shards}): merged access count differs "
-                    f"from sequential replay by {report['accesses']:.0f}"
-                )
-            deviation, counter = max(
-                (value, key) for key, value in report.items() if key != "accesses"
-            )
-            if deviation > SHARD_PARITY_TOLERANCE:
-                raise BenchParityError(
-                    f"{case.name} (K={shards}): {counter} deviates "
-                    f"{deviation:.4f} from sequential replay (tolerance "
-                    f"{SHARD_PARITY_TOLERANCE})"
-                )
-            accesses = len(case.trace)
-            record["cases"].append(
-                {
-                    "name": f"replay-hot-sharded-k{shards}",
-                    "workload": case.workload,
-                    "configuration": case.configuration,
-                    "description": (
-                        f"replay-hot split into {plan.shard_count} windows "
-                        f"(warm-up overlap); critical-path time = slowest "
-                        f"window = end-to-end wall on ≥{plan.shard_count} "
-                        f"idle cores"
-                    ),
-                    "accesses": accesses,
-                    "shards": plan.shard_count,
-                    "shard_overlap": "warmup",
-                    "critical_path_seconds": round(critical, 6),
-                    "critical_path_accesses_per_second": round(accesses / critical),
-                    "speedup": round(fast_time / critical, 2),
-                    "parity": True,
-                    "max_parity_deviation": round(deviation, 6),
-                }
-            )
 
         # Trace-container I/O on the recorded hot trace: how much smaller
         # v2 is, and what full-load vs window-selective decode costs.
@@ -455,15 +342,13 @@ def run_bench(
 def render_bench(record: dict) -> str:
     """The bench record as the aligned text table the CLI prints."""
 
-    kernel_cases = [case for case in record["cases"] if "shards" not in case]
-    sharded_cases = [case for case in record["cases"] if "shards" in case]
     lines = [
         f"engine kernel benchmark ({record['python']}, "
         f"best of {record['repeats']}, parity-checked)",
         f"{'case':<18} {'config':<10} {'accesses':>9} "
         f"{'reference/s':>12} {'fast/s':>12} {'speedup':>8}",
     ]
-    for case in kernel_cases:
+    for case in record["cases"]:
         lines.append(
             f"{case['name']:<18} {case['configuration']:<10} "
             f"{case['accesses']:>9} "
@@ -471,23 +356,6 @@ def render_bench(record: dict) -> str:
             f"{case['fast_accesses_per_second']:>12,} "
             f"{case['speedup']:>7.2f}x"
         )
-    if sharded_cases:
-        lines.append(
-            "sharded replay (critical path = slowest window; "
-            "speedup vs sequential fast)"
-        )
-        lines.append(
-            f"{'case':<22} {'shards':>6} {'accesses':>9} "
-            f"{'critical/s':>12} {'speedup':>8} {'max dev':>9}"
-        )
-        for case in sharded_cases:
-            lines.append(
-                f"{case['name']:<22} {case['shards']:>6} "
-                f"{case['accesses']:>9} "
-                f"{case['critical_path_accesses_per_second']:>12,} "
-                f"{case['speedup']:>7.2f}x "
-                f"{case['max_parity_deviation']:>9.6f}"
-            )
     trace_io = record.get("trace_io")
     if trace_io:
         lines.append(

@@ -673,8 +673,8 @@ class Explorer:
 
     Execution policy mirrors :class:`~repro.experiments.runner.
     ExperimentRunner`: an optional persistent store (``use_cache=False``
-    disables it), ``jobs`` worker processes, a kernel override, and
-    sharding passthrough.  ``trace_overrides`` applies to the source
+    disables it), ``jobs`` worker processes and a kernel override.
+    ``trace_overrides`` applies to the source
     workloads (screen windows are carved from the overridden stream).
 
     Screen traces are written under ``<directory>/screens/`` and that
@@ -695,8 +695,6 @@ class Explorer:
     use_cache: bool = True
     jobs: int = 1
     kernel: str | None = None
-    shards: int = 1
-    shard_overlap: int | str = "warmup"
     #: append per-evaluation records to ``<directory>/log.jsonl``.
     write_log: bool = True
 
@@ -784,7 +782,7 @@ class Explorer:
 
     def _spec(self, configuration: str, workload: str, overrides: Mapping,
               scale: float, params: Mapping | None) -> RunSpec:
-        """One canonical spec of this search (sharding policy included)."""
+        """One canonical spec of this search."""
 
         return RunSpec.create(
             workload=workload,
@@ -793,8 +791,6 @@ class Explorer:
             trace_overrides=overrides,
             warmup_fraction=self.warmup_fraction,
             config_params=params,
-            shards=self.shards,
-            shard_overlap=self.shard_overlap,
         )
 
     # -- evaluation ----------------------------------------------------------
@@ -1088,7 +1084,7 @@ def resume_search(directory: str | Path, **options) -> SearchResult:
     spec in the store (screen windows re-save byte-identically, so their
     digests are stable), everything the killed search completed is served
     from the store and **zero** specs re-execute.  ``options`` override
-    only execution policy (store, jobs, kernel, shards) — never the search
+    only execution policy (store, jobs, kernel) — never the search
     itself.
     """
 

@@ -209,14 +209,6 @@ class RunSpec(_SpecBase):
     #: (name, digest) pairs of any ``trace:`` file backing the workload,
     #: captured at creation time (empty for generated workloads).
     trace_digests: tuple = ()
-    #: trace windows to replay concurrently (1 = sequential).  Unlike the
-    #: kernel *name*, sharding is part of the spec's identity: a finite
-    #: overlap makes merged statistics approximate (see
-    #: :mod:`repro.sim.shard`), so sharded and sequential results must
-    #: never alias one store entry.
-    shards: int = 1
-    #: warm-up overlap per shard: an access count, ``"warmup"``, ``"full"``.
-    shard_overlap: int | str = "warmup"
 
     @classmethod
     def create(
@@ -228,15 +220,9 @@ class RunSpec(_SpecBase):
         warmup_fraction: float = 0.4,
         max_accesses: int | None = None,
         config_params: Mapping | None = None,
-        shards: int = 1,
-        shard_overlap: int | str | None = None,
     ) -> "RunSpec":
         """Build a canonical spec from mutable inputs (see class docs)."""
 
-        from repro.sim.shard import normalize_overlap
-
-        if shards < 1:
-            raise ValueError(f"--shards must be at least 1, got {shards}")
         return cls(
             workload=workload,
             configuration=configuration,
@@ -246,8 +232,6 @@ class RunSpec(_SpecBase):
             max_accesses=max_accesses,
             config_params=_freeze(dict(config_params or {})),
             trace_digests=_freeze(_trace_digests([workload])),
-            shards=int(shards),
-            shard_overlap=normalize_overlap(shard_overlap),
         )
 
     def as_dict(self) -> dict:
@@ -257,9 +241,6 @@ class RunSpec(_SpecBase):
         the backing file, so the spec's hash — and hence the store key —
         changes exactly when the file's bytes do.  Specs over generated
         workloads carry no such entry and hash as they always have.
-        Likewise ``shards``/``shard_overlap`` appear only when the spec is
-        actually sharded, so sequential specs keep their existing hashes
-        while sharded results key distinctly per (shards, overlap).
         """
 
         data = {
@@ -275,9 +256,6 @@ class RunSpec(_SpecBase):
         digests = self.trace_digests_dict()
         if digests:
             data["trace_digests"] = digests
-        if self.shards > 1:
-            data["shards"] = self.shards
-            data["shard_overlap"] = self.shard_overlap
         return data
 
 
@@ -393,105 +371,10 @@ def trace_for_workload(workload: str, overrides: Mapping | None = None):
     return trace
 
 
-def _trace_for_spec(spec: "RunSpec"):
-    return trace_for_workload(spec.workload, spec.trace_overrides_dict())
-
-
 def clear_trace_memo() -> None:
     """Drop every memoised trace (tests and cache-clearing paths)."""
 
     _TRACE_MEMO.clear()
-
-
-def _build_simulator(spec: "RunSpec", system: SystemConfig | None = None):
-    """A fresh simulator for one spec (hierarchy + prefetchers + timing).
-
-    Shared by the sequential execute path and every shard worker: the
-    simulator a shard replays its window on must be built exactly the way
-    the sequential run's is, or the parity contract is meaningless.
-    """
-
-    # Imported here (not at module top) to keep spec hashing importable
-    # without dragging in the whole simulator, and to avoid an import cycle
-    # with the configuration registry.
-    from repro.experiments.configs import build_prefetchers
-    from repro.sim.engine import Simulator
-    from repro.sim.timing import TimingModel
-
-    if system is None:
-        system = spec.system_config()
-    prefetchers = build_prefetchers(
-        spec.configuration, system, params=spec.config_params_dict() or None
-    )
-    return Simulator(
-        system.build_hierarchy(),
-        prefetchers,
-        timing=TimingModel(system.timing),
-        config=system,
-        configuration_name=spec.configuration,
-    )
-
-
-def shard_plan_for_spec(spec: "RunSpec", trace=None):
-    """The :class:`~repro.sim.shard.ShardPlan` this spec's replay uses.
-
-    The warm-up length and access cap are derived exactly as the sequential
-    execute path derives them, so the plan's sampled region is the region
-    the sequential kernel samples.  ``trace`` lets a caller that already
-    loaded the stream skip a second (memoised) load.
-    """
-
-    from repro.sim.shard import plan_shards
-
-    if trace is None:
-        trace = _trace_for_spec(spec)
-    return plan_shards(
-        total_accesses=len(trace),
-        warmup_accesses=int(len(trace) * spec.warmup_fraction),
-        shards=spec.shards,
-        overlap=spec.shard_overlap,
-        max_accesses=spec.max_accesses,
-    )
-
-
-def _require_sharded_kernel(kernel: str | None) -> None:
-    """Reject the reference kernel for sharded replay, loudly and early."""
-
-    from repro.sim.kernel import resolve_kernel
-
-    if resolve_kernel(kernel) == "reference":
-        raise ValueError(
-            "sharded replay (shards > 1) runs on the fast kernel only; "
-            "drop --kernel reference or run with --shards 1"
-        )
-
-
-def execute_spec_shard(spec: RunSpec, shard_index: int, kernel: str | None = None):
-    """Replay one shard window of a spec (the pool workers' entry point).
-
-    Like :func:`execute_spec`, everything is rebuilt from the pickled spec
-    — the worker recomputes the (deterministic) plan and replays window
-    ``shard_index`` on a fresh simulator.  Returns the picklable
-    :class:`~repro.sim.shard.ShardOutcome` the parent merges.
-    """
-
-    from repro.sim.kernel import run_fast_window
-
-    _require_sharded_kernel(kernel)
-    spec._verify_trace_digests([spec.workload])
-    trace = _trace_for_spec(spec)
-    plan = shard_plan_for_spec(spec, trace)
-    if not 0 <= shard_index < plan.shard_count:
-        raise ValueError(
-            f"shard index {shard_index} out of range for a "
-            f"{plan.shard_count}-shard plan"
-        )
-    return run_fast_window(
-        _build_simulator(spec),
-        trace,
-        plan.windows[shard_index],
-        workload_name=spec.workload,
-    )
 
 
 def execute_spec(spec: RunSpec, trace=None, kernel: str | None = None) -> SimulationStats:
@@ -508,49 +391,38 @@ def execute_spec(spec: RunSpec, trace=None, kernel: str | None = None) -> Simula
     ``kernel`` picks the execution kernel (``"fast"`` by default; see
     :mod:`repro.sim.kernel`).  The kernels produce bit-identical
     statistics, so the choice is deliberately *not* part of the spec or of
-    its store key.  Sharding, by contrast, *is* spec state: a spec with
-    ``shards > 1`` replays its plan's windows — serially here (the batch
-    executor fans the same windows out to pool workers instead when it
-    can) — and merges them with
-    :func:`repro.sim.shard.merge_shard_outcomes`, which is what keeps the
-    serial and pooled sharded paths byte-identical.
+    its store key.
     """
 
+    # Imported here (not at module top) to keep spec hashing importable
+    # without dragging in the whole simulator, and to avoid an import cycle
+    # with the configuration registry.
+    from repro.experiments.configs import build_prefetchers
+    from repro.sim.engine import Simulator
     from repro.sim.kernel import resolve_kernel, run_simulation
+    from repro.sim.timing import TimingModel
 
     kernel_name = resolve_kernel(kernel)
     system = spec.system_config()
     spec._verify_trace_digests([spec.workload])
     if trace is None:
-        trace = _trace_for_spec(spec)
-    if spec.shards > 1:
-        _require_sharded_kernel(kernel_name)
-        plan = shard_plan_for_spec(spec, trace)
-        if plan.shard_count > 1:
-            from repro.sim.kernel import run_fast_window
-            from repro.sim.shard import merge_shard_outcomes
-
-            outcomes = [
-                run_fast_window(
-                    _build_simulator(spec, system),
-                    trace,
-                    window,
-                    workload_name=spec.workload,
-                )
-                for window in plan.windows
-            ]
-            return merge_shard_outcomes(outcomes)
-    simulator = _build_simulator(spec, system)
-    warmup = int(len(trace) * spec.warmup_fraction)
+        trace = trace_for_workload(spec.workload, spec.trace_overrides_dict())
+    simulator = Simulator(
+        system.build_hierarchy(),
+        build_prefetchers(
+            spec.configuration, system, params=spec.config_params_dict() or None
+        ),
+        timing=TimingModel(system.timing),
+        config=system,
+        configuration_name=spec.configuration,
+    )
     result = run_simulation(
         simulator,
         trace,
-        # A degenerate plan (K=1, or K > sampled accesses) IS sequential
-        # replay: run it as such so the result is trivially bit-identical.
-        kernel="fast" if kernel_name == "fast-sharded" else kernel_name,
+        kernel=kernel_name,
         max_accesses=spec.max_accesses,
         workload_name=spec.workload,
-        warmup_accesses=warmup,
+        warmup_accesses=int(len(trace) * spec.warmup_fraction),
     )
     return result.stats
 

@@ -17,19 +17,16 @@ unchanged:
 2. what the :class:`~repro.experiments.store.ResultStore` holds replays,
 3. misses run — in the submitting flow when ``jobs == 1``, otherwise on a
    process-pool backend whose workers rebuild everything from the pickled
-   spec (see :func:`~repro.experiments.jobs.execute`); a sharded
-   :class:`RunSpec` (``shards > 1``) fans out as one task per trace window,
-   merged in shard order, and
+   spec (see :func:`~repro.experiments.jobs.execute`), and
 4. fresh results persist the moment they complete, so later batches,
    processes and benchmark sessions skip them.
 
 Results are deterministic regardless of ``jobs``: every simulation is
 independent and seeded, so where a spec executes cannot change its result.
 
-This module also owns :func:`resolve_jobs` and :func:`resolve_shards` — the
-single validation point for the ``REPRO_JOBS``/``REPRO_SHARDS`` environment
-overrides, so a typo'd value renders as a one-line CLI error instead of a
-traceback from deep inside the executor.
+This module also owns :func:`resolve_jobs` — the single validation point
+for the ``REPRO_JOBS`` environment override, so a typo'd value renders as a
+one-line CLI error instead of a traceback from deep inside the executor.
 """
 
 from __future__ import annotations
@@ -39,12 +36,12 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from repro import obs
-from repro.experiments.jobs import execute, execute_spec_shard  # noqa: F401
+from repro.experiments.jobs import execute  # noqa: F401
 from repro.experiments.store import Result, ResultStore, Spec
 
-# ``execute``/``execute_spec_shard`` are re-exported on purpose: this module
-# is the scheduling layer's patch point for counting or faking executions
-# (the scheduler resolves both through this namespace when it builds tasks).
+# ``execute`` is re-exported on purpose: this module is the scheduling
+# layer's patch point for counting or faking executions (the scheduler
+# resolves it through this namespace for every call it dispatches).
 
 #: Environment variable supplying a default worker count for entry points
 #: that take one (the CLI's ``--jobs``, the benchmark harness).
@@ -52,7 +49,7 @@ JOBS_ENV = "REPRO_JOBS"
 
 
 def _positive_count(value, what: str) -> int:
-    """Validate one worker/shard count (already int-typed or int-like)."""
+    """Validate one worker count (already int-typed or int-like)."""
 
     try:
         count = int(value)
@@ -77,24 +74,6 @@ def resolve_jobs(jobs: int | None = None) -> int:
     if not raw:
         return 1
     return _positive_count(raw, f"{JOBS_ENV}={raw!r}")
-
-
-def resolve_shards(shards: int | None = None) -> int:
-    """The shard count for an invocation: explicit value, then env, then 1.
-
-    The ``REPRO_SHARDS`` analogue of :func:`resolve_jobs`, lifted out of the
-    CLI so the benchmark harness and programmatic callers get the same
-    one-line validation.
-    """
-
-    from repro.sim.shard import SHARDS_ENV
-
-    if shards is not None:
-        return _positive_count(shards, "--shards")
-    raw = os.environ.get(SHARDS_ENV, "").strip()
-    if not raw:
-        return 1
-    return _positive_count(raw, f"{SHARDS_ENV}={raw!r}")
 
 
 @dataclass
@@ -128,7 +107,7 @@ class BatchExecutor:
         spec re-raises its original exception.
 
         With telemetry enabled the finished job's phase breakdown — per-spec
-        wall time, store hits vs executions, slow-shard skew — lands on
+        wall time, store hits vs executions — lands on
         :attr:`last_telemetry` (``None`` otherwise, and when disabled).
         """
 

@@ -78,16 +78,6 @@ class ExperimentRunner:
     #: resolves to the fast kernel (or the ``REPRO_KERNEL`` environment
     #: override) — see :mod:`repro.sim.kernel`.  Never part of results.
     kernel: str | None = None
-    #: trace-window shards per single-core run (see :mod:`repro.sim.shard`);
-    #: 1 is sequential replay.  Unlike the kernel, sharding *is* part of a
-    #: spec's identity when ``shards > 1``, so sharded and sequential runs
-    #: never share a store entry.
-    shards: int = 1
-    #: warm-up overlap policy for sharded replay: ``"warmup"`` (each shard
-    #: re-replays a warm-up-length slice of its predecessor's tail),
-    #: ``"full"`` (each shard replays the whole sequential prefix —
-    #: bit-identical to unsharded replay), or an explicit access count.
-    shard_overlap: int | str = "warmup"
 
     # -- the spec → executor → store plumbing --------------------------------
     def spec_for(
@@ -111,8 +101,6 @@ class ExperimentRunner:
             warmup_fraction=self.warmup_fraction,
             max_accesses=self.max_accesses,
             config_params=config_params,
-            shards=self.shards,
-            shard_overlap=self.shard_overlap,
         )
 
     def multiprogram_spec_for(
@@ -131,11 +119,6 @@ class ExperimentRunner:
 
         if configuration not in CONFIGS:
             raise ValueError(f"unknown configuration {configuration!r}")
-        if self.shards > 1:
-            # Sharded replay splits a single core's trace; a multiprogrammed
-            # run interleaves cores through one shared L3/DRAM, so its
-            # timeline has no independent windows to shard.
-            raise ValueError("--shards does not apply to multiprogrammed runs")
         return MultiProgramSpec.create(
             workloads=workloads,
             configuration=configuration,

@@ -21,6 +21,7 @@ store's version salt guards against, surfaced at the API boundary.
 from __future__ import annotations
 
 import time
+from dataclasses import fields
 from typing import TYPE_CHECKING, Mapping
 
 from repro.experiments.jobs import (
@@ -54,10 +55,22 @@ def spec_from_payload(payload: Mapping) -> Spec:
     tuples, and JSON floats round-trip bit-for-bit — so
     ``spec_from_payload(spec.as_dict()).content_hash() == spec.content_hash()``
     holds for every spec, which is what manifest verification relies on.
+    Keys outside the canonical form are rejected rather than dropped: a
+    spec that silently lost a field would hash — and replay — as a
+    different simulation than the one its sender described.
     """
 
     data = dict(payload)
     kind = data.pop("kind", "run")
+    spec_type = {"run": RunSpec, "multiprogram": MultiProgramSpec}.get(kind)
+    if spec_type is None:
+        raise ValueError(f"unknown spec kind {kind!r} (expected run or multiprogram)")
+    unknown = sorted(set(data) - {field.name for field in fields(spec_type)})
+    if unknown:
+        raise ValueError(
+            f"{kind} spec has unknown field(s) {', '.join(map(repr, unknown))}; "
+            f"expected the canonical form a manifest records"
+        )
     if kind == "run":
         return RunSpec(
             workload=data["workload"],
@@ -68,22 +81,18 @@ def spec_from_payload(payload: Mapping) -> Spec:
             max_accesses=data.get("max_accesses"),
             config_params=_freeze(data.get("config_params") or {}),
             trace_digests=_freeze(data.get("trace_digests") or {}),
-            shards=int(data.get("shards", 1)),
-            shard_overlap=data.get("shard_overlap", "warmup"),
         )
-    if kind == "multiprogram":
-        return MultiProgramSpec(
-            workloads=tuple(data["workloads"]),
-            configuration=data["configuration"],
-            system=_freeze(data["system"]),
-            trace_overrides=_freeze(data.get("trace_overrides") or {}),
-            warmup_fraction=data.get("warmup_fraction", 0.4),
-            max_accesses_per_core=data.get("max_accesses_per_core"),
-            share_metadata=data.get("share_metadata", True),
-            config_params=_freeze(data.get("config_params") or {}),
-            trace_digests=_freeze(data.get("trace_digests") or {}),
-        )
-    raise ValueError(f"unknown spec kind {kind!r} (expected run or multiprogram)")
+    return MultiProgramSpec(
+        workloads=tuple(data["workloads"]),
+        configuration=data["configuration"],
+        system=_freeze(data["system"]),
+        trace_overrides=_freeze(data.get("trace_overrides") or {}),
+        warmup_fraction=data.get("warmup_fraction", 0.4),
+        max_accesses_per_core=data.get("max_accesses_per_core"),
+        share_metadata=data.get("share_metadata", True),
+        config_params=_freeze(data.get("config_params") or {}),
+        trace_digests=_freeze(data.get("trace_digests") or {}),
+    )
 
 
 def job_manifest(job: "Job", store: ResultStore | None = None) -> dict:

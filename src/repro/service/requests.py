@@ -107,8 +107,6 @@ def _runner_for(payload: Mapping, store: ResultStore | None) -> ExperimentRunner
         trace_overrides=_trace_overrides(payload),
         warmup_fraction=float(payload.get("warmup_fraction", 0.4)),
         store=store,
-        shards=int(payload.get("shards", 1)),
-        shard_overlap=payload.get("shard_overlap") or "warmup",
     )
 
 
@@ -220,8 +218,6 @@ def _compile_study(payload: Mapping, store: ResultStore | None) -> CompiledReque
         max_accesses=max_accesses,
         trace_overrides=_trace_overrides(payload),
         store=store,
-        shards=int(payload.get("shards", 1)),
-        shard_overlap=payload.get("shard_overlap") or "warmup",
     )
     specs = study.compile(runner)
 
@@ -262,7 +258,7 @@ def _compile_spec(payload: Mapping, store: ResultStore | None) -> CompiledReques
         data = entry.get("spec", entry)
         try:
             specs.append(spec_from_payload(data))
-        except (KeyError, TypeError) as error:
+        except (KeyError, TypeError, ValueError) as error:
             raise ValueError(f"specs[{position}] does not parse: {error}") from None
 
     def finalize(job: "Job") -> dict:

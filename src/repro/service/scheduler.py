@@ -23,11 +23,12 @@ store:
 * **cooperative cancellation** — cancelling a job detaches it from its
   pending tasks; tasks no other job wants and that have not started are
   abandoned, while tasks already executing run to completion and persist
-  (the store never holds a torn batch).
+  (the store never holds a torn batch);
+* **bounded retention** — the newest :data:`FINISHED_JOB_LIMIT` finished
+  jobs stay queryable; older ones are forgotten, so a long-running daemon's
+  memory does not grow with the number of requests it has served.
 
-Sharded :class:`~repro.experiments.jobs.RunSpec`\\ s fan out exactly as they
-did under the executor: one backend call per trace window when the backend
-has more than one slot, merged in shard order on arrival.
+Every unique spec miss is one task, and every task is one backend call.
 
 :class:`~repro.experiments.parallel.BatchExecutor` is now a thin wrapper
 that builds a scheduler, submits one job, and waits — so the CLI's one-shot
@@ -46,7 +47,7 @@ from functools import partial
 from typing import Callable, Mapping, Sequence
 
 from repro import obs
-from repro.experiments.jobs import RunSpec, shard_plan_for_spec
+from repro.experiments.jobs import RunSpec
 from repro.experiments.store import Result, ResultStore, Spec
 
 #: Job lifecycle states (a job is ``running`` from submission — its specs
@@ -64,6 +65,11 @@ SPEC_SOURCES = ("store", "executed", "shared")
 #: ``?after=N`` streaming contract survives and drops are reported
 #: explicitly rather than silently renumbered.
 JOB_EVENT_LIMIT = 512
+
+#: Finished (completed, failed or cancelled) jobs kept queryable.  When a
+#: job finishes beyond this many, the oldest finished job is forgotten and
+#: its id answers like an unknown one; running jobs are never forgotten.
+FINISHED_JOB_LIMIT = 128
 
 _JOBS_SUBMITTED = obs.REGISTRY.counter(
     "repro_jobs_submitted_total", "Jobs accepted by the scheduler."
@@ -84,14 +90,14 @@ _SPECS_RESOLVED = obs.REGISTRY.counter(
 )
 _QUEUE_DEPTH = obs.REGISTRY.gauge(
     "repro_scheduler_queue_depth",
-    "Undispatched backend-call parts waiting in the priority heap.",
+    "Undispatched backend calls waiting in the priority heap.",
 )
 _ACTIVE_PARTS = obs.REGISTRY.gauge(
     "repro_scheduler_active_parts", "Backend calls currently in flight."
 )
 _PART_SECONDS = obs.REGISTRY.histogram(
     "repro_scheduler_part_seconds",
-    "Wall seconds from dispatch to completion of one backend-call part.",
+    "Wall seconds from dispatch to completion of one backend call.",
 )
 
 
@@ -262,30 +268,22 @@ class Job:
 
 
 class _Task:
-    """One unit of deduplicated work: a spec and its backend call parts."""
+    """One unit of deduplicated work: a spec and the backend call for it."""
 
-    __slots__ = (
-        "spec", "parts", "merge", "creator", "waiters",
-        "state", "priority", "dispatched", "outcomes", "error",
-        "phases", "part_started", "part_seconds",
-    )
+    __slots__ = ("spec", "creator", "waiters", "state", "priority", "phases",
+                 "started", "seconds")
 
-    def __init__(self, spec: Spec, parts, merge, creator: Job, priority: int):
+    def __init__(self, spec: Spec, creator: Job, priority: int):
         self.spec = spec
-        self.parts = parts  # list of (fn, *args) tuples, picklable
-        self.merge = merge  # None, or merges the ordered part outcomes
         self.creator = creator
         self.waiters: list[Job] = [creator]
         self.state = "queued"  # queued | running | done | failed | abandoned
         self.priority = priority
-        self.dispatched: set[int] = set()
-        self.outcomes: dict[int, object] = {}
-        self.error: BaseException | None = None
-        # Telemetry only (empty when disabled): kernel phase seconds
-        # collected at dispatch, and per-part dispatch→done wall time.
+        # Telemetry only (untouched when disabled): kernel phase seconds
+        # collected at dispatch, and the dispatch→done wall time.
         self.phases: dict[str, float] = {}
-        self.part_started: dict[int, float] = {}
-        self.part_seconds: dict[int, float] = {}
+        self.started = 0.0
+        self.seconds = 0.0
 
 
 class Scheduler:
@@ -314,8 +312,9 @@ class Scheduler:
         self._lock = threading.Lock()
         self._cond = threading.Condition(self._lock)
         self._jobs: dict[str, Job] = {}
+        self._finished: deque[str] = deque()  # finished job ids, oldest first
         self._tasks: dict[Spec, _Task] = {}
-        self._heap: list[tuple[int, int, int, _Task]] = []
+        self._heap: list[tuple[int, int, _Task]] = []
         self._seq = itertools.count()
         self._outstanding: dict[str, int] = {}
         self._active = 0
@@ -402,19 +401,18 @@ class Scheduler:
                     task.waiters.append(job)
                     if priority > task.priority and task.state == "queued":
                         # Lift the queued task to the joiner's priority by
-                        # re-pushing its undispatched parts; stale heap
-                        # entries are skipped via ``dispatched`` on pop.
+                        # re-pushing it; the stale heap entry is skipped on
+                        # pop because the task is no longer queued by then.
                         task.priority = priority
-                        self._push_parts(task)
+                        self._push(task)
                     continue
-                self._tasks[spec] = task = self._make_task(spec, job, priority)
-                self._push_parts(task)
+                self._tasks[spec] = task = _Task(spec, job, priority)
+                self._push(task)
                 if telemetry:
                     obs.emit(
                         "task_queued",
                         job=job.id,
                         spec=spec_label(spec),
-                        parts=len(task.parts),
                         priority=priority,
                     )
             if telemetry:
@@ -429,50 +427,13 @@ class Scheduler:
             self._finish_job(job)
         return job
 
-    def _make_task(self, spec: Spec, creator: Job, priority: int) -> _Task:
-        """Build the task for one spec miss (sharded specs fan out).
+    def _push(self, task: _Task) -> None:
+        """Heap-push a queued task at its priority (FIFO within a level)."""
 
-        Execution entry points are resolved through the
-        :mod:`~repro.experiments.parallel` namespace at task-creation time,
-        which keeps that module the single patch point for counting or
-        faking executions in tests.
-        """
-
-        from repro.experiments import parallel
-
-        if (
-            isinstance(spec, RunSpec)
-            and spec.shards > 1
-            and self._backend.slots > 1
-        ):
-            plan = shard_plan_for_spec(spec)
-            if plan.shard_count > 1:
-                from repro.sim.shard import merge_shard_outcomes
-
-                parts = [
-                    (parallel.execute_spec_shard, spec, index, self.kernel)
-                    for index in range(plan.shard_count)
-                ]
-                return _Task(spec, parts, merge_shard_outcomes, creator, priority)
-        return _Task(
-            spec,
-            [(partial(parallel.execute, kernel=self.kernel), spec)],
-            None,
-            creator,
-            priority,
-        )
-
-    def _push_parts(self, task: _Task) -> None:
-        """Heap-push every undispatched part of a task at its priority."""
-
-        for index in range(len(task.parts)):
-            if index not in task.dispatched:
-                heapq.heappush(
-                    self._heap, (-task.priority, next(self._seq), index, task)
-                )
+        heapq.heappush(self._heap, (-task.priority, next(self._seq), task))
 
     def _update_gauges(self) -> None:
-        """Under lock: publish queue depth and in-flight parts (telemetry)."""
+        """Under lock: publish queue depth and in-flight calls (telemetry)."""
 
         _QUEUE_DEPTH.set(len(self._heap))
         _ACTIVE_PARTS.set(self._active)
@@ -486,6 +447,8 @@ class Scheduler:
             self._dispatcher.start()
 
     def _dispatch_loop(self) -> None:
+        from repro.experiments import parallel
+
         while True:
             telemetry = obs.enabled()
             with self._cond:
@@ -495,103 +458,87 @@ class Scheduler:
                     self._cond.wait()
                 if self._stop:
                     return
-                _, _, index, task = heapq.heappop(self._heap)
-                if task.state not in ("queued", "running") or index in task.dispatched:
-                    continue  # abandoned/failed task or stale re-pushed entry
+                _, _, task = heapq.heappop(self._heap)
+                if task.state != "queued":
+                    continue  # abandoned task or stale re-pushed entry
                 task.state = "running"
-                task.dispatched.add(index)
                 self._active += 1
-                call = task.parts[index]
                 if telemetry:
-                    task.part_started[index] = time.perf_counter()
+                    task.started = time.perf_counter()
                     self._update_gauges()
+            # Resolved through the parallel namespace per call, which keeps
+            # that module the single patch point for counting or faking
+            # executions in tests.
+            execute = partial(parallel.execute, kernel=self.kernel)
             if telemetry:
                 obs.emit(
-                    "task_dispatched",
-                    job=task.creator.id,
-                    spec=spec_label(task.spec),
-                    part=index,
+                    "task_dispatched", job=task.creator.id, spec=spec_label(task.spec)
                 )
-                # An inline backend executes the part synchronously inside
+                # An inline backend executes the call synchronously inside
                 # submit(), on this thread — collect the kernel's phase
                 # spans here.  Pool backends return immediately and run the
-                # part in a worker process, whose spans stay process-local;
+                # call in a worker process, whose spans stay process-local;
                 # only the dispatch→done wall time survives for them.
                 try:
                     with obs.collect() as spans:
-                        future = self._backend.submit(*call)
+                        future = self._backend.submit(execute, task.spec)
                 except BaseException as error:  # noqa: BLE001 - backend refused
-                    self._part_done(task, index, None, error)
+                    self._task_done(task, None, error)
                     continue
                 if spans:
                     with self._lock:
-                        for name, seconds in obs.breakdown(spans).items():
-                            task.phases[name] = task.phases.get(name, 0.0) + seconds
+                        task.phases = obs.breakdown(spans)
             else:
                 try:
-                    future = self._backend.submit(*call)
+                    future = self._backend.submit(execute, task.spec)
                 except BaseException as error:  # noqa: BLE001 - backend refused
-                    self._part_done(task, index, None, error)
+                    self._task_done(task, None, error)
                     continue
-            future.add_done_callback(
-                lambda f, t=task, i=index: self._part_done(t, i, f, None)
-            )
+            future.add_done_callback(lambda f, t=task: self._task_done(t, f, None))
 
-    def _part_done(self, task: _Task, index: int, future, submit_error) -> None:
-        """One backend call finished; merge, persist, resolve waiters."""
+    def _task_done(self, task: _Task, future, submit_error) -> None:
+        """A task's backend call finished; persist, resolve waiters."""
 
         completions: list[Job] = []
         telemetry = obs.enabled()
         with self._cond:
             self._active -= 1
-            if telemetry and index in task.part_started:
-                part_seconds = time.perf_counter() - task.part_started[index]
-                task.part_seconds[index] = part_seconds
-                _PART_SECONDS.observe(part_seconds)
+            if telemetry and task.started:
+                task.seconds = time.perf_counter() - task.started
+                _PART_SECONDS.observe(task.seconds)
             error = submit_error if future is None else future.exception()
             if error is not None:
-                if task.state != "failed":
-                    task.state = "failed"
-                    task.error = error
+                task.state = "failed"
+                if telemetry:
+                    obs.emit(
+                        "task_done",
+                        job=task.creator.id,
+                        spec=spec_label(task.spec),
+                        outcome="failed",
+                        error=str(error),
+                    )
+                completions = self._resolve_task(task, None, error)
+            else:
+                result = future.result()
+                if self.store is not None:
+                    put_start = time.perf_counter() if telemetry else 0.0
+                    self.store.put(task.spec, result)
                     if telemetry:
-                        obs.emit(
-                            "task_done",
-                            job=task.creator.id,
-                            spec=spec_label(task.spec),
-                            outcome="failed",
-                            error=str(error),
+                        task.creator.add_phase_seconds(
+                            "store_io", time.perf_counter() - put_start
                         )
-                    completions = self._resolve_task(task, None, error)
-                    self._tasks.pop(task.spec, None)
-            elif task.state == "running":
-                task.outcomes[index] = future.result()
-                if len(task.outcomes) == len(task.parts):
-                    if task.merge is not None:
-                        result = task.merge(
-                            [task.outcomes[i] for i in range(len(task.parts))]
-                        )
-                    else:
-                        result = task.outcomes[index]
-                    if self.store is not None:
-                        put_start = time.perf_counter() if telemetry else 0.0
-                        self.store.put(task.spec, result)
-                        if telemetry:
-                            task.creator.add_phase_seconds(
-                                "store_io", time.perf_counter() - put_start
-                            )
-                    self.executed += 1
-                    task.state = "done"
-                    if telemetry:
-                        obs.emit(
-                            "task_done",
-                            job=task.creator.id,
-                            spec=spec_label(task.spec),
-                            outcome="done",
-                            parts=len(task.parts),
-                            seconds=round(sum(task.part_seconds.values()), 6),
-                        )
-                    completions = self._resolve_task(task, result, None)
-                    self._tasks.pop(task.spec, None)
+                self.executed += 1
+                task.state = "done"
+                if telemetry:
+                    obs.emit(
+                        "task_done",
+                        job=task.creator.id,
+                        spec=spec_label(task.spec),
+                        outcome="done",
+                        seconds=round(task.seconds, 6),
+                    )
+                completions = self._resolve_task(task, result, None)
+            self._tasks.pop(task.spec, None)
             if telemetry:
                 self._update_gauges()
             self._cond.notify_all()
@@ -623,22 +570,14 @@ class Scheduler:
     def _record_spec_telemetry(job: Job, task: _Task, source: str) -> None:
         """Under lock: fold a finished task's timings into one waiter job."""
 
-        seconds = sum(task.part_seconds.values())
-        entry: dict = {"seconds": round(seconds, 6), "source": source}
+        entry: dict = {"seconds": round(task.seconds, 6), "source": source}
         if task.phases:
             entry["phases"] = {
                 name: round(value, 6) for name, value in task.phases.items()
             }
-        if len(task.parts) > 1 and task.part_seconds:
-            # Slow-shard skew: how much longer the slowest shard ran than
-            # the fastest — large values mean the window split is lopsided.
-            entry["shards"] = len(task.parts)
-            entry["shard_skew_s"] = round(
-                max(task.part_seconds.values()) - min(task.part_seconds.values()), 6
-            )
         job._spec_telemetry[spec_label(task.spec)] = entry
         if job is task.creator:
-            job.add_phase_seconds("execute", seconds)
+            job.add_phase_seconds("execute", task.seconds)
             for name, value in task.phases.items():
                 job.add_phase_seconds(name, value)
 
@@ -691,6 +630,7 @@ class Scheduler:
                 }
             job.record_event(job.state)
             job._done.set()
+            self._retire(job)
             self._cond.notify_all()
         if telemetry:
             if job.state == "completed":
@@ -706,6 +646,14 @@ class Scheduler:
                 **job.provenance,
             )
 
+    def _retire(self, job: Job) -> None:
+        """Under lock: record a finished job, forgetting the oldest beyond
+        :data:`FINISHED_JOB_LIMIT` (read per call, so tests can patch it)."""
+
+        self._finished.append(job.id)
+        while len(self._finished) > FINISHED_JOB_LIMIT:
+            self._jobs.pop(self._finished.popleft(), None)
+
     # -- job control ---------------------------------------------------------
     def get(self, job_id: str) -> Job:
         """The job for an id; raises ``KeyError`` for unknown ids."""
@@ -720,7 +668,7 @@ class Scheduler:
             return self._jobs[job_id].snapshot(after=after)
 
     def jobs(self) -> list[Job]:
-        """Every job this scheduler has accepted, in submission order."""
+        """Every retained job, in submission order (see :meth:`_retire`)."""
 
         with self._lock:
             return list(self._jobs.values())
@@ -754,6 +702,7 @@ class Scheduler:
             job.finished = time.time()
             job.record_event("cancelled", detached=released, abandoned=abandoned)
             job._done.set()
+            self._retire(job)
             self._cond.notify_all()
         if obs.enabled():
             _JOBS_CANCELLED.inc()

@@ -9,10 +9,14 @@ JSON:
 ``POST /jobs``              submit a job (see :mod:`repro.service.requests`
                             for the body kinds); returns the job snapshot,
                             ``429`` over quota, ``400`` on validation errors
+                            or a malformed ``Content-Length``, ``413`` for
+                            bodies over :data:`MAX_BODY_BYTES`
 ``GET /jobs``               list every job's snapshot (without event logs)
 ``GET /jobs/<id>``          one job's status; ``?after=N`` returns only
                             progress events with ``seq > N`` (poll-based
-                            streaming)
+                            streaming); ``404`` once the scheduler has
+                            forgotten the job (it keeps the newest
+                            ``FINISHED_JOB_LIMIT`` finished jobs)
 ``GET /jobs/<id>/result``   the reduced result payload plus the run
                             manifest; ``409`` until the job completes
 ``POST /jobs/<id>/cancel``  cooperative cancellation
@@ -60,6 +64,10 @@ DEFAULT_PORT = 8642
 #: Content type of ``GET /metrics`` (Prometheus text exposition format).
 METRICS_CONTENT_TYPE = "text/plain; version=0.0.4; charset=utf-8"
 
+#: Largest request body the daemon reads.  A larger declared
+#: ``Content-Length`` is answered ``413`` without reading the body.
+MAX_BODY_BYTES = 16 * 1024 * 1024
+
 _HTTP_SECONDS = obs.REGISTRY.histogram(
     "repro_http_request_seconds",
     "Wall seconds handling one HTTP request, by endpoint.",
@@ -97,6 +105,10 @@ def _route_label(path: str) -> str:
     if parts == ["store", "stats"]:
         return "/store/stats"
     return "other"
+
+
+class _BodyTooLarge(Exception):
+    """A request declared a body over :data:`MAX_BODY_BYTES` (HTTP 413)."""
 
 
 class ServiceServer(ThreadingHTTPServer):
@@ -142,6 +154,8 @@ class _Handler(BaseHTTPRequestHandler):
         self.send_response(status)
         self.send_header("Content-Type", content_type)
         self.send_header("Content-Length", str(len(body)))
+        if self.close_connection:
+            self.send_header("Connection", "close")
         self.end_headers()
         self.wfile.write(body)
 
@@ -149,7 +163,25 @@ class _Handler(BaseHTTPRequestHandler):
         self._send(status, {"error": message})
 
     def _read_json(self) -> dict:
-        length = int(self.headers.get("Content-Length") or 0)
+        declared = self.headers.get("Content-Length") or "0"
+        try:
+            length = int(declared)
+        except ValueError:
+            length = -1
+        # Either way the body stays unread, so the connection's remaining
+        # bytes cannot be framed into a next request: close it after replying.
+        if length < 0:
+            self.close_connection = True
+            raise ValueError(
+                f"invalid Content-Length {declared!r}: expected a non-negative "
+                f"integer"
+            )
+        if length > MAX_BODY_BYTES:
+            self.close_connection = True
+            raise _BodyTooLarge(
+                f"request body of {length} bytes exceeds the "
+                f"{MAX_BODY_BYTES}-byte limit"
+            )
         raw = self.rfile.read(length) if length else b""
         if not raw:
             return {}
@@ -253,6 +285,8 @@ class _Handler(BaseHTTPRequestHandler):
             self._error(404, f"unknown job {parts[1]!r}")
         except QuotaExceededError as error:
             self._error(429, str(error))
+        except _BodyTooLarge as error:
+            self._error(413, str(error))
         except ValueError as error:
             self._error(400, str(error))
 

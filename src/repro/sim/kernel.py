@@ -43,10 +43,8 @@ from repro.sim.stream import access_columns
 #: Environment variable overriding the kernel for a whole process tree.
 KERNEL_ENV = "REPRO_KERNEL"
 
-#: The recognised kernel names.  ``fast-sharded`` is the fast kernel driven
-#: window-by-window by the sharded executor (see :mod:`repro.sim.shard`);
-#: on a plain single-stream call it behaves exactly like ``fast``.
-KERNELS = ("reference", "fast", "fast-sharded")
+#: The recognised kernel names.
+KERNELS = ("reference", "fast")
 
 #: What the executor uses when neither a call-site nor the environment says.
 DEFAULT_KERNEL = "fast"
@@ -442,353 +440,4 @@ def run_fast(
     return SimulationResult(
         stats=stats,
         prefetcher_stats={p.name: p.stats for p in prefetchers},
-    )
-
-
-def _window_counter_base(hierarchy, prefetchers) -> tuple:
-    """Snapshot of every live counter ``Simulator._finalise`` reads.
-
-    Taken at a shard's window start so the window-local statistics can be
-    recovered by subtraction after the shared ``_finalise`` runs — the
-    hierarchy/DRAM/prefetcher counters keep accumulating from the sampling
-    flush onward, and a shard only owns what happened inside its window.
-    """
-
-    from dataclasses import asdict
-
-    dram_stats = hierarchy.dram.stats
-    return (
-        dram_stats.demand_reads,
-        dram_stats.prefetch_fills,
-        dram_stats.writes,
-        hierarchy.stats.l3_data_accesses,
-        hierarchy.stats.markov_accesses,
-        tuple((p.name, asdict(p.stats)) for p in prefetchers),
-    )
-
-
-def run_fast_window(simulator, trace, window, workload_name: str = ""):
-    """Replay one :class:`~repro.sim.shard.ShardWindow` of a trace.
-
-    The per-shard half of the ``fast-sharded`` kernel: the same fused loop
-    as :func:`run_fast`, but phase transitions are driven by absolute access
-    *indices* from the window instead of a warm-up countdown:
-
-    * ``[prefix_start, sample_begin)`` warms state (statistics discarded);
-    * at ``sample_begin`` the loop performs the sequential kernel's
-      sampling-boundary flush — local clock written back,
-      ``Simulator._begin_sampling()`` — at exactly the index the sequential
-      kernel would, which is what makes full-prefix shards bit-identical;
-    * ``[sample_begin, window_start)`` is the overlap gap: simulated under
-      sampling conditions, statistics discarded;
-    * ``[window_start, window_stop)`` is the owned window.  Counters that
-      live on shared objects (hierarchy, DRAM, prefetchers) are snapshot at
-      its start and subtracted after ``_finalise``, so the returned
-      statistics cover the window alone.
-
-    Returns a :class:`~repro.sim.shard.ShardOutcome` carrying the
-    window-local statistics plus the raw clock/stall endpoints the merge
-    needs (see :func:`repro.sim.shard.merge_shard_outcomes`).
-    """
-
-    from dataclasses import asdict
-
-    from repro.sim.shard import ShardOutcome
-
-    offset = window.prefix_start
-    window_getter = getattr(trace, "window_columns", None)
-    if window_getter is not None:
-        # Chunk-selective path: a v2 ChunkedTrace serves the replay range
-        # ``[prefix_start, window_stop)`` by decoding only the chunks that
-        # range covers — a shard never pays for records outside its window.
-        length = len(trace)
-        if window.window_stop > length:
-            raise ValueError(
-                f"shard window [{window.window_start}:{window.window_stop}) "
-                f"exceeds the trace length {length}"
-            )
-        pcs, addresses, writes, _length = window_getter(
-            offset, window.window_stop
-        )
-    else:
-        columns = access_columns(trace)
-        if window.window_stop > columns.length:
-            raise ValueError(
-                f"shard window [{window.window_start}:{window.window_stop}) "
-                f"exceeds the trace length {columns.length}"
-            )
-        # Zero-copy view of this shard's replay range: buffer-backed columns
-        # (arrays, the mmap-backed trace path) share storage, so K workers
-        # slicing one trace never multiply its resident size.
-        from repro.sim.stream import slice_columns
-
-        pcs, addresses, writes, _length = slice_columns(
-            columns, offset, window.window_stop
-        )
-
-    hierarchy = simulator.hierarchy
-    timing = simulator.timing
-    prefetchers = list(simulator.prefetchers)
-    hit_prefetchers = [p for p in prefetchers if p.observes_hits]
-    source_map = simulator._prefetch_source
-
-    stats = SimulationStats(
-        workload=workload_name, configuration=simulator.configuration_name
-    )
-    # Prefix and overlap-gap activity lands here and is dropped.
-    discard_stats = SimulationStats(
-        workload=workload_name, configuration=simulator.configuration_name
-    )
-
-    scratch = KernelScratch()
-    result = scratch.result
-    fill_scratch = scratch.fill
-    buffer = scratch.buffer
-
-    # -- hot state bound to locals (identical to run_fast) -----------------
-    l1 = hierarchy.l1d
-    l1_stats = l1.stats
-    l1_sets = l1._sets
-    l1_tag_maps = l1._tag_maps
-    l1_on_hit = l1.policy.on_hit
-    l1_observe = l1._policy_observe
-    l1_line_bits = l1._line_bits
-    l1_set_mask = l1._set_mask
-    l1_set_bits = l1._set_bits
-    hstats = hierarchy.stats
-    demand_access = hierarchy.demand_access
-    demand_after_l1_miss = hierarchy.demand_after_l1_miss
-    prefetch_fill = hierarchy.prefetch_fill
-    l1_latency = hierarchy.params.l1_latency
-    line_mask = -CACHE_LINE_SIZE
-    base_cycles = timing.params.base_cycles_per_access
-    weights = timing.stall_weights()
-    weight_l1 = weights["l1"]
-    level_hits = stats.level_hits
-    discard_hits = discard_stats.level_hits
-
-    # Batched accumulators, same contract as run_fast: locals carry the
-    # authoritative totals, the shared objects are synced at phase
-    # boundaries and around the two hierarchy calls that touch them.
-    cycles, timing_accesses = timing.checkpoint()
-    demand_count = hstats.demand_accesses
-    stall_cycles = hstats.late_prefetch_stall_cycles
-
-    sample_begin = window.sample_begin
-    window_start = window.window_start
-    stop = window.window_stop
-    sampling = False
-    windowed = False
-    clock_sample_start = cycles
-    clock_window_start = cycles
-    stall_window_start = stall_cycles
-    counter_base = None
-    target_stats = discard_stats
-    target_hits = discard_hits
-
-    # Coarse wall-clock telemetry, same contract as run_fast: at most three
-    # perf_counter reads per shard (start, the single window-start crossing,
-    # end) — the prefix phase is everything replayed before the owned window.
-    telemetry = obs.enabled()
-    wall_start = perf_counter() if telemetry else 0.0
-    wall_window = wall_start
-
-    index = offset
-    while index < stop:
-        if not sampling and index >= sample_begin:
-            # The sampling-boundary flush, at the sequential kernel's exact
-            # index: locals become observable, every counter resets.
-            timing.flush(cycles, timing_accesses)
-            hstats.demand_accesses = demand_count
-            hstats.late_prefetch_stall_cycles = stall_cycles
-            simulator._begin_sampling()
-            demand_count = hstats.demand_accesses
-            stall_cycles = hstats.late_prefetch_stall_cycles
-            sampling = True
-            clock_sample_start = simulator._cycles_at_sample_start
-        if not windowed and index >= window_start:
-            counter_base = _window_counter_base(hierarchy, prefetchers)
-            clock_window_start = cycles
-            stall_window_start = stall_cycles
-            windowed = True
-            target_stats = stats
-            target_hits = level_hits
-            if telemetry:
-                wall_window = perf_counter()
-
-        position = index - offset
-        pc = pcs[position]
-        address = addresses[position]
-        is_write = writes[position]
-        index += 1
-
-        # -- demand access (L1-hit path inlined) ---------------------------
-        now = cycles
-        demand_count += 1
-        line = address & line_mask
-        hit_way = None
-        if l1_set_mask is not None:
-            line_number = line >> l1_line_bits
-            set_index = line_number & l1_set_mask
-            tag = line_number >> l1_set_bits
-            l1_stats.demand_accesses += 1
-            if l1_observe is not None:
-                l1_observe(set_index, line, pc)
-            hit_way = l1_tag_maps[set_index].get(tag)
-            if hit_way is None:
-                l1_stats.misses += 1
-                hstats.late_prefetch_stall_cycles = stall_cycles
-                demand_after_l1_miss(line, pc, bool(is_write), now, result)
-                stall_cycles = hstats.late_prefetch_stall_cycles
-            else:
-                l1_stats.hits += 1
-                cache_line = l1_sets[set_index][hit_way]
-                first_use = False
-                if cache_line.prefetched and not cache_line.used_since_prefetch:
-                    cache_line.used_since_prefetch = True
-                    first_use = True
-                    l1_stats.prefetch_first_uses += 1
-                if is_write:
-                    cache_line.dirty = True
-                l1_on_hit(set_index, hit_way, pc)
-                stall = cache_line.ready_cycle - now
-                if stall < 0.0:
-                    stall = 0.0
-                stall_cycles += stall
-                result.level = "l1"
-                result.latency = l1_latency + stall
-                result.line_address = line
-                result.l2_miss = False
-                result.l2_prefetch_first_use = False
-                result.l1_prefetch_first_use = first_use
-                result.late_prefetch_stall = stall
-        else:
-            demand_count -= 1
-            hstats.demand_accesses = demand_count
-            hstats.late_prefetch_stall_cycles = stall_cycles
-            demand_access(pc, address, bool(is_write), now, result)
-            demand_count = hstats.demand_accesses
-            stall_cycles = hstats.late_prefetch_stall_cycles
-
-        level = result.level
-        if hit_way is not None:
-            cost = base_cycles + weight_l1 * result.latency
-        else:
-            cost = base_cycles + weights[level] * result.latency
-        cycles = now + cost
-        timing_accesses += 1
-
-        target_stats.accesses += 1
-        target_hits[level] += 1
-        if result.l2_miss:
-            target_stats.l2_demand_misses += 1
-        if result.l2_prefetch_first_use:
-            simulator._attribute_usefulness(
-                line, target_stats, late=result.late_prefetch_stall > 0
-            )
-
-        # -- prefetchers ---------------------------------------------------
-        actives = (
-            prefetchers
-            if (result.l2_miss or result.l2_prefetch_first_use)
-            else hit_prefetchers
-        )
-        for prefetcher in actives:
-            buffer.count = 0
-            prefetcher.observe_into(pc, line, result, cycles, buffer)
-            count = buffer.count
-            if not count:
-                continue
-            decisions = buffer._decisions
-            for decision_index in range(count):
-                decision = decisions[decision_index]
-                fill = prefetch_fill(
-                    decision.address,
-                    pc,
-                    cycles,
-                    extra_latency=decision.extra_latency,
-                    target_level=decision.target_level,
-                    out=fill_scratch,
-                )
-                if fill.already_present:
-                    continue
-                if decision.metadata_source == "stride":
-                    target_stats.stride_prefetches_issued += 1
-                    source_map[decision.address] = "stride"
-                else:
-                    target_stats.temporal_prefetches_issued += 1
-                    source_map[decision.address] = "temporal"
-
-    timing.flush(cycles, timing_accesses)
-    hstats.demand_accesses = demand_count
-    hstats.late_prefetch_stall_cycles = stall_cycles
-    if not sampling:
-        # Degenerate empty window at the trace tail: flush anyway so the
-        # zero statistics are reported against a consistent boundary.
-        simulator._begin_sampling()
-        clock_sample_start = simulator._cycles_at_sample_start
-    if not windowed:
-        counter_base = _window_counter_base(hierarchy, prefetchers)
-        clock_window_start = timing.cycles
-        stall_window_start = hstats.late_prefetch_stall_cycles
-    stall_end = hstats.late_prefetch_stall_cycles
-    simulator._finalise(stats)
-
-    # ``_finalise`` read the shared accumulators, which cover everything
-    # since the sampling flush; subtract the window-start snapshot so the
-    # statistics describe the owned window only.  The energy recompute uses
-    # the hierarchy's exact expression shape over the window deltas (dyadic
-    # constants times integer counters, so it is summation-exact).
-    (
-        base_reads,
-        base_fills,
-        base_writes,
-        base_l3_data,
-        base_markov,
-        prefetcher_base,
-    ) = counter_base
-    stats.dram_demand_reads -= base_reads
-    stats.dram_prefetch_fills -= base_fills
-    stats.dram_writes -= base_writes
-    stats.dram_accesses -= base_reads + base_fills + base_writes
-    stats.l3_data_accesses -= base_l3_data
-    stats.markov_accesses -= base_markov
-    stats.late_prefetch_stall_cycles = stall_end - stall_window_start
-    stats.dynamic_energy = (
-        stats.dram_accesses * hierarchy.dram.energy_per_access
-        + (stats.l3_data_accesses + stats.markov_accesses)
-        * hierarchy.params.l3_energy_per_access
-    )
-    stats.cycles = timing.cycles - clock_window_start
-
-    prefetcher_counters = {}
-    for (name, base_counters), prefetcher in zip(prefetcher_base, prefetchers):
-        current = asdict(prefetcher.stats)
-        prefetcher_counters[name] = {
-            field: current[field] - base_value
-            for field, base_value in base_counters.items()
-        }
-
-    if telemetry:
-        wall_end = perf_counter()
-        if not windowed:
-            wall_window = wall_end  # degenerate empty window: no owned time
-        obs.record_replay(
-            workload_name,
-            accesses=stats.accesses,
-            prefix_accesses=max(min(window_start, stop) - offset, 0),
-            prefix_seconds=wall_window - wall_start,
-            sample_seconds=wall_end - wall_window,
-        )
-
-    return ShardOutcome(
-        index=window.index,
-        stats=stats,
-        prefetcher_counters=prefetcher_counters,
-        clock_sample_start=clock_sample_start,
-        clock_window_start=clock_window_start,
-        clock_end=timing.cycles,
-        stall_window_start=stall_window_start,
-        stall_end=stall_end,
-        exact=window.prefix_start == 0,
     )

@@ -182,10 +182,7 @@ class MultiProgramSimulator:
             raise ValueError(
                 f"expected {len(self.simulators)} traces, got {len(traces)}"
             )
-        # "fast-sharded" degrades to the plain fast stepping here: sharding
-        # applies to single-stream replay, and the interleaved driver must
-        # never silently fall back to the reference path under it.
-        fast = resolve_kernel(kernel) != "reference"
+        fast = resolve_kernel(kernel) == "fast"
         names = list(workload_names or ["" for _ in traces])
         if fast:
             columns = [access_columns(trace) for trace in traces]

@@ -20,7 +20,6 @@ Normalisation against a baseline run happens in
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Sequence
 
 
 @dataclass
@@ -107,37 +106,6 @@ class SimulationStats:
             return 1.0 if self.dynamic_energy == 0 else float("inf")
         return self.dynamic_energy / baseline.dynamic_energy
 
-    def combine_from(self, part: "SimulationStats") -> None:
-        """Accumulate another window's counters into this object.
-
-        Every additive counter — integer event counts and the float
-        accumulators alike — is summed; ``markov_final_ways`` is *state*,
-        not an event count, so the caller takes the last window's value.
-        Used by :func:`combine_stats`; the sharded merge
-        (:mod:`repro.sim.shard`) then overrides the float accumulators
-        where endpoint subtraction can reproduce sequential replay
-        bit-for-bit.
-        """
-
-        self.accesses += part.accesses
-        self.cycles += part.cycles
-        for level, hits in part.level_hits.items():
-            self.level_hits[level] = self.level_hits.get(level, 0) + hits
-        self.l2_demand_misses += part.l2_demand_misses
-        self.temporal_prefetches_issued += part.temporal_prefetches_issued
-        self.temporal_prefetches_useful += part.temporal_prefetches_useful
-        self.temporal_prefetches_late += part.temporal_prefetches_late
-        self.stride_prefetches_issued += part.stride_prefetches_issued
-        self.stride_prefetches_useful += part.stride_prefetches_useful
-        self.dram_accesses += part.dram_accesses
-        self.dram_demand_reads += part.dram_demand_reads
-        self.dram_prefetch_fills += part.dram_prefetch_fills
-        self.dram_writes += part.dram_writes
-        self.l3_data_accesses += part.l3_data_accesses
-        self.markov_accesses += part.markov_accesses
-        self.dynamic_energy += part.dynamic_energy
-        self.late_prefetch_stall_cycles += part.late_prefetch_stall_cycles
-
     def as_dict(self) -> dict:
         """Flat dictionary of raw counters (for reports and serialisation)."""
 
@@ -157,24 +125,3 @@ class SimulationStats:
             "markov_final_ways": self.markov_final_ways,
         }
 
-
-def combine_stats(parts: Sequence[SimulationStats]) -> SimulationStats:
-    """Field-wise sum of per-window statistics, in window order.
-
-    The workload/configuration labels come from the first part (every
-    window of one run shares them), additive counters sum, and
-    ``markov_final_ways`` — the partitioned cache's final state, not an
-    event count — comes from the *last* part.  This is the deterministic
-    half of the sharded merge; :func:`repro.sim.shard.merge_shard_outcomes`
-    layers the endpoint-exact float handling on top.
-    """
-
-    if not parts:
-        raise ValueError("cannot combine zero statistics objects")
-    merged = SimulationStats(
-        workload=parts[0].workload, configuration=parts[0].configuration
-    )
-    for part in parts:
-        merged.combine_from(part)
-    merged.markov_final_ways = parts[-1].markov_final_ways
-    return merged

@@ -95,9 +95,8 @@ def slice_columns(columns: AccessColumns, start: int, stop: int) -> AccessColumn
     Buffer-backed columns — ``array('Q')``, ``bytearray``, ``bytes``,
     ``memoryview`` (the mmap-backed trace path) — are sliced through
     :class:`memoryview`, which shares the underlying storage; slicing the
-    containers directly would copy the window, and sharded replay slices
-    the same multi-gigabyte columns once per shard.  Plain sequences (the
-    test fallback) fall back to an ordinary copying slice.
+    containers directly would copy the window.  Plain sequences (the test
+    fallback) fall back to an ordinary copying slice.
     """
 
     start, stop, _ = slice(start, stop).indices(columns.length)

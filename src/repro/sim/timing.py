@@ -13,15 +13,6 @@ This is deliberately simple — the reproduction's claims are about *relative*
 performance between prefetcher configurations, which is dominated by how
 many DRAM-latency stalls each configuration removes, not by the absolute
 cycle counts.
-
-The model's clock is one monotone float accumulator (:attr:`TimingModel.cycles`),
-which is what lets sharded replay (:mod:`repro.sim.shard`) merge exactly:
-each shard records the clock at its sampling and window boundaries, and the
-merger reconstructs the sequential cycle count from the *endpoints*
-(``last shard's end − first shard's sampling start``) rather than summing
-per-shard deltas — float addition is not associative, so endpoint
-subtraction is the only merge that reproduces the sequential run bit for
-bit.
 """
 
 from __future__ import annotations

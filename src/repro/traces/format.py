@@ -58,7 +58,7 @@ Version 2 layout (chunked delta/varint; the default write format)::
 Every chunk holds exactly ``records per chunk`` records except the last,
 so a record position maps to its chunk by one integer division and any
 record range decodes by touching only the chunks that cover it — the
-chunk index is what lets sharded replay and window sampling skip the rest
+chunk index is what lets window sampling skip the rest
 of a multi-gigabyte capture.  :class:`ChunkedTrace` is the lazy container
 over this layout; v1 files load into :class:`PackedTrace` exactly as
 before, and :func:`save_trace` still writes v1 on request.
@@ -481,8 +481,8 @@ class ChunkedTrace:
     protocol and the :class:`~repro.sim.stream.AccessStream` columnar
     protocol as :class:`PackedTrace`, but holds only the *encoded* chunk
     bytes (an mmap view for uncompressed files) plus a small LRU of decoded
-    chunks.  Consumers that replay one record range — sharded windows,
-    samplers — call :meth:`window_columns` and decode only the chunks the
+    chunks.  Consumers that need one record range — the samplers — call
+    :meth:`window_columns` and decode only the chunks the
     range covers; :attr:`chunks_decoded` counts real decodes so tests can
     assert that selectivity.  A full :meth:`access_columns` materialisation
     is memoised, after which window views are zero-copy slices of it.
@@ -752,9 +752,8 @@ class ChunkedTrace:
         """Columns for records ``[start:stop)``, touching only their chunks.
 
         The chunk-selective counterpart of ``access_columns() +
-        slice_columns(...)``: the fast kernel's window replay and the
-        samplers call this so a shard of a huge capture decodes a handful
-        of chunks instead of the whole payload.  Once the trace has been
+        slice_columns(...)``: the samplers call this so a window of a huge
+        capture decodes a handful of chunks instead of the whole payload.  Once the trace has been
         fully materialised the window is a zero-copy view of those columns.
         """
 
@@ -1069,9 +1068,9 @@ def _header_prefix(path: Path) -> tuple[bytes, bool]:
     """At least the fixed + JSON header bytes, without reading the payload.
 
     Plain files are read in 64 KiB steps until the header is complete;
-    gzip files are *stream*-decompressed just as far — ``repro trace info
-    --shards`` on a multi-gigabyte ``.rtrc.gz`` must not inflate the whole
-    payload to report twenty header bytes and a shard plan.
+    gzip files are *stream*-decompressed just as far — reading the header
+    of a multi-gigabyte ``.rtrc.gz`` must not inflate the whole payload to
+    report twenty header bytes.
     """
 
     with open(path, "rb") as handle:

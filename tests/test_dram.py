@@ -67,8 +67,8 @@ class TestBatchedAccounting:
         assert snapshot.total_accesses == 3
 
     def test_stats_object_identity_is_stable(self):
-        """Holders of a ``stats`` reference (the sharded kernel's counter
-        snapshots read it repeatedly) see updates in place — the flush
+        """Holders of a ``stats`` reference (the engine's ``_finalise`` and
+        the tests read it repeatedly) see updates in place — the flush
         target is one long-lived DramStats, not a fresh copy per read."""
 
         dram = DramModel()

@@ -498,3 +498,38 @@ class TestRunFastDirect:
         assert {
             name: asdict(stats) for name, stats in expected.prefetcher_stats.items()
         } == {name: asdict(stats) for name, stats in actual.prefetcher_stats.items()}
+
+
+class TestRecordedTraceReplay:
+    def test_sampled_windows_of_a_recorded_trace(self, tmp_path, monkeypatch):
+        """Sampler-derived traces (explore's screen windows) replay identically.
+
+        Carves prefix, mid-stream and systematic samples out of a recorded
+        mmap-backed trace, saves them as first-class ``.rtrc`` workloads,
+        and checks the fast kernel stays access-for-access identical to the
+        reference kernel on each.
+        """
+
+        from repro.traces.format import load_trace, save_trace
+        from repro.traces.recorder import record_workload
+        from repro.traces.samplers import (
+            sample_prefix,
+            sample_systematic,
+            sample_window,
+        )
+
+        monkeypatch.setenv("REPRO_TRACE_DIR", str(tmp_path))
+        path = record_workload("xalan", directory=tmp_path, overrides={"length": 3000})
+        source = load_trace(path)  # mmap-backed: samples slice memoryviews
+        samples = {
+            "xl_prefix": sample_prefix(source, 1200, name="xl_prefix"),
+            "xl_window": sample_window(source, 700, 1300, name="xl_window"),
+            "xl_sys": sample_systematic(source, period=3, block=2, name="xl_sys"),
+        }
+        for stem, sampled in samples.items():
+            save_trace(sampled, tmp_path / f"{stem}.rtrc")
+        runner = quick_runner(max_accesses=None, trace_overrides={})
+        for stem in samples:
+            reference, fast = both_kernels(runner.spec_for(f"trace:{stem}", "triangel"))
+            assert asdict(reference) == asdict(fast), stem
+            assert fast.accesses > 0, stem

@@ -134,19 +134,6 @@ class TestKernelTelemetry:
         assert "prefix_replay" in phases
         assert accesses.value(phase="sample") - base_sample == result.stats.accesses
 
-    def test_windowed_kernel_reports_too(self, telemetry):
-        from repro.sim.shard import plan_shards
-
-        trace = trace_for_workload("xalan", {"length": 1500})
-        plan = plan_shards(len(trace), 450, 2, overlap="warmup")
-        with obs.collect() as roots:
-            kernel_module.run_fast_window(
-                _simulator(), trace, plan.windows[1], workload_name="xalan"
-            )
-        phases = obs.breakdown(roots)
-        assert "sampled_window" in phases
-        assert "prefix_replay" in phases  # shard 1 replays a warm-up prefix
-
 
 # ---------------------------------------------------------------------------
 # job event ring buffer

@@ -12,6 +12,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import multiprocessing
+import socket
 import threading
 from concurrent.futures import Future
 
@@ -23,9 +24,10 @@ from repro.experiments.jobs import code_version
 from repro.experiments.parallel import BatchExecutor
 from repro.experiments.runner import ExperimentRunner
 from repro.experiments.store import ResultStore, default_store, store_stats_payload
+from repro.service import scheduler as scheduler_module
 from repro.service.manifest import job_manifest, spec_from_payload, spec_payload, verify_manifest
 from repro.service.scheduler import Job, QuotaExceededError, Scheduler
-from repro.service.server import build_server
+from repro.service.server import MAX_BODY_BYTES, build_server
 
 
 def quick_runner(**overrides) -> ExperimentRunner:
@@ -204,6 +206,31 @@ class TestCancellation:
             assert job.state == "completed"
 
 
+class TestRetention:
+    def test_running_jobs_are_never_forgotten(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(scheduler_module, "FINISHED_JOB_LIMIT", 3)
+        store = ResultStore(tmp_path)
+        spec = quick_runner(store=store).spec_for("xalan", "baseline")
+        backend = ManualBackend()
+        with Scheduler(store=store, backend=backend) as scheduler:
+            running = scheduler.submit([spec])
+            finished = [scheduler.submit([]) for _ in range(5)]
+            assert [job.id for job in scheduler.jobs()] == [
+                running.id,
+                *[job.id for job in finished[-3:]],
+            ]
+            with pytest.raises(KeyError):
+                scheduler.job_snapshot(finished[0].id)
+            backend.wait_for_calls(1)
+            backend.run_next()
+            assert running.wait(10) and running.state == "completed"
+            # Finishing evicts the oldest finished job, not the newcomer.
+            assert [job.id for job in scheduler.jobs()] == [
+                running.id,
+                *[job.id for job in finished[-2:]],
+            ]
+
+
 class TestQuota:
     def test_over_quota_rejected_before_any_state_changes(self, tmp_path):
         runner = quick_runner(store=None)
@@ -238,7 +265,7 @@ class TestQuota:
 
 class TestManifest:
     def test_spec_payload_round_trips(self, tmp_path):
-        run = quick_runner(store=None, shards=2).spec_for("xalan", "triangel")
+        run = quick_runner(store=None).spec_for("xalan", "triangel")
         pair = quick_runner(store=None).multiprogram_spec_for(
             ["xalan", "omnet"], "triangel", 300
         )
@@ -251,6 +278,18 @@ class TestManifest:
     def test_unknown_spec_kind_rejected(self):
         with pytest.raises(ValueError, match="unknown spec kind"):
             spec_from_payload({"kind": "mystery"})
+
+    def test_non_canonical_fields_rejected(self):
+        """A field the canonical form lacks must not be dropped silently:
+        the rebuilt spec would hash as a different simulation."""
+
+        run = quick_runner(store=None).spec_for("xalan", "triangel")
+        pair = quick_runner(store=None).multiprogram_spec_for(
+            ["xalan", "omnet"], "triangel", 300
+        )
+        for spec in (run, pair):
+            with pytest.raises(ValueError, match="'replay_windows'"):
+                spec_from_payload({**spec.as_dict(), "replay_windows": 4})
 
     def test_job_manifest_verifies_and_detects_tampering(self, tmp_path):
         store = ResultStore(tmp_path)
@@ -384,6 +423,66 @@ class TestHTTPService:
             ServiceClient("http://127.0.0.1:9", timeout=0.5).healthz()
         assert unreachable.value.status == 0
 
+    def test_spec_with_unknown_field_is_a_one_line_400(self, service):
+        client = ServiceClient(service.url)
+        entry = {
+            **quick_runner(store=None).spec_for("xalan", "baseline").as_dict(),
+            "replay_windows": 4,
+        }
+        with pytest.raises(ServiceError) as rejected:
+            client.submit({"kind": "spec", "specs": [entry]})
+        assert rejected.value.status == 400
+        message = rejected.value.payload["error"]
+        assert "replay_windows" in message
+        assert len(message.splitlines()) == 1
+        assert client.jobs() == []
+
+    @pytest.mark.parametrize(
+        ("declared", "status"),
+        [("-1", 400), ("abc", 400), (str(MAX_BODY_BYTES + 1), 413)],
+    )
+    def test_bad_content_length_is_answered_without_reading(
+        self, service, declared, status
+    ):
+        """A malformed or oversized length gets one 4xx line, never a hang:
+        the handler must neither wait for a body nor keep the connection."""
+
+        host, port = service.server_address[:2]
+        request = (
+            "POST /jobs HTTP/1.1\r\n"
+            "Host: localhost\r\n"
+            "Content-Type: application/json\r\n"
+            f"Content-Length: {declared}\r\n\r\n"
+        )
+        with socket.create_connection((host, port), timeout=1.0) as connection:
+            connection.sendall(request.encode())
+            response = b""
+            # The server closes the connection after answering; a handler
+            # blocked reading the body would trip the one-second timeout.
+            while chunk := connection.recv(65536):
+                response += chunk
+        head, _, body = response.partition(b"\r\n\r\n")
+        assert head.split()[1] == str(status).encode()
+        assert b"connection: close" in head.lower()
+        assert len(json.loads(body)["error"].splitlines()) == 1
+
+    def test_daemon_forgets_finished_jobs_beyond_the_limit(
+        self, service, monkeypatch
+    ):
+        monkeypatch.setattr(scheduler_module, "FINISHED_JOB_LIMIT", 2)
+        client = ServiceClient(service.url)
+        ids = []
+        for _ in range(4):
+            job = client.submit(TINY_RUN)
+            client.wait(job["id"], timeout=60)
+            ids.append(job["id"])
+        assert [entry["id"] for entry in client.jobs()] == ids[-2:]
+        assert client.healthz()["scheduler"]["jobs"] == {"completed": 2}
+        with pytest.raises(ServiceError) as forgotten:
+            client.result(ids[0])
+        assert forgotten.value.status == 404
+        assert client.result(ids[-1])["manifest"]["store"]["hits"] == 1
+
     def test_quota_maps_to_429(self, tmp_path):
         server = build_server(None, port=0, jobs=1, quota=1)
         thread = threading.Thread(target=server.serve_forever, daemon=True)
@@ -503,12 +602,6 @@ class TestServiceCLI:
         err = capsys.readouterr().err
         assert err.startswith("repro: ")
         assert "REPRO_JOBS" in err and len(err.strip().splitlines()) == 1
-
-    def test_invalid_shards_env_is_a_one_line_error(self, monkeypatch, capsys):
-        monkeypatch.setenv("REPRO_SHARDS", "two")
-        assert main(["run", "xalan", "--trace-length", "800"]) == 2
-        err = capsys.readouterr().err
-        assert "REPRO_SHARDS" in err and len(err.strip().splitlines()) == 1
 
     def test_zero_jobs_flag_rejected(self, capsys):
         assert main(["run", "xalan", "--jobs", "0"]) == 2

@@ -4,11 +4,12 @@ Covers the v1 <-> v2 round trip (property-tested over random streams:
 byte-stable and digest-stable per version), chunk-boundary edge cases
 (windows spanning chunks, empty traces, record counts landing exactly on a
 chunk edge, single-record chunks), torn/truncated-file rejection with
-actionable errors, the chunk-selective decode contract of sharded replay
-(a window replay decodes only the chunks its range covers, proven by
-counting decodes), bit-identical replay statistics across the v1 / v2 /
-gzip encodings for every registered configuration, and the header-only
-``trace info --shards`` path on gzip files.
+actionable errors, the chunk-selective decode contract of window sampling
+(a window decodes only the chunks its range covers, proven by counting
+decodes), zero-copy column slicing, bit-identical replay statistics across
+the v1 / v2 / gzip encodings for every registered configuration, header
+reads of gzip files that never inflate the payload, and ``trace info`` /
+``trace pack`` through the CLI.
 """
 
 from __future__ import annotations
@@ -23,14 +24,10 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.experiments.configs import CONFIGS, build_prefetchers
+from repro.experiments.configs import CONFIGS
 from repro.experiments.jobs import clear_trace_memo, execute_spec
 from repro.experiments.runner import ExperimentRunner
-from repro.sim.config import SystemConfig
-from repro.sim.engine import Simulator
-from repro.sim.kernel import run_fast_window, run_simulation
-from repro.sim.shard import merge_shard_outcomes, plan_shards
-from repro.sim.timing import TimingModel
+from repro.sim.stream import access_columns, slice_columns
 from repro.traces.format import (
     CHUNK_RECORDS,
     ChunkedTrace,
@@ -269,63 +266,7 @@ class TestTornFiles:
             load_trace(tmp_path / "vers.rtrc")
 
 
-def build_simulator(configuration: str = "triangel") -> Simulator:
-    system = SystemConfig.scaled()
-    return Simulator(
-        system.build_hierarchy(),
-        build_prefetchers(configuration, system),
-        timing=TimingModel(system.timing),
-        config=system,
-        configuration_name=configuration,
-    )
-
-
 class TestSelectiveDecode:
-    def test_sharded_full_overlap_decodes_only_covered_chunks(self, tmp_path):
-        """The acceptance assertion: replaying one shard window touches only
-        the chunks ``[prefix_start, window_stop)`` covers — never the tail
-        of the trace a later shard owns."""
-
-        chunk_records = 128
-        total = 1536  # 12 chunks
-        trace = stride_trace(total, name="shardme")
-        path = save_trace(
-            trace, tmp_path / "shardme.rtrc", chunk_records=chunk_records
-        )
-        plan = plan_shards(
-            total_accesses=total,
-            warmup_accesses=total // 4,
-            shards=4,
-            overlap="full",
-        )
-        outcomes = []
-        for window in plan.windows:
-            chunked = load_trace(path)
-            simulator = build_simulator()
-            outcomes.append(
-                run_fast_window(simulator, chunked, window, workload_name="s")
-            )
-            covered = (
-                (window.window_stop + chunk_records - 1) // chunk_records
-                - window.prefix_start // chunk_records
-            )
-            assert chunked.chunks_decoded == covered
-            # overlap=full replays from record zero, so the last shard
-            # covers everything and earlier shards strictly less.
-            assert window.prefix_start == 0
-        assert outcomes[0].stats.accesses < total
-
-        # The merged result must equal a sequential replay of the same file.
-        sequential = run_simulation(
-            build_simulator(),
-            load_trace(path),
-            kernel="fast",
-            workload_name="s",
-            warmup_accesses=total // 4,
-        )
-        merged = merge_shard_outcomes(outcomes)
-        assert asdict(merged) == asdict(sequential.stats)
-
     def test_sample_window_decodes_only_covered_chunks(self, tmp_path):
         from repro.traces.samplers import sample_window
 
@@ -338,6 +279,21 @@ class TestSelectiveDecode:
             trace[i].address for i in range(130, 200)
         ]
         assert sampled.metadata["sampled"]["source"] == "t"
+
+
+class TestSliceColumns:
+    def test_buffer_columns_are_views(self):
+        columns = access_columns(generate_workload("xalan", length=64))
+        window = slice_columns(columns, 10, 30)
+        assert window.length == 20
+        assert isinstance(window.pcs, memoryview)
+        assert list(window.pcs) == list(columns.pcs[10:30])
+        assert list(window.writes) == list(columns.writes[10:30])
+
+    def test_out_of_range_clamps(self):
+        columns = access_columns(generate_workload("xalan", length=16))
+        assert slice_columns(columns, 10, 99).length == 6
+        assert slice_columns(columns, 30, 40).length == 0
 
 
 # A module-scoped directory holding the same 1400-access xalan stream under
@@ -390,10 +346,10 @@ class TestEncodingParityMatrix:
         assert results["bh_v1"] == results["bh_v2"] == results["bh_gz"]
 
 
-class TestHeaderOnlyShardInfo:
-    def test_gzip_shard_plan_never_touches_the_payload(self, tmp_path, capsys):
-        """`trace info --shards` must work from the header alone — proven on
-        a gzip file whose payload is torn off after the header."""
+class TestTraceInfoAndPack:
+    def test_gzip_header_reads_without_the_payload(self, tmp_path, capsys):
+        """``read_header`` works from the header alone — proven on a gzip
+        file whose payload is torn off after the header."""
 
         from repro.cli import main
 
@@ -405,14 +361,12 @@ class TestHeaderOnlyShardInfo:
         torn = tmp_path / "big_torn.rtrc.gz"
         torn.write_bytes(gzip.compress(raw[: header_end + 16]))
 
-        assert main(["trace", "info", str(torn), "--shards", "3"]) == 0
-        out = capsys.readouterr().out
-        assert "shard plan:" in out
-        assert "accesses:     5000" in out
-        assert "3 shard(s)" in out
+        header = read_header(torn)
+        assert header.records == 5000
+        assert header.compressed
 
         # Plain info genuinely needs the payload, so the torn file fails —
-        # demonstrating the plan path really is header-only.
+        # demonstrating the header read really is header-only.
         assert main(["trace", "info", str(torn)]) != 0
 
     def test_info_reports_v2_encoding_ratio(self, tmp_path, capsys):
