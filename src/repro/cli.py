@@ -75,12 +75,11 @@ The subcommands cover the common workflows without writing any Python:
 simulation matrices in N worker processes (default: the ``REPRO_JOBS``
 environment variable, or 1), ``--cache-dir`` to relocate
 the result store (the ``REPRO_CACHE_DIR`` environment variable does the
-same), and ``--kernel reference|fast`` to pick the execution
-kernel (the ``REPRO_KERNEL`` environment variable does the same; the
-kernels produce bit-identical statistics, so this never changes any
-result).  A second invocation
-with the same parameters replays completed simulations from the store
-instead of re-running them.
+same), and ``--kernel reference|fast`` to pick the execution kernel (the
+``REPRO_KERNEL`` environment variable does the same; the kernels produce
+bit-identical statistics, so this never changes any result).  A second
+invocation with the same parameters replays completed simulations from the
+store instead of re-running them.
 
 Examples::
 

@@ -674,8 +674,8 @@ class Explorer:
     Execution policy mirrors :class:`~repro.experiments.runner.
     ExperimentRunner`: an optional persistent store (``use_cache=False``
     disables it), ``jobs`` worker processes and a kernel override.
-    ``trace_overrides`` applies to the source
-    workloads (screen windows are carved from the overridden stream).
+    ``trace_overrides`` applies to the source workloads (screen windows are
+    carved from the overridden stream).
 
     Screen traces are written under ``<directory>/screens/`` and that
     directory joins the trace search path for the explorer's lifetime —

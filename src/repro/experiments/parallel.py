@@ -107,8 +107,8 @@ class BatchExecutor:
         spec re-raises its original exception.
 
         With telemetry enabled the finished job's phase breakdown — per-spec
-        wall time, store hits vs executions — lands on
-        :attr:`last_telemetry` (``None`` otherwise, and when disabled).
+        wall time, store hits vs executions — lands on :attr:`last_telemetry`
+        (``None`` otherwise, and when disabled).
         """
 
         from repro.service.scheduler import Scheduler

@@ -16,9 +16,8 @@ updates four flat slots on the model itself (three integer event counts and
 the float wait total) instead of reaching through a stats object per access.
 The :attr:`DramModel.stats` property flushes those accumulators into the
 long-form :class:`DramStats` on demand, so every observation point — the
-engine's ``_finalise``, the tests —
-still reads the same dataclass it always did, while the hot path pays one
-slot store per event.  Flushing is assignment (not addition), so reading
+engine's ``_finalise``, the tests — still reads the same dataclass it
+always did, while the hot path pays one slot store per event.  Flushing is assignment (not addition), so reading
 ``stats`` mid-run any number of times is idempotent and the flushed values
 are bit-identical to the per-access bookkeeping they replace: the ``wait``
 additions happen in the same order on the accumulator as they previously

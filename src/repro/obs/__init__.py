@@ -98,9 +98,9 @@ def record_replay(
 ) -> None:
     """Report one kernel run's coarse phase sample (post-loop, O(1)).
 
-    Called by :func:`repro.sim.kernel.run_fast` and ``run_fast_window``
-    after their fused loops end — two or three ``perf_counter`` reads per
-    *run* are the entire kernel-side cost.  Records the replay throughput
+    Called by :func:`repro.sim.kernel.run_fast` after its fused loop
+    ends — two or three ``perf_counter`` reads per *run* are the entire
+    kernel-side cost.  Records the replay throughput
     counters plus the ``prefix_replay``/``sampled_window`` phases on the
     current span (or collector), which is how a job's per-phase breakdown
     learns about kernel time when execution is in-process.

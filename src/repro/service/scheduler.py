@@ -43,6 +43,7 @@ import threading
 import time
 import uuid
 from collections import deque
+from contextlib import nullcontext
 from functools import partial
 from typing import Callable, Mapping, Sequence
 
@@ -474,26 +475,20 @@ class Scheduler:
                 obs.emit(
                     "task_dispatched", job=task.creator.id, spec=spec_label(task.spec)
                 )
-                # An inline backend executes the call synchronously inside
-                # submit(), on this thread — collect the kernel's phase
-                # spans here.  Pool backends return immediately and run the
-                # call in a worker process, whose spans stay process-local;
-                # only the dispatch→done wall time survives for them.
-                try:
-                    with obs.collect() as spans:
-                        future = self._backend.submit(execute, task.spec)
-                except BaseException as error:  # noqa: BLE001 - backend refused
-                    self._task_done(task, None, error)
-                    continue
-                if spans:
-                    with self._lock:
-                        task.phases = obs.breakdown(spans)
-            else:
-                try:
+            # An inline backend executes the call synchronously inside
+            # submit(), on this thread — collect the kernel's phase spans
+            # here.  Pool backends return immediately and run the call in a
+            # worker process, whose spans stay process-local; only the
+            # dispatch→done wall time survives for them.
+            try:
+                with obs.collect() if telemetry else nullcontext([]) as spans:
                     future = self._backend.submit(execute, task.spec)
-                except BaseException as error:  # noqa: BLE001 - backend refused
-                    self._task_done(task, None, error)
-                    continue
+            except BaseException as error:  # noqa: BLE001 - backend refused
+                self._task_done(task, None, error)
+                continue
+            if spans:
+                with self._lock:
+                    task.phases = obs.breakdown(spans)
             future.add_done_callback(lambda f, t=task: self._task_done(t, f, None))
 
     def _task_done(self, task: _Task, future, submit_error) -> None:

@@ -753,8 +753,9 @@ class ChunkedTrace:
 
         The chunk-selective counterpart of ``access_columns() +
         slice_columns(...)``: the samplers call this so a window of a huge
-        capture decodes a handful of chunks instead of the whole payload.  Once the trace has been
-        fully materialised the window is a zero-copy view of those columns.
+        capture decodes a handful of chunks instead of the whole payload.
+        Once the trace has been fully materialised the window is a
+        zero-copy view of those columns.
         """
 
         start, stop, _ = slice(start, stop).indices(self._length)
