@@ -9,6 +9,9 @@ counters, under the fast kernel, for
 
 * every registered configuration × ``xalan``/``mcf`` (4000 accesses each)
   and ``graph500_s16`` (capped at 4000 accesses);
+* ``baseline``/``triage``/``triangel`` on ``xalan`` under
+  ``SystemConfig.scaled(1.5)``, whose 24/48/96-set caches take the
+  division fallback of every set/tag decomposition;
 * one ``.rtrc`` recording, replayed from disk;
 * figure 16's ``xalan`` + ``omnet`` pair on two cores.
 
@@ -53,6 +56,14 @@ PAIR = ("xalan", "omnet")
 PAIR_CONFIGS = ("baseline",) + MULTIPROGRAM_SERIES
 PAIR_LENGTH = 4000
 WARMUP_FRACTION = 0.4
+#: A non-power-of-two geometry: ``SystemConfig.scaled(1.5)`` gives the L1, L2
+#: and L3 24, 48 and 96 sets, so no cache can decompose addresses by shifts.
+#: Long enough for both temporal prefetchers to issue.
+ODD_SCALE = 1.5
+ODD_WORKLOAD = "xalan"
+ODD_LENGTH = 20_000
+ODD_CONFIGS = ("baseline", "triage", "triangel")
+ODD_PREFIX = f"scale{ODD_SCALE:g}:"
 
 
 def cell_ids() -> list[str]:
@@ -65,6 +76,9 @@ def cell_ids() -> list[str]:
     ]
     ids += [f"rtrc:{RECORDED}/{configuration}" for configuration in RECORDED_CONFIGS]
     ids += [f"{'+'.join(PAIR)}/{configuration}" for configuration in PAIR_CONFIGS]
+    ids += [
+        f"{ODD_PREFIX}{ODD_WORKLOAD}/{configuration}" for configuration in ODD_CONFIGS
+    ]
     return ids
 
 
@@ -77,10 +91,12 @@ def _payload(result) -> dict:
     }
 
 
-def _single_core(trace, workload: str, configuration: str) -> dict:
+def _single_core(
+    trace, workload: str, configuration: str, scale: float = 1.0
+) -> dict:
     """One fast-kernel run, built and warmed exactly as ``execute_spec`` does."""
 
-    system = SystemConfig.scaled()
+    system = SystemConfig.scaled(scale)
     simulator = Simulator(
         system.build_hierarchy(),
         build_prefetchers(configuration, system),
@@ -121,6 +137,9 @@ def compute_cell(cell: str, recording: Path) -> dict:
             warmup_fraction=WARMUP_FRACTION,
         )
         payload = execute_multiprogram_spec(spec, kernel="fast").as_payload()
+    elif workload.startswith(ODD_PREFIX):
+        trace = generate_workload(ODD_WORKLOAD, length=ODD_LENGTH)
+        payload = _single_core(trace, workload, configuration, ODD_SCALE)
     else:
         trace = generate_workload(workload, **SINGLE_CORE[workload])
         payload = _single_core(trace, workload, configuration)

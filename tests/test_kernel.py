@@ -10,7 +10,7 @@ building blocks the kernel runs on.
 
 from __future__ import annotations
 
-from dataclasses import asdict
+from dataclasses import asdict, replace
 
 import pytest
 
@@ -228,20 +228,28 @@ class TestParityEdges:
             result = run_simulation(simulator, Trace(name="empty"), kernel=kernel)
             assert result.stats.accesses == 0
 
-    def test_non_default_line_size_geometry(self):
-        """Line alignment must match the reference's global line_address().
+    @pytest.mark.parametrize(
+        "scale, line_size, length",
+        [(1.0, 128, 800), (1.5, 64, 20_000)],
+        ids=["line-size-128", "scaled-1.5"],
+    )
+    def test_non_default_line_size_geometry(self, scale, line_size, length):
+        """Geometries off the power-of-two, 64-byte-line path stay exact.
 
         The reference path aligns every access through the 64-byte
         ``line_address`` helper even when ``HierarchyParams.line_size``
         differs, so the kernel must too (regression: the kernel once
         derived its mask from the L1's configured line size).
+        ``SystemConfig.scaled(1.5)`` gives 24/48/96-set caches, whose
+        set/tag decomposition takes the division fallback everywhere; it
+        runs long enough for Triangel to issue temporal prefetches.
         """
 
-        from repro.memory.hierarchy import HierarchyParams, MemoryHierarchy
+        from repro.memory.hierarchy import MemoryHierarchy
 
-        trace = generate_workload("xalan", length=800)
-        params = HierarchyParams(line_size=128)
-        system = SystemConfig.scaled()
+        trace = generate_workload("xalan", length=length)
+        system = SystemConfig.scaled(scale)
+        params = replace(system.hierarchy, line_size=line_size)
         stats = {}
         for kernel in KERNELS:
             simulator = Simulator(
@@ -251,9 +259,11 @@ class TestParityEdges:
                 configuration_name="triangel",
             )
             stats[kernel] = run_simulation(
-                simulator, trace, kernel=kernel, warmup_accesses=200
+                simulator, trace, kernel=kernel, warmup_accesses=length // 4
             ).stats
         assert asdict(stats["reference"]) == asdict(stats["fast"])
+        if scale != 1.0:
+            assert stats["fast"].temporal_prefetches_issued > 0
 
 
 class TestWarmStoreAcrossKernels:
