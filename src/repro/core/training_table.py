@@ -144,25 +144,30 @@ class TriangelTrainingTable:
         before Triangel stores metadata or prefetches for it.
         """
 
+        # One locate and one pass over the set; the lookup is counted
+        # exactly as find() counts it.
+        stats = self.stats
+        stats.lookups += 1
+        self._clock += 1
         set_index, tag = self._locate(pc)
-        entry = self.find(pc)
-        if entry is not None:
-            way = self._sets[set_index].index(entry)
-            return entry, set_index * self.assoc + way, False
         ways = self._sets[set_index]
         victim_way = None
-        for way, candidate in enumerate(ways):
-            if not candidate.valid:
+        for way, entry in enumerate(ways):
+            if entry.valid:
+                if entry.pc_tag == tag:
+                    entry.last_use = self._clock
+                    stats.hits += 1
+                    return entry, set_index * self.assoc + way, False
+            elif victim_way is None:
                 victim_way = way
-                break
         if victim_way is None:
             victim_way = min(range(self.assoc), key=lambda way: ways[way].last_use)
-            self.stats.evictions += 1
+            stats.evictions += 1
         fresh = self._new_entry()
         fresh.valid = True
         fresh.pc_tag = tag
         fresh.pc = pc
         fresh.last_use = self._clock
         ways[victim_way] = fresh
-        self.stats.allocations += 1
+        stats.allocations += 1
         return fresh, set_index * self.assoc + victim_way, True

@@ -20,10 +20,16 @@ touches two to four cache levels, and prefetch fills add several more — so
 it is written for per-access cost:
 
 * tag lookup is a per-set ``{tag: way}`` dictionary kept in lockstep with
-  the line array (``_find_way`` is one hash probe, not a way scan);
+  the line array, so finding a line is one hash probe, not a way scan;
 * set/tag decomposition uses precomputed shifts when the geometry is a
-  power of two (it always is in practice), falling back to division
-  otherwise;
+  power of two (as in the default scaled system), falling back to division
+  otherwise; every operation decomposes its address once and probes the
+  tag map once, with the shift path written inline;
+* a fill into a full set replaces the victim *in place*: the displaced
+  line's record is overwritten field by field and the policy sees only
+  :meth:`~repro.memory.replacement.ReplacementPolicy.on_fill`, which by
+  contract overwrites every piece of per-way state ``on_invalidate``
+  would have reset;
 * :meth:`access` and :meth:`fill` return *reusable scratch* outcome
   objects — each call overwrites the instance returned by the previous
   call on the same cache, so callers must consume an outcome before
@@ -49,7 +55,6 @@ class CacheLine:
     used_since_prefetch: bool = False
     pc: int | None = None
     ready_cycle: float = 0.0
-    fill_time: float = 0.0
 
     def reset(self) -> None:
         self.valid = False
@@ -59,7 +64,6 @@ class CacheLine:
         self.used_since_prefetch = False
         self.pc = None
         self.ready_cycle = 0.0
-        self.fill_time = 0.0
 
 
 @dataclass(slots=True)
@@ -107,7 +111,6 @@ class AccessOutcome:
     hit: bool
     first_prefetch_use: bool = False
     ready_cycle: float = 0.0
-    line_pc: int | None = None
 
 
 @dataclass(slots=True)
@@ -154,7 +157,7 @@ class SetAssociativeCache:
         "stats",
         "_sets",
         "_tag_maps",
-        "_all_ways",
+        "_data_ways",
         "_line_bits",
         "_set_mask",
         "_set_bits",
@@ -193,11 +196,14 @@ class SetAssociativeCache:
         #: Per-set ``{tag: way}`` index mirroring ``_sets``; every fill,
         #: eviction and invalidation updates it, making lookups O(1).
         self._tag_maps: list[dict[int, int]] = [{} for _ in range(self.num_sets)]
-        self._all_ways = tuple(range(assoc))
-        # Shift/mask decomposition (power-of-two geometries, i.e. all of
-        # them): line number = address >> _line_bits, set = line & _set_mask,
-        # tag = line >> num_sets.bit_length()-1.  ``_set_mask`` is None when
-        # either quantity is not a power of two and locate() divides instead.
+        #: Ways a fill may place data in (the partitioned L3 narrows this on
+        #: every resize); valid lines only ever live within them.
+        self._data_ways = tuple(range(assoc))
+        # Shift/mask decomposition (power-of-two geometries, such as the
+        # default SystemConfig.scaled() system's): line number = address >>
+        # _line_bits, set = line & _set_mask, tag = line >>
+        # num_sets.bit_length()-1.  ``_set_mask`` is None when either
+        # quantity is not a power of two and locate() divides instead.
         if line_size & (line_size - 1) == 0 and self.num_sets & (self.num_sets - 1) == 0:
             self._line_bits = line_size.bit_length() - 1
             self._set_mask = self.num_sets - 1
@@ -217,7 +223,11 @@ class SetAssociativeCache:
 
     # -- address decomposition -------------------------------------------
     def locate(self, address: int) -> tuple[int, int]:
-        """Return ``(set_index, tag)`` for a byte address."""
+        """Return ``(set_index, tag)`` for a byte address.
+
+        The operations below inline the shift path and call this only for
+        a non-power-of-two geometry (``_set_mask is None``).
+        """
 
         mask = self._set_mask
         if mask is not None:
@@ -226,13 +236,14 @@ class SetAssociativeCache:
         line = line_address(address) // self.line_size
         return line % self.num_sets, line // self.num_sets
 
-    def _find_way(self, set_index: int, tag: int) -> int | None:
-        return self._tag_maps[set_index].get(tag)
-
     # -- queries -----------------------------------------------------------
     def probe(self, address: int) -> bool:
         """Return whether the line is present, without touching any state."""
 
+        mask = self._set_mask
+        if mask is not None:
+            line = address >> self._line_bits
+            return (line >> self._set_bits) in self._tag_maps[line & mask]
         set_index, tag = self.locate(address)
         return tag in self._tag_maps[set_index]
 
@@ -268,7 +279,13 @@ class SetAssociativeCache:
         Returns the cache's scratch :class:`AccessOutcome` (see class docs).
         """
 
-        set_index, tag = self.locate(address)
+        mask = self._set_mask
+        if mask is not None:
+            line_number = address >> self._line_bits
+            set_index = line_number & mask
+            tag = line_number >> self._set_bits
+        else:
+            set_index, tag = self.locate(address)
         stats = self.stats
         stats.demand_accesses += 1
         observe = self._policy_observe
@@ -281,7 +298,6 @@ class SetAssociativeCache:
             outcome.hit = False
             outcome.first_prefetch_use = False
             outcome.ready_cycle = 0.0
-            outcome.line_pc = None
             return outcome
         line = self._sets[set_index][way]
         stats.hits += 1
@@ -296,7 +312,6 @@ class SetAssociativeCache:
         outcome.hit = True
         outcome.first_prefetch_use = first_use
         outcome.ready_cycle = line.ready_cycle
-        outcome.line_pc = line.pc
         return outcome
 
     def fill(
@@ -311,26 +326,61 @@ class SetAssociativeCache:
         """Insert a line (demand fill or prefetch fill); return the victim, if any.
 
         The returned victim is the cache's scratch :class:`EvictionInfo`
-        (see class docs).
+        (see class docs).  ``now`` is accepted for symmetry with
+        :meth:`access`; the line records its ``ready_cycle`` only.
         """
 
-        set_index, tag = self.locate(address)
-        existing = self._tag_maps[set_index].get(tag)
-        if existing is not None:
+        mask = self._set_mask
+        if mask is not None:
+            line_number = address >> self._line_bits
+            set_index = line_number & mask
+            tag = line_number >> self._set_bits
+        else:
+            set_index, tag = self.locate(address)
+        tag_map = self._tag_maps[set_index]
+        ways = self._sets[set_index]
+        way = tag_map.get(tag)
+        if way is not None:
             # Re-filling a resident line (e.g. a prefetch racing a demand
             # fill): refresh flags without evicting anything.
-            line = self._sets[set_index][existing]
-            line.dirty = line.dirty or is_write
+            line = ways[way]
+            if is_write:
+                line.dirty = True
             if prefetched and not line.prefetched:
                 line.prefetched = True
                 line.used_since_prefetch = False
                 line.ready_cycle = ready_cycle
-            self.policy.on_hit(set_index, existing, pc)
+            self.policy.on_hit(set_index, way, pc)
             return None
         if prefetched:
             self.stats.prefetch_fills += 1
-        way, victim_info = self._choose_victim(set_index)
-        line = self._sets[set_index][way]
+        candidates = self._data_ways
+        victim = None
+        # Valid lines always live within the candidate ways (the partitioned
+        # L3 evicts data out of ways it reserves), so the tag map's size says
+        # whether an invalid way exists at all — a full set, the steady
+        # state, skips the scan entirely.
+        if len(tag_map) < len(candidates):
+            for way in candidates:
+                line = ways[way]
+                if not line.valid:
+                    break
+        else:
+            # Replace in place: record the victim, then overwrite its line.
+            way = self.policy.victim(set_index, candidates)
+            line = ways[way]
+            stats = self.stats
+            victim = self._scratch_eviction
+            victim.address = (line.tag * self.num_sets + set_index) * self.line_size
+            prefetched_unused = line.prefetched and not line.used_since_prefetch
+            if prefetched_unused:
+                stats.prefetched_evicted_unused += 1
+            if line.dirty:
+                stats.writebacks += 1
+            victim.dirty = line.dirty
+            victim.prefetched_unused = prefetched_unused
+            victim.pc = line.pc
+            del tag_map[line.tag]
         line.valid = True
         line.tag = tag
         line.dirty = is_write
@@ -338,34 +388,18 @@ class SetAssociativeCache:
         line.used_since_prefetch = False
         line.pc = pc
         line.ready_cycle = ready_cycle
-        line.fill_time = now
-        self._tag_maps[set_index][tag] = way
+        tag_map[tag] = way
         self.policy.on_fill(set_index, way, pc)
-        return victim_info
-
-    def _candidate_ways(self, set_index: int):
-        """Ways eligible to hold data; the partitioned L3 narrows this.
-
-        Returns a shared tuple — callers must not mutate it (none do).
-        """
-
-        return self._all_ways
-
-    def _choose_victim(self, set_index: int) -> tuple[int, EvictionInfo | None]:
-        candidates = self._candidate_ways(set_index)
-        # Valid lines always live within the candidate ways (the partitioned
-        # L3 evicts data out of ways it reserves), so the tag map's size says
-        # whether an invalid way exists at all — a full set, the steady
-        # state, skips the scan entirely.
-        if len(self._tag_maps[set_index]) < len(candidates):
-            ways = self._sets[set_index]
-            for way in candidates:
-                if not ways[way].valid:
-                    return way, None
-        way = self.policy.victim(set_index, candidates)
-        return way, self._evict(set_index, way)
+        return victim
 
     def _evict(self, set_index: int, way: int) -> EvictionInfo:
+        """Remove the valid line in ``way``; return the scratch victim record.
+
+        Fills replace their victims in place; this is the partition-growth
+        path (:meth:`~repro.memory.partitioned_cache.PartitionedCache.
+        set_reserved_ways`), which leaves the way empty.
+        """
+
         line = self._sets[set_index][way]
         stats = self.stats
         address = (line.tag * self.num_sets + set_index) * self.line_size
@@ -400,10 +434,17 @@ class SetAssociativeCache:
     def mark_dirty(self, address: int) -> bool:
         """Mark the line dirty if present (used for write-back propagation)."""
 
-        line = self.get_line(address)
-        if line is None:
+        mask = self._set_mask
+        if mask is not None:
+            line_number = address >> self._line_bits
+            set_index = line_number & mask
+            tag = line_number >> self._set_bits
+        else:
+            set_index, tag = self.locate(address)
+        way = self._tag_maps[set_index].get(tag)
+        if way is None:
             return False
-        line.dirty = True
+        self._sets[set_index][way].dirty = True
         return True
 
     @property

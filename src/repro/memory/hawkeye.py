@@ -25,7 +25,7 @@ from __future__ import annotations
 from collections import defaultdict
 from typing import Sequence
 
-from repro.memory.replacement import ReplacementPolicy
+from repro.memory.replacement import NO_CANDIDATES, ReplacementPolicy
 from repro.utils.hashing import mix64
 
 
@@ -154,8 +154,10 @@ class HawkEyePolicy(ReplacementPolicy):
         # their RRPV at the maximum.
 
     def victim(self, set_index: int, candidates: Sequence[int]) -> int:
+        if not candidates:
+            raise ValueError(NO_CANDIDATES)
         rrpvs = self._rrpv[set_index]
-        best = max(candidates, key=lambda way: rrpvs[way])
+        best = max(candidates, key=rrpvs.__getitem__)
         if rrpvs[best] < self.MAX_RRPV:
             # Age friendly lines (bounded, unlike true HawkEye's detrain step,
             # which additionally punishes the evicted PC — done below).

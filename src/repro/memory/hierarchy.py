@@ -26,10 +26,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.memory.address import line_address
+from repro.memory.address import CACHE_LINE_SIZE, line_address
 from repro.memory.cache import SetAssociativeCache
 from repro.memory.dram import DramModel
 from repro.memory.partitioned_cache import PartitionedCache
+
+#: ``line_address`` as a mask, for the prefetch-fill path.
+_LINE_MASK = -CACHE_LINE_SIZE
 
 
 @dataclass
@@ -293,9 +296,18 @@ class MemoryHierarchy:
         """
 
         p = self.params
-        line = line_address(address)
+        line = address & _LINE_MASK
+        # Residency is tested against the tag maps directly (the shift path
+        # of SetAssociativeCache.locate, inline); a non-power-of-two
+        # geometry falls back to probe().
         target = self.l2 if target_level == "l2" else self.l1d
-        if target.probe(line):
+        mask = target._set_mask
+        if mask is not None:
+            number = line >> target._line_bits
+            resident = (number >> target._set_bits) in target._tag_maps[number & mask]
+        else:
+            resident = target.probe(line)
+        if resident:
             if out is None:
                 return PrefetchFillResult(
                     already_present=True, from_dram=False, ready_cycle=now, latency=0.0
@@ -307,9 +319,16 @@ class MemoryHierarchy:
             return out
 
         self.stats.l3_data_accesses += 1
-        if self.l3.probe(line):
+        l3 = self.l3
+        mask = l3._set_mask
+        if mask is not None:
+            number = line >> l3._line_bits
+            resident = (number >> l3._set_bits) in l3._tag_maps[number & mask]
+        else:
+            resident = l3.probe(line)
+        if resident:
             # Touch replacement state so the L3 knows the line is live.
-            self.l3.access(line, pc, False, now)
+            l3.access(line, pc, False, now)
             latency = extra_latency + p.l3_latency
             from_dram = False
         else:
@@ -381,12 +400,10 @@ class MemoryHierarchy:
         prefetched: bool = False,
         ready_cycle: float = 0.0,
     ) -> None:
-        victim = self.l1d.fill(
-            line, pc, is_write, prefetched=prefetched, ready_cycle=ready_cycle, now=now
-        )
+        victim = self.l1d.fill(line, pc, is_write, prefetched, ready_cycle, now)
         if victim is not None and victim.dirty:
             if not self.l2.mark_dirty(victim.address):
-                self.l2.fill(victim.address, victim.pc, is_write=True, now=now)
+                self.l2.fill(victim.address, victim.pc, True, False, 0.0, now)
 
     def _fill_l2(
         self,
@@ -398,9 +415,7 @@ class MemoryHierarchy:
         ready_cycle: float = 0.0,
     ) -> None:
         self.l2_fill_count += 1
-        victim = self.l2.fill(
-            line, pc, is_write, prefetched=prefetched, ready_cycle=ready_cycle, now=now
-        )
+        victim = self.l2.fill(line, pc, is_write, prefetched, ready_cycle, now)
         if victim is not None and victim.dirty:
             if not self.l3.mark_dirty(victim.address):
                 self._fill_l3(victim.address, victim.pc, True, now)
@@ -408,7 +423,7 @@ class MemoryHierarchy:
     def _fill_l3(
         self, line: int, pc: int | None, is_write: bool, now: float
     ) -> None:
-        victim = self.l3.fill(line, pc, is_write, now=now)
+        victim = self.l3.fill(line, pc, is_write, False, 0.0, now)
         if victim is not None and victim.dirty:
             self.dram.access(now, is_write=True)
 

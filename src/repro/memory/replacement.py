@@ -23,6 +23,10 @@ from abc import ABC, abstractmethod
 from typing import Sequence
 
 
+#: The error every policy raises when asked to choose among no ways.
+NO_CANDIDATES = "victim() needs at least one candidate way"
+
+
 class ReplacementPolicy(ABC):
     """Interface for per-set replacement state.
 
@@ -31,6 +35,13 @@ class ReplacementPolicy(ABC):
     way to evict (restricted to ``candidates``, which lets a partitioned
     cache exclude reserved ways), and :meth:`on_invalidate` when a line is
     removed for a reason other than replacement.
+
+    A fill into a full set replaces the victim in place: the cache calls
+    :meth:`victim`, then :meth:`on_fill` for the same way, and never
+    :meth:`on_invalidate` in between.  :meth:`on_fill` must therefore
+    overwrite every piece of per-way state that :meth:`on_invalidate`
+    resets.  Every :meth:`victim` raises :class:`ValueError` on an empty
+    ``candidates``.
     """
 
     def __init__(self, num_sets: int, assoc: int) -> None:
@@ -66,47 +77,22 @@ class LRUPolicy(ReplacementPolicy):
         self._stamp = 0
         self._last_use = [[-1] * assoc for _ in range(num_sets)]
 
-    def _touch(self, set_index: int, way: int) -> None:
+    def on_hit(self, set_index: int, way: int, pc: int | None = None) -> None:
         self._stamp += 1
         self._last_use[set_index][way] = self._stamp
 
-    def on_fill(self, set_index: int, way: int, pc: int | None = None) -> None:
-        self._touch(set_index, way)
-
-    def on_hit(self, set_index: int, way: int, pc: int | None = None) -> None:
-        self._touch(set_index, way)
+    # A fill, like a hit, makes the way the most recently used.
+    on_fill = on_hit
 
     def victim(self, set_index: int, candidates: Sequence[int]) -> int:
-        # Manual scan (not min(key=...)): victim selection runs once per
-        # eviction on the hot path, and the closure-per-call spelling was
-        # measurable.  Ties keep the first candidate, exactly as min() did.
+        # One C-level min keyed by the list's own __getitem__ (no Python
+        # frame per way); ties keep the first candidate.
         if not candidates:
-            raise ValueError("victim() needs at least one candidate way")
-        stamps = self._last_use[set_index]
-        iterator = iter(candidates)
-        best = next(iterator)
-        best_stamp = stamps[best]
-        for way in iterator:
-            stamp = stamps[way]
-            if stamp < best_stamp:
-                best = way
-                best_stamp = stamp
-        return best
+            raise ValueError(NO_CANDIDATES)
+        return min(candidates, key=self._last_use[set_index].__getitem__)
 
     def on_invalidate(self, set_index: int, way: int) -> None:
         self._last_use[set_index][way] = -1
-
-    def recency_rank(self, set_index: int, way: int, candidates: Sequence[int]) -> int:
-        """Return the eviction rank of ``way`` (0 = most evictable).
-
-        Used by the Set Dueller model, which needs a unique evictability
-        score per tag to infer hit rates for every possible partitioning
-        (paper section 4.7, footnote 10).
-        """
-
-        stamps = self._last_use[set_index]
-        ordered = sorted(candidates, key=lambda candidate: stamps[candidate])
-        return ordered.index(way)
 
 
 class FIFOPolicy(ReplacementPolicy):
@@ -126,8 +112,9 @@ class FIFOPolicy(ReplacementPolicy):
         return
 
     def victim(self, set_index: int, candidates: Sequence[int]) -> int:
-        times = self._fill_time[set_index]
-        return min(candidates, key=lambda way: times[way])
+        if not candidates:
+            raise ValueError(NO_CANDIDATES)
+        return min(candidates, key=self._fill_time[set_index].__getitem__)
 
     def on_invalidate(self, set_index: int, way: int) -> None:
         self._fill_time[set_index][way] = -1
@@ -147,6 +134,8 @@ class RandomPolicy(ReplacementPolicy):
         return
 
     def victim(self, set_index: int, candidates: Sequence[int]) -> int:
+        if not candidates:
+            raise ValueError(NO_CANDIDATES)
         return candidates[self._rng.randrange(len(candidates))]
 
 
@@ -168,32 +157,39 @@ class TreePLRUPolicy(ReplacementPolicy):
         self._bits = [[0] * max(1, self._leaves - 1) for _ in range(num_sets)]
         # Fallback recency for candidate-restricted victim selection.
         self._lru = LRUPolicy(num_sets, assoc)
+        # Every way's root-to-leaf walk as (node, bit) pairs: a touch points
+        # each node on it away from the touched half.
+        paths = []
+        for way in range(assoc):
+            path = []
+            node = 0
+            low, high = 0, self._leaves
+            while high - low > 1:
+                mid = (low + high) // 2
+                if way < mid:
+                    path.append((node, 1))
+                    node = 2 * node + 1
+                    high = mid
+                else:
+                    path.append((node, 0))
+                    node = 2 * node + 2
+                    low = mid
+            paths.append(tuple(path))
+        self._paths = tuple(paths)
 
     def on_hit(self, set_index: int, way: int, pc: int | None = None) -> None:
-        # The tree walk and the fallback-LRU stamp are written out inline:
+        # The path writes and the fallback-LRU stamp are written out inline:
         # this runs on every hit of every PLRU cache (the L1's entire hot
-        # path), where the former _touch → LRU.on_hit → LRU._touch call
-        # chain was measurable.
+        # path), where a call chain per touch was measurable.
         bits = self._bits[set_index]
-        node = 0
-        low, high = 0, self._leaves
-        while high - low > 1:
-            mid = (low + high) // 2
-            if way < mid:
-                bits[node] = 1  # Point away from the touched (left) half.
-                node = 2 * node + 1
-                high = mid
-            else:
-                bits[node] = 0
-                node = 2 * node + 2
-                low = mid
+        for node, bit in self._paths[way]:
+            bits[node] = bit
         lru = self._lru
         lru._stamp += 1
         lru._last_use[set_index][way] = lru._stamp
 
-    # Fills and explicit touches update exactly the same state.
+    # Fills update exactly the same state.
     on_fill = on_hit
-    _touch = on_hit
 
     def victim(self, set_index: int, candidates: Sequence[int]) -> int:
         bits = self._bits[set_index]
@@ -239,10 +235,13 @@ class SRRIPPolicy(ReplacementPolicy):
         self._rrpv[set_index][way] = 0
 
     def victim(self, set_index: int, candidates: Sequence[int]) -> int:
+        if not candidates:
+            raise ValueError(NO_CANDIDATES)
         rrpvs = self._rrpv[set_index]
+        max_rrpv = self.max_rrpv
         while True:
             for way in candidates:
-                if rrpvs[way] >= self.max_rrpv:
+                if rrpvs[way] >= max_rrpv:
                     return way
             for way in candidates:
                 rrpvs[way] += 1

@@ -15,10 +15,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.memory.address import CACHE_LINE_SIZE, line_address
+from repro.memory.address import CACHE_LINE_SIZE
 from repro.memory.hierarchy import DemandResult
 from repro.prefetch.base import DecisionBuffer, Prefetcher
 from repro.utils.hashing import mix64
+
+#: ``line_address`` as a mask, applied to each prefetch candidate.
+_LINE_MASK = -CACHE_LINE_SIZE
 
 
 @dataclass(slots=True)
@@ -123,15 +126,30 @@ class StridePrefetcher(Prefetcher):
         if not should_prefetch:
             return
 
+        # Candidates already in the L1 are dropped.  Residency is tested
+        # against the L1's tag maps directly (the shift path of
+        # SetAssociativeCache.locate, inline); without shifts (a
+        # non-power-of-two geometry) it falls back to probe().
         l1d = self.hierarchy.l1d if self.hierarchy is not None else None
+        if l1d is not None:
+            set_mask = l1d._set_mask
+            line_bits = l1d._line_bits
+            set_bits = l1d._set_bits
+            tag_maps = l1d._tag_maps
         target_level = self.target_level
         entry_stride = entry.stride
         for distance in range(1, self.degree + 1):
-            target = line_address(line_addr + entry_stride * distance)
+            target = (line_addr + entry_stride * distance) & _LINE_MASK
             if target < 0:
                 break
-            if l1d is not None and l1d.probe(target):
-                stats.prefetches_dropped_resident += 1
-                continue
+            if l1d is not None:
+                if set_mask is not None:
+                    number = target >> line_bits
+                    resident = (number >> set_bits) in tag_maps[number & set_mask]
+                else:
+                    resident = l1d.probe(target)
+                if resident:
+                    stats.prefetches_dropped_resident += 1
+                    continue
             sink.emit(target, target_level, 0.0, "stride")
             stats.prefetches_issued += 1

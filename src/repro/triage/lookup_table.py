@@ -97,25 +97,32 @@ class LookupTable:
         why stale decodes turn into wrong prefetches.
         """
 
-        existing = self.find_index(value)
-        if existing is not None:
-            return existing, self._slots[existing].generation
-        set_index = self._set_for_value(value)
-        ways = list(self._ways_of_set(set_index))
+        # One pass over the set serves both the reverse lookup (counted as
+        # find_index counts it) and the choice of a free way.
+        stats = self.stats
+        stats.lookups += 1
+        self._clock += 1
+        slots = self._slots
+        ways = self._ways_of_set(self._set_for_value(value))
         victim_index = None
         for slot_index in ways:
-            if not self._slots[slot_index].valid:
+            slot = slots[slot_index]
+            if slot.valid:
+                if slot.value == value:
+                    slot.last_use = self._clock
+                    stats.reverse_hits += 1
+                    return slot_index, slot.generation
+            elif victim_index is None:
                 victim_index = slot_index
-                break
         if victim_index is None:
-            victim_index = min(ways, key=lambda idx: self._slots[idx].last_use)
-            self.stats.replacements += 1
-        slot = self._slots[victim_index]
+            victim_index = min(ways, key=lambda idx: slots[idx].last_use)
+            stats.replacements += 1
+        slot = slots[victim_index]
         slot.valid = True
         slot.value = value
         slot.generation += 1
         slot.last_use = self._clock
-        self.stats.inserts += 1
+        stats.inserts += 1
         return victim_index, slot.generation
 
     def value_at(self, slot_index: int, expected_generation: int | None = None) -> int | None:

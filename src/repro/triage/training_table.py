@@ -94,24 +94,32 @@ class TriageTrainingTable:
         return None
 
     def find_or_allocate(self, pc: int) -> tuple[TriageTrainingEntry, bool]:
-        """Return ``(entry, allocated)``; evicts the LRU entry when needed."""
+        """Return ``(entry, allocated)``; evicts the LRU entry when needed.
 
-        entry = self.find(pc)
-        if entry is not None:
-            return entry, False
+        One locate and one pass over the set: the lookup is counted exactly
+        as :meth:`find` counts it.
+        """
+
+        stats = self.stats
+        stats.lookups += 1
+        self._clock += 1
         set_index, tag = self._locate(pc)
         ways = self._sets[set_index]
         victim = None
-        for candidate in ways:
-            if not candidate.valid:
-                victim = candidate
-                break
+        for entry in ways:
+            if entry.valid:
+                if entry.pc_tag == tag:
+                    entry.last_use = self._clock
+                    stats.hits += 1
+                    return entry, False
+            elif victim is None:
+                victim = entry
         if victim is None:
             victim = min(ways, key=lambda candidate: candidate.last_use)
-            self.stats.evictions += 1
+            stats.evictions += 1
         victim.valid = True
         victim.pc_tag = tag
         victim.last_addresses = []
         victim.last_use = self._clock
-        self.stats.allocations += 1
+        stats.allocations += 1
         return victim, True

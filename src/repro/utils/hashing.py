@@ -53,12 +53,17 @@ def fold_hash(value: int, bits: int) -> int:
         raise ValueError(f"bits must be positive, got {bits}")
     if value < 0:
         raise ValueError(f"value must be non-negative, got {value}")
-    mask = (1 << bits) - 1
-    folded = 0
-    while value:
-        folded ^= value & mask
-        value >>= bits
-    return folded
+    if not value >> bits:
+        return value
+    # Fold in log2 steps rather than one chunk at a time: start from the
+    # smallest width ``bits * 2**k`` that covers the value, then XOR its
+    # upper half onto its lower half until ``bits`` remain.  Halves stay
+    # chunk-aligned, so the result is the XOR of every chunk.
+    width = bits << ((value.bit_length() - 1) // bits).bit_length()
+    while width > bits:
+        width >>= 1
+        value = (value >> width) ^ (value & ((1 << width) - 1))
+    return value
 
 
 def tag_hash(address: int, bits: int = 10) -> int:

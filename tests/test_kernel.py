@@ -10,6 +10,8 @@ building blocks the kernel runs on.
 
 from __future__ import annotations
 
+import signal
+from contextlib import contextmanager
 from dataclasses import asdict, replace
 
 import pytest
@@ -39,6 +41,30 @@ from repro.sim.timing import TimingModel
 from repro.traces.format import PackedTrace, pack_trace
 from repro.workloads.registry import generate_workload
 from repro.workloads.trace import Trace
+
+
+#: Every name make_replacement_policy() accepts.
+REPLACEMENT_POLICIES = ("lru", "fifo", "random", "plru", "srrip", "brrip", "hawkeye")
+
+
+@contextmanager
+def time_limit(seconds: float):
+    """Raise ``TimeoutError`` in the enclosed block after ``seconds``.
+
+    Uses ``SIGALRM``, so a pure-Python loop that never returns fails the
+    test instead of hanging the suite (main thread only).
+    """
+
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 def quick_runner(**overrides) -> ExperimentRunner:
@@ -479,11 +505,23 @@ class TestAccessStreamProtocol:
         assert [access.pc for access in window] == [1, 2, 3]
         assert trace[1:4] == trace.accesses[1:4]
 
-    def test_empty_candidates_victim_rejected(self):
-        from repro.memory.replacement import LRUPolicy
+    @pytest.mark.parametrize("policy", REPLACEMENT_POLICIES)
+    def test_empty_candidates_victim_rejected(self, policy):
+        from repro.memory.replacement import make_replacement_policy
 
-        with pytest.raises(ValueError, match="candidate"):
-            LRUPolicy(num_sets=1, assoc=2).victim(0, ())
+        with time_limit(1.0), pytest.raises(ValueError, match="candidate"):
+            make_replacement_policy(policy, 1, 2).victim(0, ())
+
+    @pytest.mark.parametrize("policy", REPLACEMENT_POLICIES)
+    def test_fill_with_every_way_reserved_rejected(self, policy):
+        """A partition that leaves no data way fails the fill, never hangs."""
+
+        from repro.memory.partitioned_cache import PartitionedCache
+
+        l3 = PartitionedCache("L3", 1024, 4, 64, policy, max_reserved_ways=4)
+        l3.set_reserved_ways(4)
+        with time_limit(1.0), pytest.raises(ValueError, match="candidate"):
+            l3.fill(0x40)
 
     def test_direct_accesses_mutation_rejected(self):
         """The object view is read-only; the columns are the truth."""

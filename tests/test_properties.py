@@ -1,11 +1,16 @@
 """Property-based tests (hypothesis) on core data structures and invariants."""
 
+from dataclasses import asdict, astuple
+
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.metadata_reuse_buffer import MetadataReuseBuffer
 from repro.memory.address import PAGE_SIZE, PageMapper, line_address, page_offset
 from repro.memory.cache import SetAssociativeCache
+from repro.memory.partitioned_cache import PartitionedCache
+from repro.memory.replacement import ReplacementPolicy, make_replacement_policy
 from repro.triage.bloom import BloomFilter
 from repro.triage.markov_table import MarkovTable
 from repro.triage.metadata import Full42Format, Ideal32Format
@@ -16,10 +21,29 @@ lines = st.integers(min_value=0, max_value=(1 << 31) - 1).map(lambda value: valu
 addresses = st.integers(min_value=0, max_value=(1 << 40) - 1)
 
 
+def chunked_fold_hash(value: int, bits: int) -> int:
+    """The reference XOR fold: one ``bits``-wide chunk at a time."""
+
+    mask = (1 << bits) - 1
+    folded = 0
+    while value:
+        folded ^= value & mask
+        value >>= bits
+    return folded
+
+
 class TestHashingProperties:
     @given(value=addresses, bits=st.integers(min_value=1, max_value=24))
     def test_fold_hash_range(self, value, bits):
         assert 0 <= fold_hash(value, bits) < (1 << bits)
+
+    @given(
+        value=st.integers(min_value=0, max_value=1 << 200),
+        bits=st.integers(min_value=1, max_value=64),
+    )
+    @settings(max_examples=300)
+    def test_fold_hash_matches_chunk_loop(self, value, bits):
+        assert fold_hash(value, bits) == chunked_fold_hash(value, bits)
 
     @given(value=addresses)
     def test_line_address_is_aligned_and_below(self, value):
@@ -69,6 +93,130 @@ class TestCacheProperties:
             if not cache.access(address).hit:
                 cache.fill(address)
         assert cache.stats.hits + cache.stats.misses == len(addresses)
+
+
+#: Every name make_replacement_policy() accepts.
+POLICIES = ("lru", "fifo", "random", "plru", "srrip", "brrip", "hawkeye")
+#: The partitioned cache's reservation limit (of its 8 ways).
+MAX_RESERVED = 4
+
+
+class InvalidateBeforeFill(ReplacementPolicy):
+    """Forwards every hook to ``inner``, invalidating each way before a fill.
+
+    A cache driving this proxy sees the policy as if every replaced line
+    were first invalidated; a cache driving ``inner`` directly replaces in
+    place.  Both must agree for any policy whose ``on_fill`` overwrites all
+    the per-way state ``on_invalidate`` resets.
+    """
+
+    def __init__(self, inner: ReplacementPolicy) -> None:
+        super().__init__(inner.num_sets, inner.assoc)
+        self.inner = inner
+        self._observe = getattr(inner, "observe", None)
+
+    def observe(self, set_index, address, pc):
+        if self._observe is not None:
+            self._observe(set_index, address, pc)
+
+    def on_fill(self, set_index, way, pc=None):
+        self.inner.on_invalidate(set_index, way)
+        self.inner.on_fill(set_index, way, pc)
+
+    def on_hit(self, set_index, way, pc=None):
+        self.inner.on_hit(set_index, way, pc)
+
+    def victim(self, set_index, candidates):
+        return self.inner.victim(set_index, candidates)
+
+    def on_invalidate(self, set_index, way):
+        self.inner.on_invalidate(set_index, way)
+
+
+def build_cache(kind: str, policy: str, invalidate_first: bool) -> SetAssociativeCache:
+    """A 2-set cache (4 ways, or 8 with a partition) under ``policy``."""
+
+    size, assoc = (512, 4) if kind == "plain" else (1024, 8)
+    replacement = make_replacement_policy(policy, size // (assoc * 64), assoc)
+    if invalidate_first:
+        replacement = InvalidateBeforeFill(replacement)
+    if kind == "plain":
+        return SetAssociativeCache("prop", size, assoc, 64, replacement)
+    return PartitionedCache(
+        "prop", size, assoc, 64, replacement, max_reserved_ways=MAX_RESERVED
+    )
+
+
+def _victim(info) -> tuple | None:
+    return None if info is None else (info.address, info.dirty, info.prefetched_unused, info.pc)
+
+
+#: Indexed by a word's low three bits: mostly fills and accesses.
+OPERATIONS = ("fill", "fill", "fill", "access", "access", "invalidate", "mark_dirty", "resize")
+
+
+def decode(word: int) -> tuple:
+    """One cache operation from a random 13-bit word.
+
+    The low three bits pick the operation; the rest pick a line among 24
+    (twelve per set, so most fills replace a victim), a PC (or none) and
+    the write/prefetch flags.
+    """
+
+    kind = OPERATIONS[word & 7]
+    index = (word >> 3) % 24
+    pc = (word >> 8) % 7 or None
+    return kind, index, pc, bool(word & 0x800), bool(word & 0x1000)
+
+
+def drive(cache: SetAssociativeCache, words) -> list:
+    """Apply the decoded operations; return every outcome, victims included."""
+
+    outcomes = []
+    for word in words:
+        kind, index, pc, is_write, prefetched = decode(word)
+        address = index * 64
+        if kind == "fill":
+            outcomes.append(
+                _victim(cache.fill(address, pc, is_write, prefetched, float(index)))
+            )
+        elif kind == "access":
+            outcome = cache.access(address, pc, is_write)
+            outcomes.append((outcome.hit, outcome.first_prefetch_use, outcome.ready_cycle))
+        elif kind == "invalidate":
+            outcomes.append(cache.invalidate(address))
+        elif kind == "mark_dirty":
+            outcomes.append(cache.mark_dirty(address))
+        elif isinstance(cache, PartitionedCache):
+            ways = index % (MAX_RESERVED + 1)
+            outcomes.append([_victim(info) for info in cache.set_reserved_ways(ways)])
+    return outcomes
+
+
+def resident_lines(cache: SetAssociativeCache) -> dict:
+    return {
+        address: astuple(cache.get_line(address))
+        for address in cache.resident_line_addresses()
+    }
+
+
+class TestInPlaceReplacementProperties:
+    """Replacing a victim in place equals invalidating it, then filling."""
+
+    @pytest.mark.parametrize("kind", ["plain", "partitioned"])
+    @pytest.mark.parametrize("policy", POLICIES)
+    @given(
+        words=st.lists(
+            st.integers(min_value=0, max_value=0x1FFF), min_size=100, max_size=300
+        )
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_matches_invalidate_then_fill(self, policy, kind, words):
+        in_place = build_cache(kind, policy, invalidate_first=False)
+        invalidated = build_cache(kind, policy, invalidate_first=True)
+        assert drive(in_place, words) == drive(invalidated, words)
+        assert asdict(in_place.stats) == asdict(invalidated.stats)
+        assert resident_lines(in_place) == resident_lines(invalidated)
 
 
 class TestPageMapperProperties:

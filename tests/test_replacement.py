@@ -34,14 +34,6 @@ class TestLRU:
             lru.on_fill(0, way)
         assert lru.victim(0, [2, 3]) == 2
 
-    def test_recency_rank(self):
-        lru = LRUPolicy(num_sets=1, assoc=3)
-        for way in range(3):
-            lru.on_fill(0, way)
-        # way 0 filled first → most evictable → rank 0
-        assert lru.recency_rank(0, 0, [0, 1, 2]) == 0
-        assert lru.recency_rank(0, 2, [0, 1, 2]) == 2
-
     def test_sets_are_independent(self):
         lru = LRUPolicy(num_sets=2, assoc=2)
         lru.on_fill(0, 0)
