@@ -44,7 +44,7 @@ from repro.workloads.trace import Trace
 
 
 #: Every name make_replacement_policy() accepts.
-REPLACEMENT_POLICIES = ("lru", "fifo", "random", "plru", "srrip", "brrip", "hawkeye")
+POLICY_NAMES = ("lru", "fifo", "random", "plru", "srrip", "brrip", "hawkeye")
 
 
 @contextmanager
@@ -505,14 +505,14 @@ class TestAccessStreamProtocol:
         assert [access.pc for access in window] == [1, 2, 3]
         assert trace[1:4] == trace.accesses[1:4]
 
-    @pytest.mark.parametrize("policy", REPLACEMENT_POLICIES)
+    @pytest.mark.parametrize("policy", POLICY_NAMES)
     def test_empty_candidates_victim_rejected(self, policy):
         from repro.memory.replacement import make_replacement_policy
 
         with time_limit(1.0), pytest.raises(ValueError, match="candidate"):
             make_replacement_policy(policy, 1, 2).victim(0, ())
 
-    @pytest.mark.parametrize("policy", REPLACEMENT_POLICIES)
+    @pytest.mark.parametrize("policy", POLICY_NAMES)
     def test_fill_with_every_way_reserved_rejected(self, policy):
         """A partition that leaves no data way fails the fill, never hangs."""
 

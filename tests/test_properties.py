@@ -96,7 +96,7 @@ class TestCacheProperties:
 
 
 #: Every name make_replacement_policy() accepts.
-POLICIES = ("lru", "fifo", "random", "plru", "srrip", "brrip", "hawkeye")
+POLICY_NAMES = ("lru", "fifo", "random", "plru", "srrip", "brrip", "hawkeye")
 #: The partitioned cache's reservation limit (of its 8 ways).
 MAX_RESERVED = 4
 
@@ -204,7 +204,7 @@ class TestInPlaceReplacementProperties:
     """Replacing a victim in place equals invalidating it, then filling."""
 
     @pytest.mark.parametrize("kind", ["plain", "partitioned"])
-    @pytest.mark.parametrize("policy", POLICIES)
+    @pytest.mark.parametrize("policy", POLICY_NAMES)
     @given(
         words=st.lists(
             st.integers(min_value=0, max_value=0x1FFF), min_size=100, max_size=300
