@@ -265,9 +265,6 @@ def build_parser() -> argparse.ArgumentParser:
             default=None,
             help="directory to write into (default: the first trace search-path entry)",
         )
-        parser.add_argument(
-            "--gzip", action="store_true", help="gzip-compress the written file"
-        )
 
     record_parser = trace_subparsers.add_parser(
         "record", help="record a registered workload generator's stream to disk"
@@ -298,35 +295,6 @@ def build_parser() -> argparse.ArgumentParser:
         "(one radix per file)",
     )
     _add_output_arguments(import_parser)
-
-    pack_parser = trace_subparsers.add_parser(
-        "pack",
-        help="re-encode an existing trace file "
-        "(v1 <-> v2 chunked delta/varint, optional gzip)",
-    )
-    pack_parser.add_argument(
-        "trace", help="source: trace workload name (trace:<name>) or a file path"
-    )
-    pack_parser.add_argument(
-        "--version",
-        type=int,
-        choices=(1, 2),
-        default=None,
-        dest="format_version",
-        help="target .rtrc format version (default: 2)",
-    )
-    pack_parser.add_argument(
-        "--name", default=None, help="name for the written trace (sets the file stem)"
-    )
-    pack_parser.add_argument(
-        "--dir",
-        dest="trace_dir",
-        default=None,
-        help="directory to write into (default: the source file's directory)",
-    )
-    pack_parser.add_argument(
-        "--gzip", action="store_true", help="gzip-compress the written file"
-    )
 
     info_parser = trace_subparsers.add_parser(
         "info", help="show a trace file's header, footprint and provenance"
@@ -902,11 +870,9 @@ def _trace_output_dir(args: argparse.Namespace) -> Path:
 def _trace_output_path(args: argparse.Namespace, default_name: str) -> Path:
     """Where a trace-writing subcommand should put its file."""
 
-    from repro.traces.format import trace_suffix
+    from repro.workloads.registry import TRACE_SUFFIX
 
-    return _trace_output_dir(args) / (
-        f"{args.name or default_name}{trace_suffix(args.gzip)}"
-    )
+    return _trace_output_dir(args) / f"{args.name or default_name}{TRACE_SUFFIX}"
 
 
 def _resolve_trace_source(raw: str) -> Path:
@@ -941,14 +907,9 @@ def _workload_claim(path: Path, name: str) -> str:
 
 
 def _command_trace(args: argparse.Namespace) -> str:
-    """Implement ``repro trace record|import|pack|info|sample``."""
+    """Implement ``repro trace record|import|info|sample``."""
 
-    from repro.traces.format import (
-        open_trace,
-        remove_stale_sibling,
-        save_trace,
-        trace_file_digest,
-    )
+    from repro.traces.format import open_trace, save_trace, trace_file_digest
     from repro.workloads.registry import TRACE_PREFIX
 
     # `--name trace:leela` means the workload name, not a literal file stem
@@ -976,22 +937,14 @@ def _command_trace(args: argparse.Namespace) -> str:
             args.workload,
             directory=_trace_output_dir(args),
             name=args.name,
-            compress=args.gzip,
             overrides=overrides,
         )
-        # The written file's stem IS the workload name; path.name already
+        # The written file's stem IS the workload name; path.stem already
         # reflects the recorder's prefix-stripping, so derive it from there
         # rather than re-deriving (and possibly double-prefixing) it here.
-        from repro.traces.format import TRACE_SUFFIXES
-
-        stem = path.name
-        for suffix in sorted(TRACE_SUFFIXES, key=len, reverse=True):
-            if stem.endswith(suffix):
-                stem = stem[: -len(suffix)]
-                break
         return (
             f"recorded {args.workload} -> {path} "
-            f"({_workload_claim(path, stem)})"
+            f"({_workload_claim(path, path.stem)})"
         )
 
     if args.trace_command == "import":
@@ -1000,66 +953,13 @@ def _command_trace(args: argparse.Namespace) -> str:
         imported = import_champsim_trace(args.file, name=args.name, radix=args.radix)
         path = _trace_output_path(args, imported.name)
         save_trace(imported, path)
-        remove_stale_sibling(path)
         return (
             f"imported {args.file} -> {path} "
             f"({len(imported)} accesses; {_workload_claim(path, imported.name)})"
         )
 
-    if args.trace_command == "pack":
-        from repro.traces.format import FORMAT_VERSION, trace_suffix
-
-        source_path = _resolve_trace_source(args.trace)
-        source_size = source_path.stat().st_size
-        source_digest = trace_file_digest(source_path)
-        trace, header = open_trace(source_path)
-        stem = args.name or trace.name
-        directory = (
-            Path(args.trace_dir) if args.trace_dir else source_path.parent
-        )
-        version = args.format_version or FORMAT_VERSION
-        path = directory / f"{stem}{trace_suffix(args.gzip)}"
-        written = save_trace(trace, path, name=stem, version=version)
-        new_size = written.stat().st_size
-        new_digest = trace_file_digest(written)
-        ratio = source_size / new_size if new_size else 0.0
-        lines = [
-            f"packed {source_path} (v{header.version}, {source_size} bytes) -> "
-            f"{written} (v{version}, {new_size} bytes, {ratio:.1f}x)",
-        ]
-        if new_digest != source_digest:
-            # Results are keyed on file *content*: the re-encoded file is a
-            # new key, so warm-store entries for the old bytes re-execute.
-            lines.append(
-                f"digest:       {source_digest[:16]} -> {new_digest[:16]} "
-                "(content re-keyed; stored results for the old encoding "
-                "will re-execute)"
-            )
-        else:
-            lines.append(f"digest:       {new_digest[:16]} (unchanged)")
-        # Unlike record/import/sample, pack never deletes the other-suffix
-        # spelling — it may be the source file the user is converting from.
-        # Point out the shadowing hazard instead.
-        from repro.traces.format import TRACE_SUFFIXES
-
-        name = written.name
-        for suffix in sorted(TRACE_SUFFIXES, key=len, reverse=True):
-            if name.endswith(suffix):
-                stem_only = name[: -len(suffix)]
-                for other in TRACE_SUFFIXES:
-                    sibling = written.with_name(stem_only + other)
-                    if other != suffix and sibling.is_file():
-                        lines.append(
-                            f"note:         {sibling} still exists; "
-                            f"trace:{stem_only} resolves by suffix "
-                            "preference — remove one spelling to avoid "
-                            "shadowing"
-                        )
-                break
-        return "\n".join(lines)
-
     if args.trace_command == "info":
-        from repro.traces.format import ChunkedTrace, TraceFormatError, read_header
+        from repro.traces.format import FORMAT_VERSION, TraceFormatError, read_header
         from repro.workloads.trace import LINE_SHIFT
 
         path = _resolve_trace_source(args.trace)
@@ -1067,59 +967,62 @@ def _command_trace(args: argparse.Namespace) -> str:
             trace, header = open_trace(path)
         except TraceFormatError:
             # Inspection must still work on files this build refuses to
-            # *simulate* — a foreign line shift is exactly what a user
-            # needs `info` to diagnose.  Genuinely corrupt files re-raise.
+            # *load* — an earlier build's encoding or a foreign line shift
+            # is exactly what a user needs `info` to diagnose.  Genuinely
+            # corrupt files re-raise.
             header = read_header(path)
-            if header.line_shift == LINE_SHIFT:
+            if header.version == FORMAT_VERSION and header.line_shift == LINE_SHIFT:
                 raise
-            lines = [
-                f"file:         {path} ({path.stat().st_size} bytes"
-                f"{', gzip' if header.compressed else ''})",
-                f"name:         {header.name}",
-                f"format:       .rtrc v{header.version}, line shift "
-                f"{header.line_shift}",
-                f"accesses:     {header.records}",
-                f"note:         recorded under line shift "
-                f"{header.line_shift}; this build simulates "
-                f"{1 << LINE_SHIFT}-byte lines (shift {LINE_SHIFT}), so "
-                f"the payload cannot be replayed (header shown only)",
-            ]
-            if header.metadata.get("generator"):
-                lines.append(f"generator:    {header.metadata['generator']}")
-            return "\n".join(lines)
-        unique_lines = trace.unique_lines()
+            trace = None
         lines = [
-            f"file:         {path} ({path.stat().st_size} bytes"
-            f"{', gzip' if header.compressed else ''})",
-            f"name:         {trace.name}",
+            f"file:         {path} ({path.stat().st_size} bytes)",
+            f"name:         {header.name}",
             f"format:       .rtrc v{header.version}, line shift {header.line_shift}",
         ]
-        if isinstance(trace, ChunkedTrace) and len(trace):
-            payload = trace.payload_bytes
-            per_access = payload / len(trace)
-            ratio = (16 * len(trace)) / payload if payload else 0.0
+        if trace is None:
+            if header.version != FORMAT_VERSION:
+                reason = (
+                    f"written by an earlier build as .rtrc v{header.version}; "
+                    f"this build reads only v{FORMAT_VERSION} — regenerate it "
+                    f"with `repro trace record|import|sample`"
+                )
+            else:
+                reason = (
+                    f"recorded under line shift {header.line_shift}; this "
+                    f"build simulates {1 << LINE_SHIFT}-byte lines (shift "
+                    f"{LINE_SHIFT})"
+                )
             lines += [
-                f"encoding:     {trace.chunk_count} chunk(s) x "
-                f"{trace.chunk_records} records, delta/varint payload "
-                f"{payload} bytes",
-                f"              {per_access:.2f} B/access vs 16 raw "
-                f"({ratio:.1f}x smaller)",
+                f"accesses:     {header.records}",
+                f"note:         {reason}, so the payload cannot be replayed "
+                f"(header shown only)",
             ]
-        lines += [
-            f"accesses:     {len(trace)}",
-            f"writes:       {trace.write_count()}",
-            f"unique lines: {unique_lines} "
-            f"({unique_lines << header.line_shift} bytes footprint)",
-            f"unique pcs:   {trace.unique_pcs()}",
-            f"digest:       {trace_file_digest(path)[:16]}",
-        ]
+        else:
+            if len(trace):
+                payload = trace.payload_bytes
+                lines += [
+                    f"encoding:     {trace.chunk_count} chunk(s) x "
+                    f"{trace.chunk_records} records, zlib payload "
+                    f"{payload} bytes",
+                    f"              {payload / len(trace):.2f} B/access vs 16 raw "
+                    f"({16 * len(trace) / payload:.1f}x smaller)",
+                ]
+            unique_lines = trace.unique_lines()
+            lines += [
+                f"accesses:     {len(trace)}",
+                f"writes:       {trace.write_count()}",
+                f"unique lines: {unique_lines} "
+                f"({unique_lines << header.line_shift} bytes footprint)",
+                f"unique pcs:   {trace.unique_pcs()}",
+                f"digest:       {trace_file_digest(path)[:16]}",
+            ]
         for key in ("recorded", "imported", "sampled"):
-            if key in trace.metadata:
+            if key in header.metadata:
                 details = ", ".join(
-                    f"{k}={v}" for k, v in sorted(trace.metadata[key].items())
+                    f"{k}={v}" for k, v in sorted(header.metadata[key].items())
                 )
                 lines.append(f"{key + ':':<13} {details}")
-        generator = trace.metadata.get("generator")
+        generator = header.metadata.get("generator")
         if generator:
             lines.append(f"generator:    {generator}")
         return "\n".join(lines)
@@ -1158,7 +1061,6 @@ def _command_trace(args: argparse.Namespace) -> str:
         )
     path = _trace_output_path(args, sampled.name)
     save_trace(sampled, path)
-    remove_stale_sibling(path)
     provenance = sampled.metadata["sampled"]
     return (
         f"sampled {source.name} ({len(source)} accesses) -> {path} "

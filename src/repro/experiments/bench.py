@@ -193,71 +193,24 @@ def _best_of(action, repeats: int) -> float:
 
 
 def _measure_trace_io(trace_dir: Path, repeats: int) -> dict:
-    """Container I/O rates and sizes on the recorded ``bench_hot`` trace.
+    """Size and full-load time of the recorded ``bench_hot`` trace.
 
-    Three load paths bracket the trace-I/O design space:
-
-    * ``v1_gzip_full_load`` — the pre-v2 compressed spelling: decompress
-      the whole payload, then columns are ready;
-    * ``v2_full_load`` — decode every delta/varint chunk into columns;
-    * ``v2_window_decode`` — a fresh open followed by one window's
-      columns, touching only the chunks the window covers (the sampled
-      access pattern v2 exists for).  The timed v2 copy is
-      re-chunked at 4096 records — the bench trace fits inside one
-      default 64Ki chunk, which would make the window decode degenerate
-      to a full decode and measure nothing.
-
-    Sizes are recorded per encoding with bytes-per-access, plus the
-    headline ``v2_ratio_vs_v1`` compression ratio against the raw 16
-    bytes-per-record v1 layout.
+    A full load opens the file and inflates every chunk into columns —
+    what a ``trace:`` replay pays before its first simulated access.
     """
 
-    from repro.traces.format import load_trace, save_trace
+    from repro.traces.format import load_trace
 
-    v2_path = trace_dir / "bench_hot.rtrc"  # written v2 by _bench_cases
-    packed = load_trace(v2_path).materialise()
-    accesses = len(packed)
-    v1_path = save_trace(packed, trace_dir / "bench_hot_v1.rtrc", version=1)
-    v1_gzip_path = save_trace(
-        packed, trace_dir / "bench_hot_v1gz.rtrc.gz", version=1
-    )
-    v2_chunked_path = save_trace(
-        packed, trace_dir / "bench_hot_c4k.rtrc", chunk_records=4096
-    )
-    sizes = {
-        "v1": v1_path.stat().st_size,
-        "v1_gzip": v1_gzip_path.stat().st_size,
-        "v2": v2_path.stat().st_size,
-    }
-    window_records = min(accesses, 4096)
-    window_start = (accesses - window_records) // 2
-    timings = {
-        "v1_gzip_full_load_seconds": _best_of(
-            lambda: load_trace(v1_gzip_path).access_columns(), repeats
-        ),
-        "v2_full_load_seconds": _best_of(
-            lambda: load_trace(v2_path).access_columns(), repeats
-        ),
-        "v2_window_decode_seconds": _best_of(
-            lambda: load_trace(v2_chunked_path).window_columns(
-                window_start, window_start + window_records
-            ),
-            repeats,
-        ),
-    }
+    path = trace_dir / "bench_hot.rtrc"  # written by _bench_cases
+    size = path.stat().st_size
+    accesses = len(load_trace(path))
+    load_seconds = _best_of(lambda: load_trace(path).access_columns(), repeats)
     return {
         "trace": "bench_hot",
         "accesses": accesses,
-        "window_records": window_records,
-        "encodings": {
-            name: {
-                "bytes": size,
-                "bytes_per_access": round(size / accesses, 3),
-            }
-            for name, size in sizes.items()
-        },
-        "v2_ratio_vs_v1": round(sizes["v1"] / sizes["v2"], 2),
-        **{key: round(value, 6) for key, value in timings.items()},
+        "bytes": size,
+        "bytes_per_access": round(size / accesses, 3),
+        "full_load_seconds": round(load_seconds, 6),
     }
 
 
@@ -330,8 +283,8 @@ def run_bench(
                 }
             )
 
-        # Trace-container I/O on the recorded hot trace: how much smaller
-        # v2 is, and what full-load vs window-selective decode costs.
+        # Trace-container I/O on the recorded hot trace: its size on disk
+        # and what loading it costs.
         record["trace_io"] = _measure_trace_io(Path(tmp), repeats)
     record["packed_trace_speedup"] = next(
         case["speedup"] for case in record["cases"] if case["name"] == "replay-hot"
@@ -359,30 +312,10 @@ def render_bench(record: dict) -> str:
     trace_io = record.get("trace_io")
     if trace_io:
         lines.append(
-            f"trace I/O ({trace_io['trace']}, {trace_io['accesses']} "
-            f"accesses; v2 is {trace_io['v2_ratio_vs_v1']}x smaller than v1)"
+            f"trace I/O ({trace_io['trace']}, {trace_io['accesses']} accesses): "
+            f"{trace_io['bytes']:,} bytes, {trace_io['bytes_per_access']} "
+            f"B/access, full load {trace_io['full_load_seconds']:.4f}s"
         )
-        lines.append(
-            f"{'encoding':<10} {'bytes':>10} {'B/access':>9}   load path"
-        )
-        load_notes = {
-            "v1": "raw columns (mmap, zero decode)",
-            "v1_gzip": (
-                f"full decompress "
-                f"{trace_io['v1_gzip_full_load_seconds']:.4f}s"
-            ),
-            "v2": (
-                f"full decode {trace_io['v2_full_load_seconds']:.4f}s, "
-                f"window({trace_io['window_records']}, 4k chunks) "
-                f"{trace_io['v2_window_decode_seconds']:.4f}s"
-            ),
-        }
-        for name, encoding in sorted(trace_io["encodings"].items()):
-            lines.append(
-                f"{name:<10} {encoding['bytes']:>10,} "
-                f"{encoding['bytes_per_access']:>9} "
-                f"  {load_notes.get(name, '')}"
-            )
     return "\n".join(lines)
 
 

@@ -93,7 +93,7 @@ def slice_columns(columns: AccessColumns, start: int, stop: int) -> AccessColumn
     """A zero-copy view of one contiguous window of a column set.
 
     Buffer-backed columns — ``array('Q')``, ``bytearray``, ``bytes``,
-    ``memoryview`` (the mmap-backed trace path) — are sliced through
+    ``memoryview`` — are sliced through
     :class:`memoryview`, which shares the underlying storage; slicing the
     containers directly would copy the window.  Plain sequences (the test
     fallback) fall back to an ordinary copying slice.

@@ -3,13 +3,12 @@
 This package makes access streams first-class on-disk workloads, sitting
 between workload generation and the experiment executor:
 
-* :mod:`repro.traces.format` — the versioned ``.rtrc`` binary container
-  (optionally gzipped): v1 stores raw packed columns replayed zero-copy by
-  the array-backed :class:`~repro.traces.format.PackedTrace`; v2 (the
-  write default) stores delta/varint-compressed fixed-size chunks behind a
-  footer index, replayed by the lazily decoding
-  :class:`~repro.traces.format.ChunkedTrace` which touches only the chunks
-  a window needs;
+* :mod:`repro.traces.format` — the ``.rtrc`` binary container: fixed-size
+  chunks, each one zlib stream over raw pc/address columns and a write
+  bitset, behind a chunk index.  Files load into the lazily inflating
+  :class:`~repro.traces.format.ChunkedTrace`, which touches only the
+  chunks a window needs; :class:`~repro.traces.format.PackedTrace` is the
+  in-memory container every sampler and importer produces;
 * :mod:`repro.traces.champsim` — an importer for ChampSim-style LS text
   traces, so any published trace becomes a workload;
 * :mod:`repro.traces.recorder` — capture any registered generator's stream
@@ -30,8 +29,6 @@ from repro.traces.format import (
     CHUNK_RECORDS,
     FORMAT_VERSION,
     MAGIC,
-    SUPPORTED_VERSIONS,
-    TRACE_SUFFIXES,
     ChunkedTrace,
     PackedTrace,
     TraceFormatError,
@@ -50,8 +47,6 @@ __all__ = [
     "CHUNK_RECORDS",
     "FORMAT_VERSION",
     "MAGIC",
-    "SUPPORTED_VERSIONS",
-    "TRACE_SUFFIXES",
     "ChampSimParseError",
     "ChunkedTrace",
     "PackedTrace",

@@ -25,7 +25,7 @@ compressed.
 The importer returns a :class:`~repro.traces.format.PackedTrace` (columns,
 not objects), so even multi-million-access files import in bounded memory;
 :func:`~repro.traces.format.save_trace` then persists it as ``.rtrc`` —
-chunked delta/varint v2 by default, many times smaller than the text dump —
+zlib-compressed column chunks, many times smaller than the text dump —
 after which the file is a first-class workload name (``trace:<name>``)
 anywhere a generated workload is accepted.
 """

@@ -1,4 +1,4 @@
-"""The ``.rtrc`` packed binary trace format and its array-backed container.
+"""The ``.rtrc`` packed binary trace format and its two containers.
 
 Every workload in the repository used to exist only as a Python generator
 that rebuilt its :class:`~repro.workloads.trace.Trace` — a list of
@@ -11,57 +11,43 @@ cold run.  This module makes access streams first-class on-disk artefacts:
   iteration protocol (``__iter__``/``__len__``/``__getitem__``/``slice``/
   ``unique_lines``/``unique_pcs``) without ever materialising a list of
   per-access objects;
+* :class:`ChunkedTrace` is the file-backed container: it holds a file's
+  compressed chunks and inflates only the ones a record range asks for;
 * :func:`save_trace` / :func:`load_trace` round-trip any trace-like object
-  through the versioned ``.rtrc`` container described below, optionally
-  gzip-compressed (a ``.gz`` suffix compresses on save; loads sniff the
-  gzip magic, so either spelling reads either file);
+  through the ``.rtrc`` container described below;
 * :func:`read_header` inspects a file without decoding its payload, and
   :func:`trace_file_digest` content-addresses a file for the experiment
   layer's spec hashing (see :mod:`repro.experiments.jobs`).
 
-Version 1 layout (raw columns; all integers little-endian)::
+Layout (format version 3; all integers little-endian)::
 
     offset  size  field
     0       4     magic  b"RTRC"
-    4       2     format version (1)
+    4       2     format version (3)
     6       2     flags (reserved, 0)
     8       1     line shift (LINE_SHIFT at save time; readers check it)
     9       3     reserved (zero)
     12      8     record count N
     20      4     header-JSON length H
     24      H     header JSON: {"name": ..., "metadata": {...}}
-    24+H    8*N   program counters, uint64 each
-    ...     8*N   physical addresses, uint64 each
-    ...     ⌈N/8⌉ write bitset, LSB-first within each byte
-
-Version 2 layout (chunked delta/varint; the default write format)::
-
-    offset  size  field
-    0       24    fixed header as in v1, version field = 2
-    24      H     header JSON (unchanged)
     24+H    ...   C chunk bodies, back to back
-    F       32*C  chunk index: per chunk <file offset, record count,
-                  first pc, first address>, four uint64 each
-    EOF-28  28    trailer: <footer offset F, chunk count C,
-                  records per chunk, magic b"RTC2">
+    F       8*C   chunk index: each chunk's file offset, one uint64 each
+    EOF-28  28    trailer: <index offset F, chunk count C,
+                  records per chunk R, magic b"RTC3">
 
-    chunk body:
-    0       12    section lengths <pc bytes, address bytes, write bytes>,
-                  three uint32
-    12      ...   pc column: zig-zag deltas, LEB128 varints (the chunk's
-                  first record is anchored in the chunk index)
-    ...     ...   address column: same encoding
-    ...     ...   write flags: run lengths as LEB128 varints, alternating
-                  read/write runs (first run is reads, possibly zero),
-                  summing to the chunk's record count
+    chunk body of n records: one zlib stream (level ZLIB_LEVEL) over
+    n uint64 pcs, n uint64 addresses and the ⌈n/8⌉-byte LSB-first write
+    bitset — 16·n + ⌈n/8⌉ bytes once inflated.
 
-Every chunk holds exactly ``records per chunk`` records except the last,
-so a record position maps to its chunk by one integer division and any
-record range decodes by touching only the chunks that cover it — the
-chunk index is what lets window sampling skip the rest
-of a multi-gigabyte capture.  :class:`ChunkedTrace` is the lazy container
-over this layout; v1 files load into :class:`PackedTrace` exactly as
-before, and :func:`save_trace` still writes v1 on request.
+Every chunk holds exactly R records except the last, so a record position
+maps to its chunk by one integer division and any record range decodes by
+inflating only the chunks that cover it — the chunk index is what lets
+window sampling skip the rest of a multi-gigabyte capture.
+
+Files written by earlier builds (the raw v1 layout, the delta/varint v2
+layout, or either wrapped in whole-file gzip) are refused with one
+:class:`TraceFormatError` naming the fix: every file's header records the
+``repro trace record|import|sample`` that regenerates it.
 
 The line shift travels in the header so a stream packed under one line
 geometry is never silently interpreted under another — it is the same
@@ -70,12 +56,12 @@ geometry is never silently interpreted under another — it is the same
 
 from __future__ import annotations
 
-import gzip
 import hashlib
 import json
 import os
 import struct
 import sys
+import zlib
 from array import array
 from collections import OrderedDict
 from dataclasses import dataclass
@@ -89,54 +75,50 @@ from repro.workloads.trace import LINE_SHIFT, Trace, distinct_line_count
 #: Magic bytes opening every ``.rtrc`` file.
 MAGIC = b"RTRC"
 
-#: Current (default write) format version.
-FORMAT_VERSION = 2
+#: The one format version this build reads and writes.
+FORMAT_VERSION = 3
 
-#: Every version this build reads.  v1 is the raw-column layout; v2 is the
-#: chunked delta/varint layout (see the module docstring).
-SUPPORTED_VERSIONS = (1, 2)
-
-#: Records per chunk in a v2 file.  64Ki keeps a decoded chunk's columns
-#: around 1 MiB while making the chunk index negligible (32 bytes per 64Ki
-#: records); :func:`save_trace` takes an override for tests and tooling.
+#: Records per chunk.  64Ki keeps a decoded chunk's columns around 1 MiB
+#: while making the chunk index negligible (8 bytes per 64Ki records).
+#: Read at save time, so tests can shrink it to get multi-chunk files.
 CHUNK_RECORDS = 65536
+
+#: zlib level of every chunk body: zlib's own default, pinned here so the
+#: bytes a stream saves to (and hence its content digest) never depend on
+#: what a zlib build picks as its default.
+ZLIB_LEVEL = 6
 
 #: Decoded chunks a :class:`ChunkedTrace` keeps hot (LRU).  Sequential
 #: window replay needs at most two (a window straddling one boundary);
 #: the slack covers samplers hopping between a few regions.
 CHUNK_CACHE_LIMIT = 8
 
-#: The canonical file suffixes, in resolution-preference order.  The
-#: workload registry's ``trace:`` resolution and directory scans, the
-#: writers' suffix choice (:func:`trace_suffix`) and the sibling cleanup
-#: (:func:`remove_stale_sibling`) all derive from this tuple, so a new
-#: suffix added here is discovered everywhere.
-TRACE_SUFFIXES = (".rtrc", ".rtrc.gz")
-
-
-def trace_suffix(compress: bool) -> str:
-    """The file suffix a writer should use (single source: TRACE_SUFFIXES)."""
-
-    return TRACE_SUFFIXES[1] if compress else TRACE_SUFFIXES[0]
-
 _FIXED_HEADER = struct.Struct("<4sHHB3xQI")
 _GZIP_MAGIC = b"\x1f\x8b"
+#: One chunk-index entry: the chunk body's file offset.
+_INDEX_ENTRY = struct.Struct("<Q")
+#: End-of-file trailer: index offset, chunk count, records per chunk, magic.
+_TRAILER = struct.Struct("<QQQ4s")
+_TRAILER_MAGIC = b"RTC3"
 
-# -- version 2 framing -------------------------------------------------------
-#: Per-chunk section lengths: pc bytes, address bytes, write-run bytes.
-_V2_CHUNK_HEADER = struct.Struct("<III")
-#: One chunk-index entry: file offset, record count, first pc, first address.
-_V2_FOOTER_ENTRY = struct.Struct("<QQQQ")
-#: End-of-file trailer: footer offset, chunk count, records per chunk, magic.
-_V2_TRAILER = struct.Struct("<QQQ4s")
-_V2_TRAILER_MAGIC = b"RTC2"
-
-#: uint64 wrap mask for delta reconstruction.
-_MASK64 = (1 << 64) - 1
+#: Deflate's ceiling on inflated/compressed size: a record count claiming
+#: more than this many bytes per payload byte is refused at open, before
+#: anything is inflated.
+_MAX_INFLATE_RATIO = 1032
 
 
 class TraceFormatError(ValueError):
     """A file is not a readable ``.rtrc`` trace (bad magic, version, size)."""
+
+
+def _unreadable(path: Path, found: str) -> TraceFormatError:
+    """The one error for files in an encoding this build does not read."""
+
+    return TraceFormatError(
+        f"{path}: {found}, but this build reads only .rtrc format version "
+        f"{FORMAT_VERSION}; regenerate the file with "
+        f"`repro trace record|import|sample`"
+    )
 
 
 def _pack_bits(flags: Iterable[bool], count: int) -> bytearray:
@@ -147,151 +129,6 @@ def _pack_bits(flags: Iterable[bool], count: int) -> bytearray:
         if flag:
             bits[index >> 3] |= 1 << (index & 7)
     return bits
-
-
-# ---------------------------------------------------------------------------
-# Version 2 codecs: zig-zag delta varints and write-run RLE
-# ---------------------------------------------------------------------------
-def _encode_varint(out: bytearray, value: int) -> None:
-    """Append ``value`` (non-negative) to ``out`` as an LEB128 varint."""
-
-    while value > 0x7F:
-        out.append(value & 0x7F | 0x80)
-        value >>= 7
-    out.append(value)
-
-
-def _encode_deltas(column, start: int, stop: int) -> bytes:
-    """Records ``(start, stop)`` of a uint64 column as zig-zag delta varints.
-
-    The first record (``column[start]``) is *not* encoded — it travels in
-    the chunk index as the anchor the decoder starts from.  Deltas are
-    signed differences of consecutive uint64 values, so they span
-    ±(2^64−1); the zig-zag fold uses a 64-bit arithmetic shift over
-    Python's arbitrary-precision ints (``delta >> 64`` is 0 for positive
-    deltas and −1 for negative ones), which keeps the whole range
-    reversible.
-    """
-
-    out = bytearray()
-    append = out.append
-    prev = column[start]
-    for index in range(start + 1, stop):
-        value = column[index]
-        delta = value - prev
-        prev = value
-        z = (delta << 1) ^ (delta >> 64)
-        while z > 0x7F:
-            append(z & 0x7F | 0x80)
-            z >>= 7
-        append(z)
-    return bytes(out)
-
-
-def _decode_deltas(section: bytes, first: int, count: int, context: str) -> array:
-    """Invert :func:`_encode_deltas` into a fresh ``array('Q')`` column."""
-
-    column = array("Q", bytes(8 * count))
-    if count:
-        column[0] = first & _MASK64
-    prev = first
-    position = 0
-    try:
-        for index in range(1, count):
-            byte = section[position]
-            position += 1
-            if byte < 0x80:
-                z = byte
-            else:
-                z = byte & 0x7F
-                shift = 7
-                while True:
-                    byte = section[position]
-                    position += 1
-                    z |= (byte & 0x7F) << shift
-                    if byte < 0x80:
-                        break
-                    shift += 7
-            prev = (prev + ((z >> 1) ^ -(z & 1))) & _MASK64
-            column[index] = prev
-    except IndexError:
-        raise TraceFormatError(f"{context}: delta section truncated") from None
-    if position != len(section):
-        raise TraceFormatError(
-            f"{context}: {len(section) - position} stray bytes after the "
-            f"last delta (torn chunk?)"
-        )
-    return column
-
-
-def _encode_write_runs(flags, start: int, stop: int) -> bytes:
-    """Write flags of ``(start, stop)`` as alternating run-length varints.
-
-    Runs alternate read/write starting with a read run (zero when the
-    window opens on a store) and sum to the window length.  Run boundaries
-    are found with ``bytes.find`` over the expanded 0/1 flag bytes — a
-    C-level scan, not a per-access Python loop.
-    """
-
-    window = bytes(flags[start:stop])
-    out = bytearray()
-    position = 0
-    length = len(window)
-    needle = b"\x01"
-    while position < length:
-        boundary = window.find(needle, position)
-        if boundary < 0:
-            boundary = length
-        _encode_varint(out, boundary - position)
-        position = boundary
-        needle = b"\x00" if needle == b"\x01" else b"\x01"
-    return bytes(out)
-
-
-def _decode_varints(section: bytes, context: str) -> list[int]:
-    """Every LEB128 varint in ``section``, in order."""
-
-    values = []
-    position = 0
-    length = len(section)
-    while position < length:
-        value = 0
-        shift = 0
-        while True:
-            if position >= length:
-                raise TraceFormatError(f"{context}: truncated varint")
-            byte = section[position]
-            position += 1
-            value |= (byte & 0x7F) << shift
-            if byte < 0x80:
-                break
-            shift += 7
-        values.append(value)
-    return values
-
-
-def _decode_write_runs(section: bytes, count: int, context: str) -> bytearray:
-    """Invert :func:`_encode_write_runs` into one 0/1 flag byte per record."""
-
-    flags = bytearray(count)
-    at = 0
-    writing = False
-    for run in _decode_varints(section, context):
-        end = at + run
-        if end > count:
-            raise TraceFormatError(
-                f"{context}: write runs cover {end} of {count} records "
-                f"(torn chunk?)"
-            )
-        if writing and run:
-            flags[at:end] = b"\x01" * run
-        at = end
-        writing = not writing
-    if at != count:
-        raise TraceFormatError(
-            f"{context}: write runs cover {at} of {count} records (torn chunk?)"
-        )
-    return flags
 
 
 class PackedTrace:
@@ -315,7 +152,6 @@ class PackedTrace:
         "_writes",
         "_write_flags",
         "_write_count",
-        "_buffer",
     )
 
     def __init__(
@@ -339,10 +175,6 @@ class PackedTrace:
         self._writes = bytes(writes)
         self._write_flags: bytearray | None = None
         self._write_count: int | None = None
-        # The mmap (or other buffer) the columns are views into, when the
-        # trace was opened zero-copy; holding it here pins the mapping for
-        # the life of the trace.  ``None`` for materialised columns.
-        self._buffer = None
 
     # -- construction --------------------------------------------------------
     @classmethod
@@ -475,17 +307,17 @@ class PackedTrace:
 
 
 class ChunkedTrace:
-    """A v2 ``.rtrc`` stream decoded chunk by chunk, on demand.
+    """An ``.rtrc`` stream inflated chunk by chunk, on demand.
 
     Satisfies the same :class:`~repro.workloads.trace.Trace` iteration
     protocol and the :class:`~repro.sim.stream.AccessStream` columnar
-    protocol as :class:`PackedTrace`, but holds only the *encoded* chunk
-    bytes (an mmap view for uncompressed files) plus a small LRU of decoded
-    chunks.  Consumers that need one record range — the samplers — call
-    :meth:`window_columns` and decode only the chunks the
-    range covers; :attr:`chunks_decoded` counts real decodes so tests can
-    assert that selectivity.  A full :meth:`access_columns` materialisation
-    is memoised, after which window views are zero-copy slices of it.
+    protocol as :class:`PackedTrace`, but holds only the file's compressed
+    bytes plus a small LRU of decoded chunks.  Consumers that need one
+    record range — the samplers — call :meth:`window_columns` and inflate
+    only the chunks the range covers; :attr:`chunks_decoded` counts real
+    decodes so tests can assert that selectivity.  A full
+    :meth:`access_columns` materialisation is memoised, after which window
+    views are zero-copy slices of it.
     """
 
     __slots__ = (
@@ -493,8 +325,8 @@ class ChunkedTrace:
         "metadata",
         "line_shift",
         "_data",
-        "_entries",
-        "_footer_offset",
+        "_offsets",
+        "_index_offset",
         "_chunk_records",
         "_length",
         "_cache",
@@ -503,15 +335,14 @@ class ChunkedTrace:
         "_columns",
         "_write_count",
         "_packed",
-        "_buffer",
     )
 
     def __init__(
         self,
         name: str,
-        data,
-        entries: list[tuple],
-        footer_offset: int,
+        data: bytes,
+        offsets: list[int],
+        index_offset: int,
         chunk_records: int,
         records: int,
         metadata: dict | None = None,
@@ -522,8 +353,8 @@ class ChunkedTrace:
         self.metadata = dict(metadata or {})
         self.line_shift = line_shift
         self._data = data
-        self._entries = entries
-        self._footer_offset = footer_offset
+        self._offsets = offsets
+        self._index_offset = index_offset
         self._chunk_records = max(1, chunk_records)
         self._length = records
         self._cache: OrderedDict = OrderedDict()
@@ -534,15 +365,13 @@ class ChunkedTrace:
         self._columns: AccessColumns | None = None
         self._write_count: int | None = None
         self._packed: PackedTrace | None = None
-        # Pins the mmap the encoded bytes are a view into (see PackedTrace).
-        self._buffer = None
 
     # -- chunk plumbing ------------------------------------------------------
     @property
     def chunk_count(self) -> int:
         """Number of chunks in the underlying file."""
 
-        return len(self._entries)
+        return len(self._offsets)
 
     @property
     def chunk_records(self) -> int:
@@ -552,46 +381,42 @@ class ChunkedTrace:
 
     @property
     def payload_bytes(self) -> int:
-        """Encoded size of the chunk payload (headers and footer excluded)."""
+        """Compressed size of the chunk payload (header and index excluded)."""
 
-        if not self._entries:
+        if not self._offsets:
             return 0
-        return self._footer_offset - self._entries[0][0]
-
-    def _chunk_bounds(self, index: int) -> tuple[int, int]:
-        start = self._entries[index][0]
-        if index + 1 < len(self._entries):
-            end = self._entries[index + 1][0]
-        else:
-            end = self._footer_offset
-        return start, end
+        return self._index_offset - self._offsets[0]
 
     def _decode_chunk(self, index: int) -> tuple[array, array, bytearray]:
-        offset, records, first_pc, first_address = self._entries[index]
-        start, end = self._chunk_bounds(index)
+        offsets = self._offsets
+        start = offsets[index]
+        end = offsets[index + 1] if index + 1 < len(offsets) else self._index_offset
+        records = min(self._chunk_records, self._length - index * self._chunk_records)
+        column = 8 * records
+        expected = 2 * column + (records + 7) // 8
         context = f"{self.name}: chunk {index}"
-        data = self._data
-        if end - start < _V2_CHUNK_HEADER.size:
-            raise TraceFormatError(f"{context}: chunk header torn")
-        pc_bytes, address_bytes, write_bytes = _V2_CHUNK_HEADER.unpack_from(
-            data, start
-        )
-        body = start + _V2_CHUNK_HEADER.size
-        if body + pc_bytes + address_bytes + write_bytes != end:
+        # The inflated size is capped at what the chunk's record count needs,
+        # so a corrupt body can never balloon an allocation.
+        inflater = zlib.decompressobj()
+        try:
+            raw = inflater.decompress(self._data[start:end], expected)
+            if not inflater.eof:
+                # Output filled before the stream ended: one more byte
+                # proves the body holds more than its records.
+                raw += inflater.decompress(inflater.unconsumed_tail, 1)
+        except zlib.error as error:
             raise TraceFormatError(
-                f"{context}: section lengths do not match the chunk extent "
-                f"(torn chunk?)"
+                f"{context}: corrupt zlib stream ({error}; torn chunk?)"
+            ) from None
+        if len(raw) != expected or not inflater.eof or inflater.unused_data:
+            raise TraceFormatError(
+                f"{context}: body does not inflate to the {expected} bytes "
+                f"of its {records} records (torn chunk?)"
             )
-        pc_section = bytes(data[body : body + pc_bytes])
-        address_section = bytes(
-            data[body + pc_bytes : body + pc_bytes + address_bytes]
-        )
-        write_section = bytes(data[body + pc_bytes + address_bytes : end])
-        pcs = _decode_deltas(pc_section, first_pc, records, f"{context} pc column")
-        addresses = _decode_deltas(
-            address_section, first_address, records, f"{context} address column"
-        )
-        flags = _decode_write_runs(write_section, records, f"{context} write runs")
+        view = memoryview(raw)
+        pcs = _column_from_bytes(view[:column])
+        addresses = _column_from_bytes(view[column : 2 * column])
+        flags = expand_write_bitset(raw[2 * column :], records)
         self.chunks_decoded += 1
         return pcs, addresses, flags
 
@@ -614,7 +439,7 @@ class ChunkedTrace:
         return self._length
 
     def __iter__(self) -> Iterator[MemoryAccess]:
-        for index in range(len(self._entries)):
+        for index in range(len(self._offsets)):
             pcs, addresses, flags = self._chunk(index)
             for pc, address, flag in zip(pcs, addresses, flags):
                 yield MemoryAccess(pc=pc, address=address, is_write=bool(flag))
@@ -639,37 +464,11 @@ class ChunkedTrace:
         return bool(flags[index % self._chunk_records])
 
     def write_count(self) -> int:
-        """Number of stores (write-run sums alone — no column decode).
-
-        Walks each chunk's run-length section and sums the write runs; the
-        delta-encoded pc/address columns are never touched, so footprint
-        inspection of a huge capture stays proportional to the *encoded*
-        write sections, not the record count.  Memoised (the trace is
-        immutable).
-        """
+        """Number of stores (a C-level count over the write flags, memoised)."""
 
         cached = self._write_count
         if cached is None:
-            total = 0
-            data = self._data
-            for index, (offset, records, _pc, _address) in enumerate(
-                self._entries
-            ):
-                start, _end = self._chunk_bounds(index)
-                context = f"{self.name}: chunk {index} write runs"
-                pc_bytes, address_bytes, write_bytes = (
-                    _V2_CHUNK_HEADER.unpack_from(data, start)
-                )
-                begin = start + _V2_CHUNK_HEADER.size + pc_bytes + address_bytes
-                runs = _decode_varints(
-                    bytes(data[begin : begin + write_bytes]), context
-                )
-                if sum(runs) != records:
-                    raise TraceFormatError(
-                        f"{context}: runs cover {sum(runs)} of {records} records"
-                    )
-                total += sum(runs[1::2])
-            self._write_count = cached = total
+            self._write_count = cached = self.access_columns().writes.count(1)
         return cached
 
     def unique_lines(self) -> int:
@@ -734,7 +533,7 @@ class ChunkedTrace:
             pcs = array("Q")
             addresses = array("Q")
             flags = bytearray()
-            for index in range(len(self._entries)):
+            for index in range(len(self._offsets)):
                 chunk_pcs, chunk_addresses, chunk_flags = self._chunk(index)
                 pcs.extend(chunk_pcs)
                 addresses.extend(chunk_addresses)
@@ -809,7 +608,6 @@ class TraceHeader:
     records: int
     line_shift: int
     version: int
-    compressed: bool
     metadata: dict
 
 
@@ -817,14 +615,12 @@ def _column_bytes(column) -> bytes:
     """The column's records as little-endian bytes regardless of host order."""
 
     if sys.byteorder == "big":  # pragma: no cover - exercised on BE hosts only
-        # Zero-copy (memoryview) columns only exist on little-endian hosts,
-        # so rebuilding through array('Q') here always sees plain values.
         column = array("Q", column)
         column.byteswap()
     return column.tobytes()
 
 
-def _column_from_bytes(data: bytes) -> array:
+def _column_from_bytes(data) -> array:
     column = array("Q")
     column.frombytes(data)
     if sys.byteorder == "big":  # pragma: no cover - exercised on BE hosts only
@@ -862,80 +658,49 @@ def pack_trace(trace, name: str | None = None) -> PackedTrace:
     )
 
 
-def _encode_v2_container(
-    packed: PackedTrace, header_json: bytes, chunk_records: int
-) -> bytes:
-    """Assemble the whole v2 container (chunks, index, trailer) as bytes."""
+def _encode_container(packed: PackedTrace, header_json: bytes) -> bytes:
+    """Assemble the whole container (header, chunks, index, trailer)."""
 
-    if chunk_records < 1:
-        raise ValueError("chunk_records must be at least 1")
     count = len(packed)
-    columns = packed.access_columns()
-    pcs = columns.pcs
-    addresses = columns.addresses
-    flags = columns.writes
+    size = CHUNK_RECORDS
+    pcs = _column_bytes(packed._pcs)
+    addresses = _column_bytes(packed._addresses)
+    flags = packed.access_columns().writes
     parts = [
         _FIXED_HEADER.pack(
-            MAGIC, 2, 0, packed.line_shift, count, len(header_json)
+            MAGIC, FORMAT_VERSION, 0, packed.line_shift, count, len(header_json)
         ),
         header_json,
     ]
     offset = _FIXED_HEADER.size + len(header_json)
-    footer = bytearray()
-    chunk_count = 0
-    for start in range(0, count, chunk_records):
-        stop = min(start + chunk_records, count)
-        pc_section = _encode_deltas(pcs, start, stop)
-        address_section = _encode_deltas(addresses, start, stop)
-        write_section = _encode_write_runs(flags, start, stop)
-        body = b"".join(
-            (
-                _V2_CHUNK_HEADER.pack(
-                    len(pc_section), len(address_section), len(write_section)
-                ),
-                pc_section,
-                address_section,
-                write_section,
-            )
+    index = []
+    for start in range(0, count, size):
+        stop = min(start + size, count)
+        body = zlib.compress(
+            b"".join(
+                (
+                    pcs[8 * start : 8 * stop],
+                    addresses[8 * start : 8 * stop],
+                    _pack_bits(flags[start:stop], stop - start),
+                )
+            ),
+            ZLIB_LEVEL,
         )
-        footer += _V2_FOOTER_ENTRY.pack(
-            offset, stop - start, pcs[start], addresses[start]
-        )
+        index.append(_INDEX_ENTRY.pack(offset))
         parts.append(body)
         offset += len(body)
-        chunk_count += 1
-    parts.append(bytes(footer))
-    parts.append(
-        _V2_TRAILER.pack(offset, chunk_count, chunk_records, _V2_TRAILER_MAGIC)
-    )
+    parts += index
+    parts.append(_TRAILER.pack(offset, len(index), size, _TRAILER_MAGIC))
     return b"".join(parts)
 
 
-def save_trace(
-    trace,
-    path: str | Path,
-    name: str | None = None,
-    version: int | None = None,
-    chunk_records: int | None = None,
-) -> Path:
+def save_trace(trace, path: str | Path, name: str | None = None) -> Path:
     """Write a trace-like object to ``path`` in ``.rtrc`` form.
 
-    ``version`` selects the layout — ``2`` (chunked delta/varint, the
-    default) or ``1`` (raw columns, for interchange with older readers).
-    ``chunk_records`` overrides the v2 chunk size (tests and tooling; the
-    default :data:`CHUNK_RECORDS` is right for real captures).  A ``.gz``
-    suffix gzip-compresses the file (the whole container, so the reader
-    sniffs the gzip magic and either spelling loads either file).  Returns
-    the path written.
+    The same stream always saves to the same bytes, so re-recording it
+    never changes its content digest.  Returns the path written.
     """
 
-    if version is None:
-        version = FORMAT_VERSION
-    if version not in SUPPORTED_VERSIONS:
-        raise ValueError(
-            f"unsupported .rtrc version {version}; this build writes "
-            f"{', '.join(str(v) for v in SUPPORTED_VERSIONS)}"
-        )
     packed = pack_trace(trace, name)
     metadata = {
         key: value
@@ -947,37 +712,10 @@ def save_trace(
     ).encode("utf-8")
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    if version == 1:
-        container = b"".join(
-            (
-                _FIXED_HEADER.pack(
-                    MAGIC,
-                    1,
-                    0,
-                    packed.line_shift,
-                    len(packed),
-                    len(header_json),
-                ),
-                header_json,
-                _column_bytes(packed._pcs),
-                _column_bytes(packed._addresses),
-                packed._writes[: (len(packed) + 7) // 8],
-            )
-        )
-    else:
-        container = _encode_v2_container(
-            packed, header_json, chunk_records or CHUNK_RECORDS
-        )
-    if path.suffix == ".gz":
-        # gzip.compress with mtime=0 embeds neither a timestamp nor a
-        # filename, so the same stream produces the same bytes whenever
-        # (and wherever) it is saved — the file-content digests keying the
-        # result store must not churn on a byte-identical re-record.
-        container = gzip.compress(container, mtime=0)
     # Write-then-rename: re-recording a file another process is replaying
     # must never expose a torn half-written container to its readers.
     staging = path.with_name(path.name + ".tmp")
-    staging.write_bytes(container)
+    staging.write_bytes(_encode_container(packed, header_json))
     os.replace(staging, path)
     # This process just changed the file: drop its memoised digests, so a
     # same-size rewrite inside the filesystem's mtime granularity can never
@@ -994,13 +732,13 @@ def _json_safe(value) -> bool:
         return False
 
 
-def _read_container(path: Path) -> tuple[bytes, bool]:
-    """The file's raw container bytes and whether it was gzip-compressed.
+def _read_file(path: Path) -> bytes:
+    """The file's bytes, priming the digest memo from the same read.
 
-    Every load primes the digest memo from the bytes just read (guarded by
-    a stat taken on both sides, so a concurrent rewrite can't memoise a
-    digest under the wrong key): ``trace info`` and the executor's
-    load-then-digest sequences touch the file once, not twice.
+    The memo entry is guarded by a stat taken on both sides, so a
+    concurrent rewrite can't memoise a digest under the wrong key:
+    ``trace info`` and the executor's load-then-digest sequences touch the
+    file once, not twice.
     """
 
     try:
@@ -1019,16 +757,18 @@ def _read_container(path: Path) -> tuple[bytes, bool]:
         ) == (stat_after.st_size, stat_after.st_mtime_ns):
             key = (str(path.resolve()), stat_after.st_size, stat_after.st_mtime_ns)
             _DIGEST_MEMO.setdefault(key, hashlib.sha256(raw).hexdigest())
-    if raw[:2] == _GZIP_MAGIC:
-        return gzip.decompress(raw), True
-    return raw, False
+    return raw
 
 
-def _decode_header(
-    data: bytes, path: Path, compressed: bool = False
-) -> tuple[TraceHeader, int]:
-    """Decode the fixed + JSON header; returns it and the payload offset."""
+def _decode_header(data: bytes, path: Path) -> tuple[TraceHeader, int]:
+    """Decode the fixed + JSON header; returns it and the payload offset.
 
+    Any version decodes, so ``repro trace info`` can show what an earlier
+    build's file records; :func:`open_trace` refuses all but this one.
+    """
+
+    if data[:2] == _GZIP_MAGIC:
+        raise _unreadable(path, "gzip-wrapped (an earlier build's encoding)")
     if len(data) < _FIXED_HEADER.size:
         raise TraceFormatError(f"{path}: truncated header")
     magic, version, _flags, line_shift, count, json_length = _FIXED_HEADER.unpack_from(
@@ -1036,26 +776,22 @@ def _decode_header(
     )
     if magic != MAGIC:
         raise TraceFormatError(f"{path}: not an .rtrc trace (bad magic)")
-    if version not in SUPPORTED_VERSIONS:
-        raise TraceFormatError(
-            f"{path}: unsupported .rtrc version {version} (this build reads "
-            f"versions {', '.join(str(v) for v in SUPPORTED_VERSIONS)})"
-        )
     offset = _FIXED_HEADER.size + json_length
     if len(data) < offset:
         raise TraceFormatError(f"{path}: truncated JSON header")
     try:
-        # bytes() also unwraps the memoryview the mmap path passes in
-        # (json.loads takes str/bytes/bytearray only).
-        described = json.loads(bytes(data[_FIXED_HEADER.size : offset]))
-    except json.JSONDecodeError as error:
+        described = json.loads(data[_FIXED_HEADER.size : offset])
+    except (json.JSONDecodeError, UnicodeDecodeError) as error:
         raise TraceFormatError(f"{path}: corrupt JSON header ({error})") from None
+    if not isinstance(described, dict) or not isinstance(
+        described.get("metadata", {}), dict
+    ):
+        raise TraceFormatError(f"{path}: corrupt JSON header (not an object)")
     header = TraceHeader(
         name=str(described.get("name", path.stem)),
         records=count,
         line_shift=line_shift,
         version=version,
-        compressed=compressed,
         metadata=dict(described.get("metadata", {})),
     )
     return header, offset
@@ -1065,164 +801,93 @@ def _decode_header(
 _HEADER_PROBE = 1 << 16
 
 
-def _header_prefix(path: Path) -> tuple[bytes, bool]:
-    """At least the fixed + JSON header bytes, without reading the payload.
-
-    Plain files are read in 64 KiB steps until the header is complete;
-    gzip files are *stream*-decompressed just as far — reading the header
-    of a multi-gigabyte ``.rtrc.gz`` must not inflate the whole payload to
-    report twenty header bytes.
-    """
-
-    with open(path, "rb") as handle:
-        probe = handle.read(_HEADER_PROBE)
-        if probe[:2] == _GZIP_MAGIC:
-            import zlib
-
-            decompressor = zlib.decompressobj(wbits=31)
-            data = bytearray(decompressor.decompress(probe))
-            compressed = True
-
-            def more() -> bool:
-                chunk = handle.read(_HEADER_PROBE)
-                if not chunk:
-                    return False
-                data.extend(decompressor.decompress(chunk))
-                return True
-
-        else:
-            data = bytearray(probe)
-            compressed = False
-
-            def more() -> bool:
-                chunk = handle.read(_HEADER_PROBE)
-                if not chunk:
-                    return False
-                data.extend(chunk)
-                return True
-
-        while len(data) < _FIXED_HEADER.size:
-            if not more():
-                return bytes(data), compressed
-        json_length = _FIXED_HEADER.unpack_from(data)[5]
-        needed = _FIXED_HEADER.size + json_length
-        while len(data) < needed:
-            if not more():
-                break
-        return bytes(data), compressed
-
-
 def read_header(path: str | Path) -> TraceHeader:
     """Decode a file's header (name, counts, shift, metadata) only.
 
-    Reads — and for gzip files decompresses — just enough of the file to
-    cover the header, never the payload, so inspecting a huge capture is
-    O(header) regardless of encoding.
+    Reads just enough of the file to cover the header, in 64 KiB steps,
+    never the payload, so inspecting a huge capture is O(header).  The
+    version is not checked: an earlier build's file still shows its
+    header and provenance.
     """
 
     path = Path(path)
-    data, compressed = _header_prefix(path)
-    header, _ = _decode_header(data, path, compressed)
-    return header
+    with open(path, "rb") as handle:
+        data = handle.read(_HEADER_PROBE)
+        if len(data) >= _FIXED_HEADER.size and data[:2] != _GZIP_MAGIC:
+            needed = _FIXED_HEADER.size + _FIXED_HEADER.unpack_from(data)[5]
+            while len(data) < needed:
+                more = handle.read(_HEADER_PROBE)
+                if not more:
+                    break
+                data += more
+    return _decode_header(data, path)[0]
 
 
-def load_trace(path: str | Path):
-    """Load an ``.rtrc`` file (gzip sniffed) into its natural container.
-
-    v1 files load into a :class:`PackedTrace`; v2 files into a lazy
-    :class:`ChunkedTrace`.  Both satisfy the same trace and columnar
-    protocols, so callers need not care which they get.
-    """
+def load_trace(path: str | Path) -> ChunkedTrace:
+    """Load an ``.rtrc`` file into a lazily inflating :class:`ChunkedTrace`."""
 
     return open_trace(path)[0]
 
 
-def _mapped_container(path: Path):
-    """Map an uncompressed file read-only; ``None`` when mapping can't help.
+def _open_chunked(
+    data: bytes, path: Path, header: TraceHeader, offset: int
+) -> ChunkedTrace:
+    """Validate the container's framing and build its lazy trace.
 
-    Gzip files must be decompressed into memory anyway, empty/over-truncated
-    files can't be mapped (or aren't worth it), and byteswapping on a
-    big-endian host would force a copy regardless — all of those return
-    ``None`` and the caller takes the plain read path.
-    """
-
-    if sys.byteorder != "little":  # pragma: no cover - BE hosts copy+swap
-        return None
-    import mmap
-
-    with open(path, "rb") as handle:
-        if handle.read(2) == _GZIP_MAGIC:
-            return None
-        try:
-            mapping = mmap.mmap(handle.fileno(), 0, access=mmap.ACCESS_READ)
-        except (ValueError, OSError):  # empty file, exotic filesystem
-            return None
-    return memoryview(mapping)
-
-
-def _open_chunked(data, path: Path, header: TraceHeader, offset: int) -> ChunkedTrace:
-    """Validate a v2 container's framing and build its lazy trace.
-
-    ``data`` is the whole container (an mmap view or bytes); only the
-    trailer and the chunk index are decoded here — chunk bodies stay
-    encoded until a consumer asks for their records.
+    Only the trailer and the chunk index are decoded here — chunk bodies
+    stay compressed until a consumer asks for their records.
     """
 
     total = len(data)
     count = header.records
-    if total < offset + _V2_TRAILER.size:
-        raise TraceFormatError(f"{path}: truncated v2 container (no trailer)")
-    footer_offset, chunk_count, chunk_records, trailer_magic = _V2_TRAILER.unpack_from(
-        data, total - _V2_TRAILER.size
+    if total < offset + _TRAILER.size:
+        raise TraceFormatError(f"{path}: truncated container (no trailer)")
+    index_offset, chunk_count, chunk_records, trailer_magic = _TRAILER.unpack_from(
+        data, total - _TRAILER.size
     )
-    if trailer_magic != _V2_TRAILER_MAGIC:
+    if trailer_magic != _TRAILER_MAGIC:
         raise TraceFormatError(
-            f"{path}: v2 trailer magic missing (file truncated or torn?)"
+            f"{path}: trailer magic missing (file truncated or torn?)"
         )
-    footer_size = chunk_count * _V2_FOOTER_ENTRY.size
     if (
-        footer_offset < offset
-        or footer_offset + footer_size + _V2_TRAILER.size != total
+        index_offset < offset
+        or index_offset + chunk_count * _INDEX_ENTRY.size + _TRAILER.size != total
     ):
         raise TraceFormatError(
-            f"{path}: chunk index does not fit the file (truncated footer?)"
+            f"{path}: chunk index does not fit the file (truncated index?)"
         )
     if count and chunk_records < 1:
         raise TraceFormatError(f"{path}: invalid chunk size {chunk_records}")
-    expected_chunks = (
-        (count + chunk_records - 1) // chunk_records if count else 0
-    )
+    expected_chunks = -(-count // chunk_records) if count else 0
     if chunk_count != expected_chunks:
         raise TraceFormatError(
             f"{path}: chunk index lists {chunk_count} chunks, expected "
             f"{expected_chunks} for {count} records of {chunk_records}"
         )
-    entries = list(
-        _V2_FOOTER_ENTRY.iter_unpack(
-            bytes(data[footer_offset : footer_offset + footer_size])
+    if 16 * count > _MAX_INFLATE_RATIO * (index_offset - offset):
+        raise TraceFormatError(
+            f"{path}: {count} records cannot inflate from a "
+            f"{index_offset - offset}-byte payload"
         )
-    )
-    remaining = count
-    previous = offset
-    for index, (chunk_offset, records, _pc, _address) in enumerate(entries):
-        expected_records = min(chunk_records, remaining)
-        if records != expected_records:
-            raise TraceFormatError(
-                f"{path}: chunk {index} claims {records} records, expected "
-                f"{expected_records}"
-            )
-        if chunk_offset < previous or chunk_offset >= footer_offset:
-            raise TraceFormatError(
-                f"{path}: chunk {index} offset {chunk_offset} outside the "
-                f"payload (torn chunk index?)"
-            )
-        previous = chunk_offset + _V2_CHUNK_HEADER.size
-        remaining -= records
+    offsets = [
+        chunk_offset
+        for (chunk_offset,) in _INDEX_ENTRY.iter_unpack(
+            data[index_offset : total - _TRAILER.size]
+        )
+    ]
+    # Chunks sit back to back from the end of the header to the index.
+    ends = offsets[1:] + [index_offset]
+    if (offsets[0] if offsets else index_offset) != offset or any(
+        end <= start for start, end in zip(offsets, ends)
+    ):
+        raise TraceFormatError(
+            f"{path}: chunk offsets do not tile the payload (torn chunk index?)"
+        )
     return ChunkedTrace(
         name=header.name,
         data=data,
-        entries=entries,
-        footer_offset=footer_offset,
+        offsets=offsets,
+        index_offset=index_offset,
         chunk_records=chunk_records,
         records=count,
         metadata=header.metadata,
@@ -1230,30 +895,21 @@ def _open_chunked(data, path: Path, header: TraceHeader, offset: int) -> Chunked
     )
 
 
-def open_trace(path: str | Path):
-    """Load a file *and* its decoded header in a single read/decompress.
+def open_trace(path: str | Path) -> tuple[ChunkedTrace, TraceHeader]:
+    """Load a file *and* its decoded header in a single read.
 
-    ``repro trace info`` wants both the stream and the container facts
-    (version, compressed flag); calling :func:`load_trace` plus
-    :func:`read_header` would read — and for ``.gz`` files decompress — the
-    container twice.
-
-    Uncompressed files on little-endian hosts are **memory-mapped**: a v1
-    file's pc/address columns become ``uint64`` views straight into the
-    page cache, and a v2 file's *encoded* chunks stay on disk until a
-    record range asks for them — either way nothing is copied up front and
-    the returned trace pins the mapping for its lifetime.  Gzip files
-    decompress into memory; a gzipped v2 file still decodes chunks
-    selectively from the in-memory container.
+    ``repro trace info`` wants both the stream and the container facts;
+    calling :func:`load_trace` plus :func:`read_header` would read the file
+    twice.  The whole file is read into memory — it is the compressed form,
+    a few bytes per access — and chunks inflate as record ranges ask for
+    them.
     """
 
     path = Path(path)
-    view = _mapped_container(path)
-    if view is not None:
-        data, compressed = view, False
-    else:
-        data, compressed = _read_container(path)
-    header, offset = _decode_header(data, path, compressed)
+    data = _read_file(path)
+    header, offset = _decode_header(data, path)
+    if header.version != FORMAT_VERSION:
+        raise _unreadable(path, f"written as .rtrc format version {header.version}")
     if header.line_shift != LINE_SHIFT:
         # The simulator's hierarchy has one fixed line geometry; replaying
         # a stream recorded under another shift would silently skew every
@@ -1264,68 +920,7 @@ def open_trace(path: str | Path):
             f"this build simulates {1 << LINE_SHIFT}-byte lines (shift "
             f"{LINE_SHIFT})"
         )
-    if header.version == 2:
-        trace = _open_chunked(data, path, header, offset)
-        if view is not None:
-            trace._buffer = view
-        return trace, header
-    count = header.records
-    column_size = 8 * count
-    bitset_size = (count + 7) // 8
-    expected = offset + 2 * column_size + bitset_size
-    if len(data) < expected:
-        raise TraceFormatError(
-            f"{path}: payload truncated ({len(data)} bytes, expected {expected})"
-        )
-    if view is not None:
-        pcs = view[offset : offset + column_size].cast("Q")
-        addresses = view[offset + column_size : offset + 2 * column_size].cast("Q")
-        writes = bytes(view[offset + 2 * column_size : expected])
-    else:
-        pcs = _column_from_bytes(data[offset : offset + column_size])
-        addresses = _column_from_bytes(
-            data[offset + column_size : offset + 2 * column_size]
-        )
-        writes = data[offset + 2 * column_size : expected]
-    trace = PackedTrace(
-        name=header.name,
-        pcs=pcs,
-        addresses=addresses,
-        writes=writes,
-        metadata=header.metadata,
-        line_shift=header.line_shift,
-    )
-    if view is not None:
-        trace._buffer = view
-    return trace, header
-
-
-def remove_stale_sibling(path: str | Path) -> Path | None:
-    """Delete any other-suffix spelling of a just-written trace.
-
-    Every :data:`TRACE_SUFFIXES` spelling of ``<name>`` resolves to the
-    *same* workload name (in preference order) — so re-recording a trace
-    under a different suffix would otherwise leave a stale sibling
-    shadowing (or shadowed by) the new file, and ``trace:<name>`` could
-    silently replay old data.  Returns the first removed path, if any.
-    """
-
-    path = Path(path)
-    name = path.name
-    # Longest suffix first, so ".rtrc.gz" is not misread as ".rtrc".
-    for suffix in sorted(TRACE_SUFFIXES, key=len, reverse=True):
-        if name.endswith(suffix):
-            stem = name[: -len(suffix)]
-            removed = None
-            for other in TRACE_SUFFIXES:
-                if other == suffix:
-                    continue
-                sibling = path.with_name(stem + other)
-                if sibling.is_file():
-                    sibling.unlink()
-                    removed = removed or sibling
-            return removed
-    return None
+    return _open_chunked(data, path, header, offset), header
 
 
 # ---------------------------------------------------------------------------

@@ -18,37 +18,20 @@ from __future__ import annotations
 from pathlib import Path
 from typing import Mapping
 
-from repro.traces.format import (
-    PackedTrace,
-    pack_trace,
-    remove_stale_sibling,
-    save_trace,
-    trace_suffix,
-)
+from repro.traces.format import pack_trace, save_trace
 
 
-def record_trace(
-    trace,
-    path: str | Path,
-    name: str | None = None,
-    version: int | None = None,
-) -> Path:
-    """Capture any live trace-like object to ``path`` (thin save wrapper).
+def record_trace(trace, path: str | Path, name: str | None = None) -> Path:
+    """Capture any live trace-like object to ``path`` (thin save wrapper)."""
 
-    ``version`` selects the on-disk ``.rtrc`` format (``None`` means the
-    library default — chunked delta/varint v2).
-    """
-
-    return save_trace(trace, path, name=name, version=version)
+    return save_trace(trace, path, name=name)
 
 
 def record_workload(
     workload: str,
     directory: str | Path,
     name: str | None = None,
-    compress: bool = False,
     overrides: Mapping | None = None,
-    version: int | None = None,
 ) -> Path:
     """Generate a registered workload and save its stream under ``directory``.
 
@@ -56,12 +39,11 @@ def record_workload(
     writes ``d/mcf.rtrc`` and ``trace:mcf`` resolves to it when ``d`` is on
     the trace search path).  ``overrides`` are forwarded to the generator
     exactly as :func:`~repro.workloads.registry.generate_workload` would
-    (``length``, ``seed``, ...), and are recorded as provenance.
-    ``version`` picks the container format (default: v2 chunked
-    delta/varint).  Returns the path written.
+    (``length``, ``seed``, ...), and are recorded as provenance.  Returns
+    the path written.
     """
 
-    from repro.workloads.registry import TRACE_PREFIX, generate_workload
+    from repro.workloads.registry import TRACE_PREFIX, TRACE_SUFFIX, generate_workload
 
     overrides = dict(overrides or {})
     try:
@@ -80,8 +62,7 @@ def record_workload(
     # The file stem IS the workload name, so the trace: prefix must never
     # leak into it — whether from re-recording an on-disk trace (`record
     # trace:<name>`) or from a caller passing a prefixed name.  A prefixed
-    # stem would shadow nothing (sibling cleanup keys on the stem) and
-    # advertise a double-prefixed workload.
+    # stem would advertise a double-prefixed workload nothing resolves.
     stem = name or workload
     if stem.startswith(TRACE_PREFIX):
         stem = stem[len(TRACE_PREFIX):]
@@ -93,9 +74,4 @@ def record_workload(
         "overrides": overrides,
         "accesses": len(packed),
     }
-    path = Path(directory) / f"{packed.name}{trace_suffix(compress)}"
-    save_trace(packed, path, version=version)
-    # A leftover opposite-compression spelling would shadow (or be
-    # shadowed by) the file just written under the same workload name.
-    remove_stale_sibling(path)
-    return path
+    return save_trace(packed, Path(directory) / f"{packed.name}{TRACE_SUFFIX}")

@@ -52,9 +52,9 @@ def sample_window(trace, start: int, length: int, name: str | None = None) -> Pa
             f"window start {start} outside trace of {len(trace)} accesses"
         )
     if isinstance(trace, ChunkedTrace):
-        # Chunk-selective path: ``ChunkedTrace.slice`` decodes only the
+        # Chunk-selective path: ``ChunkedTrace.slice`` inflates only the
         # chunks the window covers, so sampling a narrow region of a large
-        # v2 capture never materialises the full columns.
+        # capture never materialises the full columns.
         source_name = trace.name
         window = trace.slice(start, start + length)
     else:

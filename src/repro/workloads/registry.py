@@ -6,9 +6,9 @@ the generators in :mod:`repro.workloads.spec`, :mod:`repro.workloads.
 graph500` and :mod:`repro.workloads.micro` — and, with the ``trace:``
 prefix, onto packed ``.rtrc`` trace files on the trace search path (see
 :mod:`repro.traces`).  A recorded or imported file is thereby a first-class
-workload: ``generate_workload("trace:foo")`` loads ``foo.rtrc`` (or
-``foo.rtrc.gz``) from the search path, and every study/CLI surface that
-accepts workload names accepts it.
+workload: ``generate_workload("trace:foo")`` loads ``foo.rtrc`` from the
+search path, and every study/CLI surface that accepts workload names
+accepts it.
 
 The search path is the ``REPRO_TRACE_DIR`` environment variable (one or
 more directories separated by the platform path separator), falling back to
@@ -65,20 +65,14 @@ _MICRO_GENERATORS: dict[str, Callable[..., Trace]] = {
 #: Prefix marking a workload name as an on-disk trace file.
 TRACE_PREFIX = "trace:"
 
+#: Suffix of every trace file; ``trace:<name>`` resolves ``<name>.rtrc``.
+TRACE_SUFFIX = ".rtrc"
+
 #: Environment variable holding the trace search path (path-separator list).
 TRACE_DIR_ENV = "REPRO_TRACE_DIR"
 
 #: Directory searched when the environment variable is unset.
 DEFAULT_TRACE_DIR = "traces"
-
-def _trace_suffixes() -> tuple[str, ...]:
-    """The format layer's canonical suffix list (imported lazily: the
-    registry must stay importable without dragging the trace layer in)."""
-
-    from repro.traces.format import TRACE_SUFFIXES
-
-    return TRACE_SUFFIXES
-
 
 def trace_search_path() -> list[Path]:
     """The directories ``trace:`` workloads resolve against, in order.
@@ -141,21 +135,20 @@ def resolve_trace_path(name: str) -> Path:
     """The file a trace workload name refers to (``trace:`` prefix optional).
 
     Searches every directory on :func:`trace_search_path` for
-    ``<name>.rtrc`` then ``<name>.rtrc.gz``; the first hit wins.
+    ``<name>.rtrc``; the first hit wins.
     """
 
     stem = name[len(TRACE_PREFIX):] if name.startswith(TRACE_PREFIX) else name
     if not stem:
         raise ValueError("empty trace workload name")
     for directory in trace_search_path():
-        for suffix in _trace_suffixes():
-            candidate = directory / f"{stem}{suffix}"
-            if candidate.is_file():
-                return candidate
+        candidate = directory / f"{stem}{TRACE_SUFFIX}"
+        if candidate.is_file():
+            return candidate
     searched = ", ".join(str(directory) for directory in trace_search_path())
     raise ValueError(
         f"no trace file for workload {TRACE_PREFIX}{stem} "
-        f"(searched {searched} for {stem}.rtrc[.gz]; record or import one "
+        f"(searched {searched} for {stem}{TRACE_SUFFIX}; record or import one "
         f"with `repro trace record|import`)"
     )
 
@@ -167,11 +160,10 @@ def available_trace_workloads() -> list[str]:
     for directory in trace_search_path():
         if not directory.is_dir():
             continue
-        for suffix in _trace_suffixes():
-            for path in directory.glob(f"*{suffix}"):
-                stem = path.name[: -len(suffix)]
-                if stem:
-                    names.add(f"{TRACE_PREFIX}{stem}")
+        for path in directory.glob(f"*{TRACE_SUFFIX}"):
+            stem = path.name[: -len(TRACE_SUFFIX)]
+            if stem:
+                names.add(f"{TRACE_PREFIX}{stem}")
     return sorted(names)
 
 

@@ -38,6 +38,19 @@ class TestRunBench:
                 rel=0.01,
             )
         assert record["packed_trace_speedup"] == record["cases"][1]["speedup"]
+        trace_io = record["trace_io"]
+        assert set(trace_io) == {
+            "trace",
+            "accesses",
+            "bytes",
+            "bytes_per_access",
+            "full_load_seconds",
+        }
+        assert trace_io["accesses"] == record["cases"][1]["accesses"]
+        assert trace_io["bytes_per_access"] == round(
+            trace_io["bytes"] / trace_io["accesses"], 3
+        )
+        assert trace_io["full_load_seconds"] > 0
 
     def test_rejects_bad_arguments(self):
         with pytest.raises(ValueError):
@@ -66,6 +79,7 @@ class TestRunBench:
         assert "synthetic-xalan" in rendered
         assert "replay-hot" in rendered
         assert "speedup" in rendered
+        assert "B/access, full load" in rendered
 
     def test_write_bench_stable_json(self, tmp_path):
         record = small_record()

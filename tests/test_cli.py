@@ -288,7 +288,7 @@ class TestTraceCommands:
     def test_rerecord_of_trace_workload_claims_single_prefix(self, capsys):
         assert main(["trace", "record", "pointer_chase", "--override", "nodes=8"]) == 0
         capsys.readouterr()
-        assert main(["trace", "record", "trace:pointer_chase", "--gzip"]) == 0
+        assert main(["trace", "record", "trace:pointer_chase"]) == 0
         output = capsys.readouterr().out
         assert "workload trace:pointer_chase" in output
         assert "trace:trace:" not in output

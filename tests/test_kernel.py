@@ -553,7 +553,7 @@ class TestRecordedTraceReplay:
         """Sampler-derived traces (explore's screen windows) replay identically.
 
         Carves prefix, mid-stream and systematic samples out of a recorded
-        mmap-backed trace, saves them as first-class ``.rtrc`` workloads,
+        chunked trace, saves them as first-class ``.rtrc`` workloads,
         and checks the fast kernel stays access-for-access identical to the
         reference kernel on each.
         """
@@ -568,7 +568,7 @@ class TestRecordedTraceReplay:
 
         monkeypatch.setenv("REPRO_TRACE_DIR", str(tmp_path))
         path = record_workload("xalan", directory=tmp_path, overrides={"length": 3000})
-        source = load_trace(path)  # mmap-backed: samples slice memoryviews
+        source = load_trace(path)  # chunked: windows inflate only their chunks
         samples = {
             "xl_prefix": sample_prefix(source, 1200, name="xl_prefix"),
             "xl_window": sample_window(source, 700, 1300, name="xl_window"),

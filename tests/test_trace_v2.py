@@ -1,20 +1,26 @@
-"""Tests for the chunked delta/varint ``.rtrc`` v2 container.
+"""Tests for the chunked ``.rtrc`` container (format version 3).
 
-Covers the v1 <-> v2 round trip (property-tested over random streams:
-byte-stable and digest-stable per version), chunk-boundary edge cases
-(windows spanning chunks, empty traces, record counts landing exactly on a
-chunk edge, single-record chunks), torn/truncated-file rejection with
-actionable errors, the chunk-selective decode contract of window sampling
+Covers the save -> load -> save round trip (property-tested over random
+streams and chunk sizes: byte-stable and digest-stable), chunk-boundary
+edge cases (windows spanning chunks, empty traces, record counts landing
+exactly on a chunk edge, single-record chunks), torn/truncated-file
+rejection with actionable errors, a fuzzer that truncates and bit-flips a
+multi-chunk file (every mutant raises ``TraceFormatError`` or loads the
+original columns), the chunk-selective decode contract of window sampling
 (a window decodes only the chunks its range covers, proven by counting
-decodes), zero-copy column slicing, bit-identical replay statistics across
-the v1 / v2 / gzip encodings for every registered configuration, header
-reads of gzip files that never inflate the payload, and ``trace info`` /
-``trace pack`` through the CLI.
+decodes), zero-copy column slicing, bit-identical replay of a recorded
+multi-chunk file against the live stream for every registered
+configuration, header reads that never need the payload, and ``trace
+info`` through the CLI.  Tests shrink ``CHUNK_RECORDS`` to get multi-chunk
+files from short streams.
+
+The module keeps its historical name so its test ids stay stable.
 """
 
 from __future__ import annotations
 
 import gzip
+import json
 import struct
 from array import array
 from dataclasses import asdict
@@ -28,8 +34,10 @@ from repro.experiments.configs import CONFIGS
 from repro.experiments.jobs import clear_trace_memo, execute_spec
 from repro.experiments.runner import ExperimentRunner
 from repro.sim.stream import access_columns, slice_columns
+from repro.traces import format as trace_format
 from repro.traces.format import (
     CHUNK_RECORDS,
+    MAGIC,
     ChunkedTrace,
     PackedTrace,
     TraceFormatError,
@@ -37,12 +45,12 @@ from repro.traces.format import (
     _pack_bits,
     clear_digest_memo,
     load_trace,
-    open_trace,
     read_header,
     save_trace,
     trace_file_digest,
 )
 from repro.workloads.registry import generate_workload
+from repro.workloads.trace import LINE_SHIFT
 
 
 def packed(pcs, addresses, writes, name="t") -> PackedTrace:
@@ -81,43 +89,29 @@ class TestRoundTripProperties:
         suppress_health_check=[HealthCheck.function_scoped_fixture],
     )
     @given(records=RECORDS, chunk_records=st.integers(1, 48))
-    def test_v1_v2_round_trip_byte_and_digest_stable(
-        self, tmp_path, records, chunk_records
+    def test_save_load_save_byte_and_digest_stable(
+        self, tmp_path, monkeypatch, records, chunk_records
     ):
-        """v1 -> v2 -> v1 reproduces the original bytes; both encodings are
-        deterministic, so digests are stable per version."""
+        """save -> load -> save reproduces the first file's bytes, so a
+        re-recorded stream never changes its content digest."""
 
-        unique = f"{len(records)}_{chunk_records}_{hash(tuple(records)) & 0xFFFF}"
-        d = tmp_path / unique
-        d.mkdir(exist_ok=True)
+        monkeypatch.setattr(trace_format, "CHUNK_RECORDS", chunk_records)
         trace = packed(
             [r[0] for r in records],
             [r[1] for r in records],
             [r[2] for r in records],
         )
-        v1_first = save_trace(trace, d / "a.rtrc", version=1)
-        v1_bytes = v1_first.read_bytes()
-        v2_path = save_trace(
-            trace, d / "b.rtrc", version=2, chunk_records=chunk_records
-        )
-        v2_bytes = v2_path.read_bytes()
+        first = save_trace(trace, tmp_path / "a.rtrc")
 
-        via_v2 = load_trace(v2_path)
-        assert isinstance(via_v2, ChunkedTrace)
-        assert list(via_v2) == list(trace)
-        assert via_v2.write_count() == trace.write_count()
+        loaded = load_trace(first)
+        assert isinstance(loaded, ChunkedTrace)
+        assert loaded.chunk_count == -(-len(records) // chunk_records)
+        assert list(loaded) == list(trace)
+        assert loaded.write_count() == trace.write_count()
 
-        # v2 -> v1: bit-identical to the original v1 encoding.
-        back = save_trace(via_v2, d / "c.rtrc", version=1, name="t")
-        assert back.read_bytes() == v1_bytes
-        assert trace_file_digest(back) == trace_file_digest(v1_first)
-
-        # v1 -> v2 again: the v2 writer is deterministic too.
-        via_v1 = load_trace(v1_first)
-        again = save_trace(
-            via_v1, d / "e.rtrc", version=2, name="t", chunk_records=chunk_records
-        )
-        assert again.read_bytes() == v2_bytes
+        again = save_trace(loaded, tmp_path / "b.rtrc", name="t")
+        assert again.read_bytes() == first.read_bytes()
+        assert trace_file_digest(again) == trace_file_digest(first)
 
     @settings(
         max_examples=20,
@@ -131,13 +125,11 @@ class TestRoundTripProperties:
         length=st.integers(1, 150),
     )
     def test_window_views_match_full_columns(
-        self, tmp_path, n, chunk_records, start, length
+        self, tmp_path, monkeypatch, n, chunk_records, start, length
     ):
-        d = tmp_path / f"{n}_{chunk_records}_{start}_{length}"
-        d.mkdir(exist_ok=True)
+        monkeypatch.setattr(trace_format, "CHUNK_RECORDS", chunk_records)
         trace = stride_trace(n)
-        path = save_trace(trace, d / "w.rtrc", chunk_records=chunk_records)
-        chunked = load_trace(path)
+        chunked = load_trace(save_trace(trace, tmp_path / "w.rtrc"))
         start = min(start, n)
         stop = min(start + length, n)
         window = chunked.window_columns(start, stop)
@@ -147,18 +139,25 @@ class TestRoundTripProperties:
         assert bytes(window.writes) == bytes(full.writes[start:stop])
 
 
+def chunked_file(tmp_path, monkeypatch, trace, chunk_records, name="t.rtrc") -> Path:
+    """Save ``trace`` in chunks of ``chunk_records`` records."""
+
+    monkeypatch.setattr(trace_format, "CHUNK_RECORDS", chunk_records)
+    return save_trace(trace, tmp_path / name)
+
+
 class TestChunkBoundaries:
-    def test_count_exactly_on_chunk_edge(self, tmp_path):
+    def test_count_exactly_on_chunk_edge(self, tmp_path, monkeypatch):
         trace = stride_trace(128)
-        path = save_trace(trace, tmp_path / "edge.rtrc", chunk_records=64)
+        path = chunked_file(tmp_path, monkeypatch, trace, 64)
         chunked = load_trace(path)
         assert chunked.chunk_count == 2
         assert list(chunked) == list(trace)
         assert chunked[127].address == trace[127].address
 
-    def test_single_record_chunks(self, tmp_path):
+    def test_single_record_chunks(self, tmp_path, monkeypatch):
         trace = stride_trace(5)
-        path = save_trace(trace, tmp_path / "one.rtrc", chunk_records=1)
+        path = chunked_file(tmp_path, monkeypatch, trace, 1)
         chunked = load_trace(path)
         assert chunked.chunk_count == 5
         assert list(chunked) == list(trace)
@@ -173,11 +172,11 @@ class TestChunkBoundaries:
         assert chunked.write_count() == 0
         assert chunked.window_columns(0, 0).length == 0
         header = read_header(path)
-        assert header.records == 0 and header.version == 2
+        assert header.records == 0 and header.version == 3
 
-    def test_window_spanning_chunks_decodes_only_those(self, tmp_path):
+    def test_window_spanning_chunks_decodes_only_those(self, tmp_path, monkeypatch):
         trace = stride_trace(1000)
-        path = save_trace(trace, tmp_path / "span.rtrc", chunk_records=64)
+        path = chunked_file(tmp_path, monkeypatch, trace, 64)
         chunked = load_trace(path)
         window = chunked.window_columns(100, 200)  # chunks 1..3
         assert list(window.addresses) == [
@@ -185,9 +184,9 @@ class TestChunkBoundaries:
         ]
         assert chunked.chunks_decoded == 3
 
-    def test_lru_cache_stays_bounded(self, tmp_path):
+    def test_lru_cache_stays_bounded(self, tmp_path, monkeypatch):
         trace = stride_trace(600)
-        path = save_trace(trace, tmp_path / "lru.rtrc", chunk_records=32)
+        path = chunked_file(tmp_path, monkeypatch, trace, 32)
         chunked = load_trace(path)
         chunked._cache_limit = 4
         for access, expected in zip(chunked, trace):
@@ -211,20 +210,19 @@ class TestChunkBoundaries:
 
 
 class TestTornFiles:
-    def _v2_file(self, tmp_path, n=300, chunk_records=64) -> Path:
-        return save_trace(
-            stride_trace(n), tmp_path / "t.rtrc", chunk_records=chunk_records
-        )
+    @pytest.fixture(autouse=True)
+    def _file(self, tmp_path, monkeypatch):
+        self.path = chunked_file(tmp_path, monkeypatch, stride_trace(300), 64)
 
     def test_truncated_trailer_rejected(self, tmp_path):
-        path = self._v2_file(tmp_path)
+        path = self.path
         raw = path.read_bytes()
         (tmp_path / "torn.rtrc").write_bytes(raw[:-5])
         with pytest.raises(TraceFormatError, match="trailer"):
             load_trace(tmp_path / "torn.rtrc")
 
     def test_corrupt_trailer_magic_rejected(self, tmp_path):
-        path = self._v2_file(tmp_path)
+        path = self.path
         raw = bytearray(path.read_bytes())
         raw[-4:] = b"XXXX"
         (tmp_path / "magic.rtrc").write_bytes(bytes(raw))
@@ -232,7 +230,7 @@ class TestTornFiles:
             load_trace(tmp_path / "magic.rtrc")
 
     def test_footer_offset_outside_file_rejected(self, tmp_path):
-        path = self._v2_file(tmp_path)
+        path = self.path
         raw = bytearray(path.read_bytes())
         offset, count, per_chunk, magic = struct.unpack_from("<QQQ4s", raw, len(raw) - 28)
         struct.pack_into(
@@ -243,11 +241,11 @@ class TestTornFiles:
             load_trace(tmp_path / "foot.rtrc")
 
     def test_torn_chunk_body_rejected_on_decode(self, tmp_path):
-        path = self._v2_file(tmp_path)
+        path = self.path
         raw = bytearray(path.read_bytes())
         header = read_header(path)
-        # Corrupt the first chunk's section lengths: the file opens (the
-        # footer is intact) but decoding that chunk must fail loudly.
+        # Corrupt the first chunk's zlib header: the file opens (the index
+        # is intact) but decoding that chunk must fail loudly.
         json_length = _FIXED_HEADER.unpack_from(raw)[5]
         body = _FIXED_HEADER.size + json_length
         struct.pack_into("<I", raw, body, 0xFFFF)
@@ -258,20 +256,56 @@ class TestTornFiles:
             chunked[0]
 
     def test_unsupported_version_still_rejected(self, tmp_path):
-        path = self._v2_file(tmp_path)
+        path = self.path
         raw = bytearray(path.read_bytes())
         raw[4] = 0x7F  # version field of the fixed header
         (tmp_path / "vers.rtrc").write_bytes(bytes(raw))
         with pytest.raises(TraceFormatError, match="version"):
             load_trace(tmp_path / "vers.rtrc")
 
+    @pytest.mark.parametrize("damage", ["checksum cut", "trailing bytes"])
+    def test_last_chunk_must_be_exactly_one_stream(self, tmp_path, damage):
+        """A body whose zlib stream never reaches its checksum, or is
+        followed by stray bytes, is refused even though its records inflate
+        to the right size.  The trailer is patched so the index still fits."""
+
+        raw = bytearray(self.path.read_bytes())
+        trailer = len(raw) - 28
+        index_offset, chunks, per_chunk, magic = struct.unpack_from("<QQQ4s", raw, trailer)
+        if damage == "checksum cut":
+            del raw[index_offset - 4 : index_offset]
+            index_offset -= 4
+        else:
+            raw[index_offset:index_offset] = b"\0\0\0\0"
+            index_offset += 4
+        struct.pack_into("<QQQ4s", raw, len(raw) - 28, index_offset, chunks, per_chunk, magic)
+        (tmp_path / "damaged.rtrc").write_bytes(bytes(raw))
+        chunked = load_trace(tmp_path / "damaged.rtrc")
+        assert chunked[0] == stride_trace(300)[0]  # earlier chunks are intact
+        with pytest.raises(TraceFormatError, match="torn chunk"):
+            chunked[len(chunked) - 1]
+
+    def test_record_count_beyond_the_payload_refused(self, tmp_path):
+        """Counts that agree with each other but not with the payload size
+        are refused at open, before any allocation is sized by them."""
+
+        raw = bytearray(self.path.read_bytes())
+        trailer = len(raw) - 28
+        index_offset, chunks, _per_chunk, magic = struct.unpack_from("<QQQ4s", raw, trailer)
+        huge = 1 << 61
+        struct.pack_into("<Q", raw, 12, (chunks - 1) * huge + 1)  # header count
+        struct.pack_into("<QQQ4s", raw, trailer, index_offset, chunks, huge, magic)
+        (tmp_path / "huge.rtrc").write_bytes(bytes(raw))
+        with pytest.raises(TraceFormatError, match="cannot inflate"):
+            load_trace(tmp_path / "huge.rtrc")
+
 
 class TestSelectiveDecode:
-    def test_sample_window_decodes_only_covered_chunks(self, tmp_path):
+    def test_sample_window_decodes_only_covered_chunks(self, tmp_path, monkeypatch):
         from repro.traces.samplers import sample_window
 
         trace = stride_trace(1024)
-        path = save_trace(trace, tmp_path / "s.rtrc", chunk_records=64)
+        path = chunked_file(tmp_path, monkeypatch, trace, 64)
         chunked = load_trace(path)
         sampled = sample_window(chunked, 130, 70, name="mid")
         assert chunked.chunks_decoded == 2  # records 130..199: chunks 2, 3
@@ -296,41 +330,37 @@ class TestSliceColumns:
         assert slice_columns(columns, 30, 40).length == 0
 
 
-# A module-scoped directory holding the same 1400-access xalan stream under
-# every encoding, so the full-matrix parity test records once, not per cell.
-@pytest.fixture(scope="module")
-def encoding_dir(tmp_path_factory):
-    from repro.traces.format import pack_trace
+#: The live stream the parity matrix records: 1400 xalan accesses, saved in
+#: 256-record chunks (six of them) so replay crosses chunk edges.
+PARITY_OVERRIDES = {"length": 1400}
 
-    directory = tmp_path_factory.mktemp("encodings")
-    stream = pack_trace(generate_workload("xalan", length=1400), name="bh")
-    save_trace(stream, directory / "bh_v1.rtrc", name="bh_v1", version=1)
-    save_trace(
-        stream, directory / "bh_v2.rtrc", name="bh_v2", version=2, chunk_records=256
-    )
-    save_trace(
-        stream,
-        directory / "bh_gz.rtrc.gz",
-        name="bh_gz",
-        version=2,
-        chunk_records=256,
-    )
+
+@pytest.fixture(scope="module")
+def chunked_dir(tmp_path_factory):
+    directory = tmp_path_factory.mktemp("chunked")
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(trace_format, "CHUNK_RECORDS", 256)
+        path = save_trace(
+            generate_workload("xalan", **PARITY_OVERRIDES), directory / "bh.rtrc"
+        )
+    assert load_trace(path).chunk_count == 6
     return directory
 
 
 class TestEncodingParityMatrix:
-    """Replay statistics must not depend on the container encoding."""
+    """Replaying a recorded multi-chunk file equals simulating the live
+    generated stream, under every registered configuration."""
 
     @pytest.mark.parametrize("configuration", CONFIGS.names())
     def test_bit_identical_across_encodings(
-        self, configuration, encoding_dir, monkeypatch
+        self, configuration, chunked_dir, monkeypatch
     ):
-        monkeypatch.setenv("REPRO_TRACE_DIR", str(encoding_dir))
+        monkeypatch.setenv("REPRO_TRACE_DIR", str(chunked_dir))
         clear_trace_memo()
         clear_digest_memo()
         runner = ExperimentRunner(
             max_accesses=500,
-            trace_overrides={},
+            trace_overrides=PARITY_OVERRIDES,
             warmup_fraction=0.3,
             use_cache=False,
         )
@@ -338,84 +368,172 @@ class TestEncodingParityMatrix:
             {"max_entries": 192} if CONFIGS.takes_params(configuration) else None
         )
         results = {}
-        for stem in ("bh_v1", "bh_v2", "bh_gz"):
-            spec = runner.spec_for(f"trace:{stem}", configuration, params)
+        for workload in ("xalan", "trace:bh"):
+            spec = runner.spec_for(workload, configuration, params)
             stats = asdict(execute_spec(spec, kernel="fast"))
             stats["workload"] = "trace"  # the only legitimate difference
-            results[stem] = stats
-        assert results["bh_v1"] == results["bh_v2"] == results["bh_gz"]
+            results[workload] = stats
+        assert results["trace:bh"] == results["xalan"]
 
 
-class TestTraceInfoAndPack:
-    def test_gzip_header_reads_without_the_payload(self, tmp_path, capsys):
-        """``read_header`` works from the header alone — proven on a gzip
-        file whose payload is torn off after the header."""
+class TestTraceInfo:
+    def test_header_reads_without_the_payload(self, tmp_path):
+        """``read_header`` works from the header alone — proven on a file
+        whose payload is torn off after the header."""
 
         from repro.cli import main
 
         trace = stride_trace(5000)
-        plain = save_trace(trace, tmp_path / "big.rtrc", version=1)
-        raw = plain.read_bytes()
+        raw = save_trace(trace, tmp_path / "big.rtrc").read_bytes()
         json_length = _FIXED_HEADER.unpack_from(raw)[5]
         header_end = _FIXED_HEADER.size + json_length
-        torn = tmp_path / "big_torn.rtrc.gz"
-        torn.write_bytes(gzip.compress(raw[: header_end + 16]))
+        torn = tmp_path / "big_torn.rtrc"
+        torn.write_bytes(raw[: header_end + 16])
 
         header = read_header(torn)
         assert header.records == 5000
-        assert header.compressed
+        assert header.version == 3
 
         # Plain info genuinely needs the payload, so the torn file fails —
         # demonstrating the header read really is header-only.
         assert main(["trace", "info", str(torn)]) != 0
 
-    def test_info_reports_v2_encoding_ratio(self, tmp_path, capsys):
-        trace = stride_trace(4000)
-        save_trace(trace, tmp_path / "enc.rtrc", chunk_records=512)
+    def test_info_reports_encoding_ratio(self, tmp_path, monkeypatch, capsys):
+        path = chunked_file(tmp_path, monkeypatch, stride_trace(4000), 512)
         from repro.cli import main
 
-        assert main(["trace", "info", str(tmp_path / "enc.rtrc")]) == 0
+        assert main(["trace", "info", str(path)]) == 0
         out = capsys.readouterr().out
-        assert "encoding:     8 chunk(s) x 512 records" in out
+        assert "format:       .rtrc v3, line shift 6" in out
+        assert "encoding:     8 chunk(s) x 512 records, zlib payload" in out
         assert "B/access vs 16 raw" in out
 
-    def test_pack_round_trips_and_reports_rekey(self, tmp_path, capsys):
+
+def legacy_file(path: Path, version: int) -> Path:
+    """An earlier build's file, built by hand: its 24-byte fixed header and
+    JSON block (which both old layouts share) over a stand-in payload."""
+
+    header_json = json.dumps(
+        {
+            "metadata": {"recorded": {"workload": "mcf", "accesses": 10}},
+            "name": "old",
+        }
+    ).encode()
+    path.write_bytes(
+        _FIXED_HEADER.pack(MAGIC, version, 0, LINE_SHIFT, 10, len(header_json))
+        + header_json
+        + bytes(170)
+    )
+    return path
+
+
+class TestLegacyFiles:
+    """v1, v2 and gzip-wrapped files fail once, with the fix in the error."""
+
+    @pytest.mark.parametrize("version", [1, 2])
+    def test_earlier_versions_refused(self, tmp_path, version):
+        path = legacy_file(tmp_path / "old.rtrc", version)
+        with pytest.raises(TraceFormatError) as caught:
+            load_trace(path)
+        message = str(caught.value)
+        assert f"format version {version}," in message
+        assert "reads only .rtrc format version 3" in message
+        assert "`repro trace record|import|sample`" in message
+        # The header still decodes, so `trace info` can show provenance.
+        header = read_header(path)
+        assert header.version == version
+        assert header.metadata["recorded"]["workload"] == "mcf"
+
+    def test_gzip_wrapped_refused(self, tmp_path):
+        raw = legacy_file(tmp_path / "old.rtrc", 2).read_bytes()
+        path = tmp_path / "wrapped.rtrc"
+        path.write_bytes(gzip.compress(raw))
+        for reader in (load_trace, read_header):
+            with pytest.raises(TraceFormatError) as caught:
+                reader(path)
+            message = str(caught.value)
+            assert "gzip-wrapped" in message
+            assert "reads only .rtrc format version 3" in message
+            assert "`repro trace record|import|sample`" in message
+
+    def test_info_shows_header_and_provenance(self, tmp_path, monkeypatch, capsys):
         from repro.cli import main
 
-        trace = stride_trace(2000, name="pk")
-        source = save_trace(trace, tmp_path / "pk.rtrc", version=1)
-        assert (
-            main(
-                [
-                    "trace",
-                    "pack",
-                    str(source),
-                    "--name",
-                    "pk2",
-                    "--dir",
-                    str(tmp_path),
-                ]
-            )
-            == 0
-        )
+        monkeypatch.setenv("REPRO_TRACE_DIR", str(tmp_path))
+        clear_trace_memo()
+        legacy_file(tmp_path / "old.rtrc", 2)
+        assert main(["trace", "info", "trace:old"]) == 0
         out = capsys.readouterr().out
-        assert "packed" in out and "re-keyed" in out
-        repacked = load_trace(tmp_path / "pk2.rtrc")
-        assert isinstance(repacked, ChunkedTrace)
-        assert list(repacked) == list(trace)
-        # v2 back to v1 reproduces the original bytes (name restored).
-        assert main(
-            [
-                "trace",
-                "pack",
-                str(tmp_path / "pk2.rtrc"),
-                "--version",
-                "1",
-                "--name",
-                "pk",
-                "--dir",
-                str(tmp_path / "back"),
-            ]
-        ) == 0
-        capsys.readouterr()
-        assert (tmp_path / "back" / "pk.rtrc").read_bytes() == source.read_bytes()
+        assert "format:       .rtrc v2, line shift 6" in out
+        assert "accesses:     10" in out
+        assert "recorded:     accesses=10, workload=mcf" in out
+        assert "repro trace record|import|sample" in out
+        assert "header shown only" in out
+        # Simulating it fails with the same one error.
+        assert main(["run", "trace:old", "--config", "baseline", "--no-cache"]) == 2
+        assert "reads only .rtrc format version 3" in capsys.readouterr().err
+
+
+class TestFuzzedFiles:
+    """Truncations and bit flips of a multi-chunk file: each mutant raises
+    ``TraceFormatError`` or loads exactly the original columns — never a
+    zlib, struct, index or memory error, and never a hang (the deadline)."""
+
+    @pytest.fixture(autouse=True)
+    def _original(self, tmp_path, monkeypatch):
+        trace = stride_trace(300)
+        self.raw = chunked_file(tmp_path, monkeypatch, trace, 64).read_bytes()
+        self.columns = trace.access_columns()
+        self.mutant = tmp_path / "mutant.rtrc"
+        header_end = _FIXED_HEADER.size + _FIXED_HEADER.unpack_from(self.raw)[5]
+        trailer = len(self.raw) - 28
+        index = struct.unpack_from("<Q", self.raw, trailer)[0]
+        self.regions = {
+            "header": (0, header_end),
+            "chunks": (header_end, index),
+            "index": (index, trailer),
+            "trailer": (trailer, len(self.raw)),
+        }
+
+    def _check(self, mutated: bytes) -> None:
+        self.mutant.write_bytes(mutated)
+        clear_digest_memo()
+        try:
+            read_header(self.mutant)
+        except TraceFormatError:
+            pass
+        try:
+            columns = load_trace(self.mutant).access_columns()
+        except TraceFormatError:
+            return
+        assert columns.length == self.columns.length
+        assert list(columns.pcs) == list(self.columns.pcs)
+        assert list(columns.addresses) == list(self.columns.addresses)
+        assert bytes(columns.writes) == bytes(self.columns.writes)
+
+    @settings(
+        max_examples=150,
+        deadline=2000,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(data=st.data())
+    def test_truncation_at_any_offset(self, data):
+        cut = data.draw(st.integers(0, len(self.raw) - 1))
+        self._check(self.raw[:cut])
+
+    @settings(
+        max_examples=400,
+        deadline=2000,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(
+        region=st.sampled_from(["header", "chunks", "index", "trailer"]),
+        data=st.data(),
+    )
+    def test_bit_flips_anywhere(self, region, data):
+        low, high = self.regions[region]
+        mutated = bytearray(self.raw)
+        for _ in range(data.draw(st.integers(1, 3))):
+            position = data.draw(st.integers(low, high - 1))
+            mutated[position] ^= 1 << data.draw(st.integers(0, 7))
+        self._check(bytes(mutated))

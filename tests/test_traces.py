@@ -1,6 +1,6 @@
 """Tests for the trace I/O subsystem (:mod:`repro.traces`).
 
-Covers the ``.rtrc`` format round-trip (plain and gzip), the array-backed
+Covers the ``.rtrc`` format round-trip, the array-backed
 :class:`PackedTrace` protocol, the ChampSim importer, the recorder, the
 samplers' provenance, ``trace:`` workload resolution through the registry,
 content-digest spec hashing, and the acceptance property: replaying a
@@ -152,39 +152,27 @@ class TestPackedTrace:
 
 
 class TestFormatRoundTrip:
-    @pytest.mark.parametrize("suffix", [".rtrc", ".rtrc.gz"])
-    def test_save_load_round_trip(self, tmp_path, suffix):
+    def test_save_load_round_trip(self, tmp_path):
         live = small_trace()
-        path = save_trace(live, tmp_path / f"unit{suffix}")
+        path = save_trace(live, tmp_path / "unit.rtrc")
         loaded = load_trace(path)
         assert list(loaded) == list(live.accesses)
         assert loaded.name == "unit"
         assert loaded.metadata == live.metadata
         assert loaded.line_shift == LINE_SHIFT
 
-    def test_gzip_output_is_deterministic_across_time(self, tmp_path, monkeypatch):
-        """Identical streams must produce identical .gz bytes whenever
-        saved — the file-content digest keys the result store."""
+    def test_output_is_deterministic_across_time(self, tmp_path, monkeypatch):
+        """Identical streams must produce identical bytes whenever saved —
+        the file-content digest keys the result store."""
 
         import time
 
         live = small_trace(200)
         monkeypatch.setattr(time, "time", lambda: 1_000_000.0)
-        first = save_trace(live, tmp_path / "a.rtrc.gz").read_bytes()
+        first = save_trace(live, tmp_path / "a.rtrc").read_bytes()
         monkeypatch.setattr(time, "time", lambda: 2_000_000.0)
-        second = save_trace(live, tmp_path / "b.rtrc.gz").read_bytes()
+        second = save_trace(live, tmp_path / "b.rtrc").read_bytes()
         assert first == second
-
-    def test_gzip_actually_compresses_and_is_sniffed(self, tmp_path):
-        live = small_trace(2000)
-        plain = save_trace(live, tmp_path / "a.rtrc")
-        packed = save_trace(live, tmp_path / "a.rtrc.gz")
-        assert packed.stat().st_size < plain.stat().st_size
-        # Loading goes by content, not suffix: a gzipped payload under a
-        # plain suffix still loads.
-        disguised = tmp_path / "b.rtrc"
-        disguised.write_bytes(packed.read_bytes())
-        assert list(load_trace(disguised)) == list(live.accesses)
 
     def test_header_readable_without_payload_decode(self, tmp_path):
         path = save_trace(small_trace(123), tmp_path / "h.rtrc")
@@ -192,16 +180,15 @@ class TestFormatRoundTrip:
         assert header.records == 123
         assert header.name == "unit"
         assert header.line_shift == LINE_SHIFT
-        assert not header.compressed
         assert header.metadata["generator"] == "unit"
 
     def test_open_trace_returns_stream_and_header_from_one_read(self, tmp_path):
         from repro.traces import open_trace
 
-        path = save_trace(small_trace(50), tmp_path / "o.rtrc.gz")
+        path = save_trace(small_trace(50), tmp_path / "o.rtrc")
         trace, header = open_trace(path)
         assert len(trace) == header.records == 50
-        assert header.compressed
+        assert header.version == 3
 
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "bad.rtrc"
@@ -410,32 +397,12 @@ class TestRegistryResolution:
         live = generate_pointer_chase_trace(nodes=32)
         assert list(trace) == list(live.accesses)
 
-    def test_rerecording_under_other_compression_removes_the_sibling(self, trace_dir):
-        """trace:<name> must always resolve to the *latest* recording —
-        a stale opposite-compression sibling would shadow (or be shadowed
-        by) the new file."""
-
-        record_workload("pointer_chase", trace_dir, name="dup", overrides={"nodes": 16})
-        record_workload("sequential", trace_dir, name="dup", compress=True,
-                        overrides={"lines": 8})
-        assert not (trace_dir / "dup.rtrc").exists()
-        assert resolve_trace_path("dup").name == "dup.rtrc.gz"
-        assert generate_workload(f"{TRACE_PREFIX}dup").metadata["recorded"][
-            "workload"
-        ] == "sequential"
-        record_workload("pointer_chase", trace_dir, name="dup", overrides={"nodes": 16})
-        assert not (trace_dir / "dup.rtrc.gz").exists()
-        assert resolve_trace_path("dup").name == "dup.rtrc"
-
     def test_rerecording_a_trace_workload_strips_the_prefix(self, trace_dir):
         """`record trace:<name>` re-encodes the file under the bare stem."""
 
-        record_workload("pointer_chase", trace_dir, overrides={"nodes": 16})
-        path = record_workload(
-            f"{TRACE_PREFIX}pointer_chase", trace_dir, compress=True
-        )
-        assert path.name == "pointer_chase.rtrc.gz"
-        assert not (trace_dir / "pointer_chase.rtrc").exists()  # sibling gone
+        first = record_workload("pointer_chase", trace_dir, overrides={"nodes": 16})
+        path = record_workload(f"{TRACE_PREFIX}pointer_chase", trace_dir)
+        assert path == first and path.name == "pointer_chase.rtrc"
         assert resolve_trace_path("pointer_chase") == path
 
     def test_length_override_truncates(self, trace_dir):
