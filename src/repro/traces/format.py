@@ -813,7 +813,7 @@ def read_header(path: str | Path) -> TraceHeader:
     path = Path(path)
     with open(path, "rb") as handle:
         data = handle.read(_HEADER_PROBE)
-        if len(data) >= _FIXED_HEADER.size and data[:2] != _GZIP_MAGIC:
+        if len(data) >= _FIXED_HEADER.size:
             needed = _FIXED_HEADER.size + _FIXED_HEADER.unpack_from(data)[5]
             while len(data) < needed:
                 more = handle.read(_HEADER_PROBE)

@@ -139,11 +139,11 @@ class TestRoundTripProperties:
         assert bytes(window.writes) == bytes(full.writes[start:stop])
 
 
-def chunked_file(tmp_path, monkeypatch, trace, chunk_records, name="t.rtrc") -> Path:
+def chunked_file(tmp_path, monkeypatch, trace, chunk_records) -> Path:
     """Save ``trace`` in chunks of ``chunk_records`` records."""
 
     monkeypatch.setattr(trace_format, "CHUNK_RECORDS", chunk_records)
-    return save_trace(trace, tmp_path / name)
+    return save_trace(trace, tmp_path / "t.rtrc")
 
 
 class TestChunkBoundaries:
@@ -251,7 +251,7 @@ class TestTornFiles:
         struct.pack_into("<I", raw, body, 0xFFFF)
         (tmp_path / "chunk.rtrc").write_bytes(bytes(raw))
         chunked = load_trace(tmp_path / "chunk.rtrc")
-        assert len(chunked) == header.records  # header/footer still readable
+        assert len(chunked) == header.records  # header and index still readable
         with pytest.raises(TraceFormatError, match="torn|truncated"):
             chunked[0]
 
@@ -284,6 +284,18 @@ class TestTornFiles:
         assert chunked[0] == stride_trace(300)[0]  # earlier chunks are intact
         with pytest.raises(TraceFormatError, match="torn chunk"):
             chunked[len(chunked) - 1]
+
+    @pytest.mark.parametrize("described", [b"[]", b'{"metadata": []}'])
+    def test_non_object_json_header_refused(self, tmp_path, described):
+        raw = self.path.read_bytes()
+        fixed = list(_FIXED_HEADER.unpack_from(raw))
+        payload = raw[_FIXED_HEADER.size + fixed[5] :]
+        fixed[5] = len(described)
+        path = tmp_path / "json.rtrc"
+        path.write_bytes(_FIXED_HEADER.pack(*fixed) + described + payload)
+        for reader in (read_header, load_trace):
+            with pytest.raises(TraceFormatError, match="not an object"):
+                reader(path)
 
     def test_record_count_beyond_the_payload_refused(self, tmp_path):
         """Counts that agree with each other but not with the payload size
