@@ -31,9 +31,9 @@ from pathlib import Path
 import pytest
 
 from repro.experiments.figures import main_matrix_specs
-from repro.experiments.parallel import resolve_jobs
 from repro.experiments.runner import ExperimentRunner
 from repro.experiments.store import CACHE_DIR_ENV, ResultStore
+from repro.service.backends import resolve_jobs
 
 #: Store shared by every benchmark session (unless REPRO_CACHE_DIR says otherwise).
 _SHARED_CACHE_DIR = Path(__file__).resolve().parent.parent / ".repro_cache" / "benchmarks"

@@ -18,9 +18,9 @@ This package implements, from scratch, the systems described in
 * a **trace I/O layer** (:mod:`repro.traces`) that records, imports
   (ChampSim-style LS traces) and samples on-disk packed access streams,
   which run as first-class ``trace:<name>`` workloads;
-* two **execution kernels** (:mod:`repro.sim.kernel`): the readable
-  reference engine and a fused, allocation-free columnar fast kernel —
-  bit-identical by contract, benchmarked by ``repro bench``;
+* a fused, allocation-free columnar **fast kernel**
+  (:mod:`repro.sim.kernel`) that runs every simulation, held bit-identical
+  to the readable reference engine by the parity tests and ``repro bench``;
 * an **experiment harness** (:mod:`repro.experiments`) that regenerates every
   figure and table of the paper's evaluation section;
 * a **service layer** (:mod:`repro.service`) — the scheduling core behind
@@ -48,7 +48,6 @@ from repro.memory.hierarchy import MemoryHierarchy
 from repro.prefetch.stride import StridePrefetcher
 from repro.sim.config import SystemConfig
 from repro.sim.engine import Simulator
-from repro.sim.kernel import KERNELS, resolve_kernel, run_simulation
 from repro.sim.multiprogram import MultiProgramSimulator
 from repro.sim.stream import AccessColumns, access_columns
 from repro.traces import (
@@ -76,9 +75,6 @@ __all__ = [
     "SystemConfig",
     "Simulator",
     "MultiProgramSimulator",
-    "KERNELS",
-    "resolve_kernel",
-    "run_simulation",
     "AccessColumns",
     "access_columns",
     "ExperimentRunner",

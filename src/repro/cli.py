@@ -73,13 +73,10 @@ The subcommands cover the common workflows without writing any Python:
 
 ``run``, ``figure`` and ``study run`` accept ``--jobs N`` to execute
 simulation matrices in N worker processes (default: the ``REPRO_JOBS``
-environment variable, or 1), ``--cache-dir`` to relocate
-the result store (the ``REPRO_CACHE_DIR`` environment variable does the
-same), and ``--kernel reference|fast`` to pick the execution kernel (the
-``REPRO_KERNEL`` environment variable does the same; the kernels produce
-bit-identical statistics, so this never changes any result).  A second
-invocation with the same parameters replays completed simulations from the
-store instead of re-running them.
+environment variable, or 1), and ``--cache-dir`` to relocate the result
+store (the ``REPRO_CACHE_DIR`` environment variable does the same).  A
+second invocation with the same parameters replays completed simulations
+from the store instead of re-running them.
 
 Examples::
 
@@ -102,7 +99,6 @@ Examples::
     python -m repro explore run --strategy halving --budget 12 --jobs 4
     python -m repro explore run --strategy random --seed 7 --set scale=0.5,1.0
     python -m repro explore resume --dir .repro_search
-    python -m repro run xalan --kernel reference --no-cache
     python -m repro bench
     python -m repro cache show
     python -m repro cache show --json
@@ -128,13 +124,12 @@ from repro import obs
 from repro.client import ServiceClient, ServiceError
 from repro.experiments import figures
 from repro.experiments.configs import configuration_signatures
-from repro.experiments.parallel import resolve_jobs
 from repro.experiments.runner import ExperimentRunner
 from repro.experiments.store import ResultStore, default_store
 from repro.experiments.studies import STUDIES
 from repro.experiments.study import parse_assignments
+from repro.service.backends import resolve_jobs
 from repro.sim.config import SystemConfig
-from repro.sim.kernel import KERNELS
 from repro.workloads.registry import available_workloads
 
 #: Figure/table name → harness function.  Functions that take a runner get
@@ -510,12 +505,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--no-cache", action="store_true", help="serve without a persistent store"
     )
     serve_parser.add_argument(
-        "--kernel",
-        choices=KERNELS,
-        default=None,
-        help="execution kernel for submitted simulations (default: fast)",
-    )
-    serve_parser.add_argument(
         "--verbose", action="store_true", help="log every HTTP request to stderr"
     )
     serve_parser.add_argument(
@@ -661,14 +650,6 @@ def _add_execution_arguments(parser: argparse.ArgumentParser) -> None:
         help="bypass the persistent result store for this invocation",
     )
     parser.add_argument(
-        "--kernel",
-        choices=KERNELS,
-        default=None,
-        help="execution kernel (default: fast, or $REPRO_KERNEL); both "
-        "produce bit-identical statistics — 'reference' is the readable "
-        "debugging implementation",
-    )
-    parser.add_argument(
         "--telemetry",
         action="store_true",
         help="enable the telemetry layer for this invocation (metrics, "
@@ -709,7 +690,6 @@ def _make_runner(args: argparse.Namespace) -> ExperimentRunner:
         use_cache=not getattr(args, "no_cache", False),
         jobs=_resolve_jobs(args),
         store=_store_for(args),
-        kernel=getattr(args, "kernel", None),
     )
 
 
@@ -846,7 +826,6 @@ def _command_study(args: argparse.Namespace) -> str | None:
             use_cache=not args.no_cache,
             jobs=_resolve_jobs(args),
             store=store,
-            kernel=args.kernel,
         )
         rendered = study.run(runner).rendered
         if args.all:
@@ -1081,7 +1060,6 @@ def _command_explore(args: argparse.Namespace) -> str:
             store=_store_for(args),
             use_cache=not args.no_cache,
             jobs=_resolve_jobs(args),
-            kernel=args.kernel,
         )
         return explore.render_search(result)
 
@@ -1122,7 +1100,6 @@ def _command_explore(args: argparse.Namespace) -> str:
         store=_store_for(args),
         use_cache=not args.no_cache,
         jobs=_resolve_jobs(args),
-        kernel=args.kernel,
         **tuning,
     )
     return explore.render_search(result)
@@ -1196,7 +1173,6 @@ def _command_serve(args: argparse.Namespace) -> int:
         host=args.host or DEFAULT_HOST,
         port=DEFAULT_PORT if args.port is None else args.port,
         jobs=_resolve_jobs(args),
-        kernel=args.kernel,
         quota=args.quota,
         verbose=args.verbose,
     )

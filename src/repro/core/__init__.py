@@ -25,7 +25,6 @@ prefetcher, with the Bloom-sized (``Triangel-Bloom``) and MRB-less
 
 from repro.core.config import TriangelConfig, triangel_structure_sizes
 from repro.core.history_sampler import HistorySampler, SamplerHit
-from repro.core.markov_table import TriangelMarkovTable
 from repro.core.metadata_reuse_buffer import MetadataReuseBuffer
 from repro.core.second_chance import SecondChanceSampler
 from repro.core.set_dueller import SetDueller
@@ -35,7 +34,6 @@ from repro.core.triangel import TriangelPrefetcher
 __all__ = [
     "TriangelConfig",
     "triangel_structure_sizes",
-    "TriangelMarkovTable",
     "HistorySampler",
     "SamplerHit",
     "MetadataReuseBuffer",

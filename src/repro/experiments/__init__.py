@@ -1,11 +1,11 @@
-"""Experiment harness: studies, specs, the executor, the store, and figures.
+"""Experiment harness: studies, specs, the store, and figures.
 
 Execution is layered: a declarative :class:`~repro.experiments.study.Study`
 (axes: workloads × configurations(+params) × system × metric reducer)
 *compiles* to immutable specs — a
 :class:`~repro.experiments.jobs.RunSpec` for single-core cells, a
 :class:`~repro.experiments.jobs.MultiProgramSpec` for multiprogrammed pairs
-— the :class:`~repro.experiments.parallel.BatchExecutor` runs deduplicated,
+— a :class:`~repro.service.scheduler.Scheduler` runs deduplicated,
 freely-mixed batches of specs (optionally in worker processes), and the
 :class:`~repro.experiments.store.ResultStore` persists completed runs of
 both kinds across processes.
@@ -23,11 +23,9 @@ metadata traffic.
 
 from repro.experiments.configs import (
     ABLATION_LADDER,
-    ALL_CONFIGS,
     CONFIGS,
     EVALUATION_CONFIGS,
     METADATA_FORMAT_CONFIGS,
-    PARAMETERISED_CONFIGS,
     ConfigRegistry,
     available_configurations,
     build_prefetchers,
@@ -53,7 +51,6 @@ from repro.experiments.jobs import (
     execute_multiprogram_spec,
     execute_spec,
 )
-from repro.experiments.parallel import BatchExecutor, resolve_jobs
 from repro.experiments.runner import ExperimentRunner
 from repro.experiments.store import (
     ResultStore,
@@ -67,16 +64,13 @@ from repro.experiments import figures
 
 __all__ = [
     "ABLATION_LADDER",
-    "ALL_CONFIGS",
     "CONFIGS",
     "ConfigRegistry",
     "EVALUATION_CONFIGS",
     "METADATA_FORMAT_CONFIGS",
-    "PARAMETERISED_CONFIGS",
     "available_configurations",
     "build_prefetchers",
     "configuration_signatures",
-    "BatchExecutor",
     "ExperimentRunner",
     "FigureResult",
     "MultiProgramSpec",
@@ -90,7 +84,6 @@ __all__ = [
     "execute",
     "execute_multiprogram_spec",
     "execute_spec",
-    "resolve_jobs",
     "set_default_store",
     "store_stats_payload",
     "figures",

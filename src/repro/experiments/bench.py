@@ -41,7 +41,7 @@ from pathlib import Path
 from repro.experiments.configs import build_prefetchers
 from repro.sim.config import SystemConfig
 from repro.sim.engine import Simulator
-from repro.sim.kernel import KERNELS, run_simulation
+from repro.sim.kernel import run_fast
 from repro.sim.stream import access_columns
 from repro.sim.timing import TimingModel
 
@@ -51,6 +51,11 @@ BENCH_FILENAME = "BENCH_engine.json"
 
 #: Lines in the replay-hot chain: well inside the scaled 4 KiB L1.
 _HOT_CHAIN_LINES = 48
+
+#: The kernels every case is timed under, in record order: the readable
+#: reference engine and the fast kernel it is held to.  Both are called as
+#: ``kernel(simulator, trace, **options)``.
+KERNELS = {"reference": Simulator.run, "fast": run_fast}
 
 
 class BenchParityError(RuntimeError):
@@ -123,10 +128,9 @@ def _measure(
     for _ in range(repeats):
         simulator = _simulator(system, case.configuration)
         started = time.perf_counter()
-        result = run_simulation(
+        result = KERNELS[kernel](
             simulator,
             case.trace,
-            kernel=kernel,
             workload_name=case.workload,
             warmup_accesses=warmup,
         )

@@ -24,7 +24,6 @@ that system.
 from __future__ import annotations
 
 import inspect
-from collections.abc import Mapping as AbcMapping
 from dataclasses import dataclass, field
 from typing import Callable, Mapping
 
@@ -375,49 +374,6 @@ for _name, _factory in ABLATION_LADDER.items():
 for _policy in REPLACEMENT_POLICIES:
     CONFIGS.register(f"triage-{_policy}", _replacement_builder(_policy))
 del _name, _factory, _policy
-
-class _RegistryView(AbcMapping):
-    """A live name → builder mapping over one half of :data:`CONFIGS`.
-
-    Unlike a snapshot dict, the view always agrees with the registry: a
-    configuration registered after import (``CONFIGS.register(...)``)
-    appears here immediately, so legacy call sites iterating these views
-    can never disagree with the single source of truth.
-    """
-
-    def __init__(self, registry: ConfigRegistry, parameterised: bool) -> None:
-        self._registry = registry
-        self._parameterised = parameterised
-
-    def _matches(self, entry: ConfigEntry) -> bool:
-        return entry.takes_params == self._parameterised
-
-    def __getitem__(self, name: str):
-        entry = self._registry._entries.get(name)
-        if entry is None or not self._matches(entry):
-            raise KeyError(name)
-        return entry.builder
-
-    def __iter__(self):
-        return (
-            entry.name
-            for entry in self._registry._entries.values()
-            if self._matches(entry)
-        )
-
-    def __len__(self) -> int:
-        return sum(1 for _ in self)
-
-
-#: Compatibility views over :data:`CONFIGS`.  ``ALL_CONFIGS`` maps the
-#: plain (nullary) configurations to their builders; parameterised builders
-#: live in ``PARAMETERISED_CONFIGS``.  Both are *live* — they reflect
-#: runtime registrations — and exist so older call sites keep working; new
-#: code should use :data:`CONFIGS` directly.
-ALL_CONFIGS: Mapping[str, ConfigFactory] = _RegistryView(CONFIGS, parameterised=False)
-PARAMETERISED_CONFIGS: Mapping[str, Callable[..., list[Prefetcher]]] = _RegistryView(
-    CONFIGS, parameterised=True
-)
 
 
 def available_configurations() -> list[str]:

@@ -23,11 +23,10 @@ pieces:
   sample_prefix`) under ``<search dir>/screens/`` and registered on the
   trace search path, so *every* evaluated point — screen or full — is a
   normal :class:`~repro.experiments.jobs.RunSpec` keyed by file-content
-  digest and flows through :class:`~repro.experiments.parallel.
-  BatchExecutor` + :class:`~repro.experiments.store.ResultStore`.  Searches
-  are therefore warm-restartable: a killed search re-run with
-  :func:`resume_search` replays every completed point from the store and
-  re-executes nothing.
+  digest and flows through :class:`~repro.service.scheduler.Scheduler` +
+  :class:`~repro.experiments.store.ResultStore`.  Searches are therefore
+  warm-restartable: a killed search re-run with :func:`resume_search`
+  replays every completed point from the store and re-executes nothing.
 * :func:`pareto_front` — the non-dominated set over (coverage ↑,
   accuracy ↑, metadata traffic ↓), canonically ordered so membership and
   output bytes are invariant to evaluation order.
@@ -51,9 +50,9 @@ from typing import Mapping, Sequence
 
 from repro.experiments.configs import CONFIGS
 from repro.experiments.jobs import RunSpec, _freeze, _thaw
-from repro.experiments.parallel import BatchExecutor
 from repro.experiments.store import ResultStore, default_store
 from repro.experiments.study import accepted_params, coerce_param
+from repro.service.scheduler import Scheduler
 from repro.sim.config import system_for
 
 #: The search strategies :func:`plan_search` understands.
@@ -598,7 +597,7 @@ def _ranked(evaluations: Sequence[Evaluation], objective: str) -> list[Evaluatio
 
 
 # ---------------------------------------------------------------------------
-# The explorer: rung evaluation through the executor + store
+# The explorer: rung evaluation through the scheduler + store
 # ---------------------------------------------------------------------------
 @dataclass
 class SearchResult:
@@ -673,7 +672,7 @@ class Explorer:
 
     Execution policy mirrors :class:`~repro.experiments.runner.
     ExperimentRunner`: an optional persistent store (``use_cache=False``
-    disables it), ``jobs`` worker processes and a kernel override.
+    disables it) and ``jobs`` worker processes.
     ``trace_overrides`` applies to the source workloads (screen windows are
     carved from the overridden stream).
 
@@ -694,7 +693,6 @@ class Explorer:
     store: ResultStore | None = None
     use_cache: bool = True
     jobs: int = 1
-    kernel: str | None = None
     #: append per-evaluation records to ``<directory>/log.jsonl``.
     write_log: bool = True
 
@@ -730,9 +728,6 @@ class Explorer:
         if not self.use_cache:
             return None
         return self.store if self.store is not None else default_store()
-
-    def _executor(self) -> BatchExecutor:
-        return BatchExecutor(store=self._store(), jobs=self.jobs, kernel=self.kernel)
 
     def _source(self, workload: str):
         """The packed source stream of one workload (memoised per explorer)."""
@@ -805,9 +800,10 @@ class Explorer:
         ``accesses=None`` evaluates the full (possibly overridden) traces;
         an integer screens on that prefix window.  Every candidate cell
         and its per-(workload, scale) baseline run goes into one
-        :meth:`BatchExecutor.run` call, so the store is consulted once,
-        ``jobs`` parallelises across candidates, workloads and baselines
-        alike, and warm cells replay instead of re-executing.
+        :meth:`~repro.service.scheduler.Scheduler.run` call, so the store
+        is consulted once, ``jobs`` parallelises across candidates,
+        workloads and baselines alike, and warm cells replay instead of
+        re-executing.
         """
 
         cells: list[tuple[str, str, dict]] = []
@@ -832,7 +828,8 @@ class Explorer:
                         self.space.baseline, name, overrides, candidate.scale, None
                     )
         batch = list(candidate_specs.values()) + list(baseline_specs.values())
-        results = self._executor().run(batch)
+        with Scheduler(store=self._store(), jobs=self.jobs) as scheduler:
+            results = scheduler.run(batch)
 
         evaluations = []
         for candidate in candidates:
@@ -1084,8 +1081,7 @@ def resume_search(directory: str | Path, **options) -> SearchResult:
     spec in the store (screen windows re-save byte-identically, so their
     digests are stable), everything the killed search completed is served
     from the store and **zero** specs re-execute.  ``options`` override
-    only execution policy (store, jobs, kernel) — never the search
-    itself.
+    only execution policy (store, jobs) — never the search itself.
     """
 
     manifest = load_manifest(directory)

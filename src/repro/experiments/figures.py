@@ -6,7 +6,7 @@ Each ``figure_N`` function is a thin wrapper over one registered
 of :class:`~repro.experiments.jobs.RunSpec` /
 :class:`~repro.experiments.jobs.MultiProgramSpec` values, the
 :class:`~repro.experiments.runner.ExperimentRunner` submits the batch
-through the :class:`~repro.experiments.parallel.BatchExecutor` (replaying
+through a :class:`~repro.service.scheduler.Scheduler` (replaying
 completed cells from the persistent
 :class:`~repro.experiments.store.ResultStore`, running misses in parallel
 when ``jobs > 1``), and the study's reducer turns the results into the

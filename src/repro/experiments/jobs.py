@@ -196,7 +196,7 @@ class RunSpec(_SpecBase):
     are part of the spec's identity, so two variants of the same study can
     never collide in the store, and a worker process can rebuild the exact
     prefetcher stack from the spec alone (see
-    :data:`repro.experiments.configs.PARAMETERISED_CONFIGS`).
+    :data:`repro.experiments.configs.CONFIGS`).
     """
 
     workload: str
@@ -377,32 +377,26 @@ def clear_trace_memo() -> None:
     _TRACE_MEMO.clear()
 
 
-def execute_spec(spec: RunSpec, trace=None, kernel: str | None = None) -> SimulationStats:
+def execute_spec(spec: RunSpec, trace=None) -> SimulationStats:
     """Run the simulation a spec describes and return its statistics.
 
-    This is the worker function of :mod:`repro.experiments.parallel`: it
-    builds everything — trace, hierarchy, prefetchers, timing model — from
-    the spec alone, so it can run in a fresh process.  ``trace`` lets an
-    in-process caller reuse an already-generated trace.  Either way this is
-    the *single* place a spec becomes a run — every prefetcher stack
-    resolves through the configuration registry — so serial and pool
-    results can never diverge.
-
-    ``kernel`` picks the execution kernel (``"fast"`` by default; see
-    :mod:`repro.sim.kernel`).  The kernels produce bit-identical
-    statistics, so the choice is deliberately *not* part of the spec or of
-    its store key.
+    This is the scheduler's worker function: it builds everything — trace,
+    hierarchy, prefetchers, timing model — from the spec alone, so it can
+    run in a fresh process.  ``trace`` lets an in-process caller reuse an
+    already-generated trace.  Either way this is the *single* place a spec
+    becomes a run — every prefetcher stack resolves through the
+    configuration registry — so serial and pool results can never diverge.
     """
 
     # Imported here (not at module top) to keep spec hashing importable
     # without dragging in the whole simulator, and to avoid an import cycle
-    # with the configuration registry.
+    # with the configuration registry.  ``run_fast`` is looked up at call
+    # time so the parity tests can substitute the reference engine.
     from repro.experiments.configs import build_prefetchers
+    from repro.sim import kernel
     from repro.sim.engine import Simulator
-    from repro.sim.kernel import resolve_kernel, run_simulation
     from repro.sim.timing import TimingModel
 
-    kernel_name = resolve_kernel(kernel)
     system = spec.system_config()
     spec._verify_trace_digests([spec.workload])
     if trace is None:
@@ -416,10 +410,9 @@ def execute_spec(spec: RunSpec, trace=None, kernel: str | None = None) -> Simula
         config=system,
         configuration_name=spec.configuration,
     )
-    result = run_simulation(
+    result = kernel.run_fast(
         simulator,
         trace,
-        kernel=kernel_name,
         max_accesses=spec.max_accesses,
         workload_name=spec.workload,
         warmup_accesses=int(len(trace) * spec.warmup_fraction),
@@ -427,14 +420,13 @@ def execute_spec(spec: RunSpec, trace=None, kernel: str | None = None) -> Simula
     return result.stats
 
 
-def execute_multiprogram_spec(spec: MultiProgramSpec, kernel: str | None = None):
+def execute_multiprogram_spec(spec: MultiProgramSpec):
     """Run the multiprogrammed simulation a spec describes.
 
     The multiprogram analogue of :func:`execute_spec`: traces, the shared
     L3/DRAM hierarchy and every core's prefetcher stack are rebuilt from the
     spec alone, so the spec can execute in a pool worker exactly as it does
-    in-process.  ``kernel`` selects the execution kernel exactly as in
-    :func:`execute_spec`.  Returns a
+    in-process.  Returns a
     :class:`~repro.sim.multiprogram.MultiProgramResult`.
     """
 
@@ -462,13 +454,12 @@ def execute_multiprogram_spec(spec: MultiProgramSpec, kernel: str | None = None)
         workload_names=list(spec.workloads),
         max_accesses_per_core=cap,
         warmup_accesses_per_core=warmup,
-        kernel=kernel,
     )
 
 
-def execute(spec, kernel: str | None = None):
-    """Run any spec kind (the batch executor's single worker entry point)."""
+def execute(spec):
+    """Run any spec kind (the scheduler's single worker entry point)."""
 
     if isinstance(spec, MultiProgramSpec):
-        return execute_multiprogram_spec(spec, kernel=kernel)
-    return execute_spec(spec, kernel=kernel)
+        return execute_multiprogram_spec(spec)
+    return execute_spec(spec)

@@ -1,6 +1,6 @@
 """The experiment runner: (workload × configuration) matrices of simulations.
 
-Execution flows through three layers (spec → executor → store):
+Execution flows through three layers (spec → scheduler → store):
 
 * every simulation is first described as an immutable spec — single-core
   cells as a :class:`~repro.experiments.jobs.RunSpec` (workload,
@@ -9,8 +9,8 @@ Execution flows through three layers (spec → executor → store):
   pairs as a :class:`~repro.experiments.jobs.MultiProgramSpec`;
 * :meth:`ExperimentRunner.run_matrix` (and
   :meth:`ExperimentRunner.submit`, which also accepts multiprogram specs)
-  submits whole batches to a
-  :class:`~repro.experiments.parallel.BatchExecutor`, which dedupes specs,
+  submits whole batches to a one-shot
+  :class:`~repro.service.scheduler.Scheduler`, which dedupes specs,
   satisfies what it can from the store, and runs the misses — in parallel
   worker processes when ``jobs > 1``;
 * completed runs land in the persistent
@@ -41,8 +41,8 @@ from repro.experiments.jobs import (
     trace_for_workload,
 )
 from repro.experiments.jobs import clear_trace_memo as jobs_clear_trace_memo
-from repro.experiments.parallel import BatchExecutor
 from repro.experiments.store import Result, ResultStore, Spec, default_store
+from repro.service.scheduler import Scheduler
 from repro.sim.config import SystemConfig
 from repro.sim.multiprogram import MultiProgramResult
 from repro.sim.stats import SimulationStats
@@ -74,12 +74,8 @@ class ExperimentRunner:
     jobs: int = 1
     #: result store; ``None`` means the process-wide default store.
     store: ResultStore | None = None
-    #: execution kernel for simulations this runner launches; ``None``
-    #: resolves to the fast kernel (or the ``REPRO_KERNEL`` environment
-    #: override) — see :mod:`repro.sim.kernel`.  Never part of results.
-    kernel: str | None = None
 
-    # -- the spec → executor → store plumbing --------------------------------
+    # -- the spec → scheduler → store plumbing -------------------------------
     def spec_for(
         self,
         workload: str,
@@ -135,13 +131,11 @@ class ExperimentRunner:
             return None
         return self.store if self.store is not None else default_store()
 
-    def _executor(self) -> BatchExecutor:
-        return BatchExecutor(store=self._store(), jobs=self.jobs, kernel=self.kernel)
-
     def submit(self, specs: Sequence[Spec]) -> dict[Spec, Result]:
-        """Batch-run arbitrary specs (both kinds) through executor and store."""
+        """Batch-run arbitrary specs (both kinds) through scheduler and store."""
 
-        return self._executor().run(specs)
+        with Scheduler(store=self._store(), jobs=self.jobs) as scheduler:
+            return scheduler.run(specs)
 
     # -- traces -------------------------------------------------------------
     def trace_for(self, workload: str) -> Trace:
@@ -162,7 +156,7 @@ class ExperimentRunner:
 
         ``config_params`` parameterises the configuration's builder (for
         registry entries that take parameters, e.g. the replacement study's
-        ``max_entries``); such runs flow through the executor and persist
+        ``max_entries``); such runs flow through the scheduler and persist
         like any other.
         """
 
@@ -179,7 +173,7 @@ class ExperimentRunner:
         """Run every (workload × configuration) pair; return stats per cell.
 
         The full matrix is declared up front and submitted as one batch, so
-        the executor can dedupe it, replay completed cells from the store,
+        the scheduler can dedupe it, replay completed cells from the store,
         and run the rest in parallel.  ``config_params`` applies to every
         configuration in ``configurations`` that takes parameters (plain
         registry configurations ignore it).
@@ -192,7 +186,7 @@ class ExperimentRunner:
                 cell_specs[(workload, configuration)] = self.spec_for(
                     workload, configuration, params
                 )
-        batch = self._executor().run(list(cell_specs.values()))
+        batch = self.submit(list(cell_specs.values()))
 
         return {
             workload: {
@@ -236,7 +230,7 @@ class ExperimentRunner:
 
         The run is described by a
         :class:`~repro.experiments.jobs.MultiProgramSpec` and flows through
-        the executor and persistent store like every other simulation, so a
+        the scheduler and persistent store like every other simulation, so a
         repeated pair (within this process or a later one) replays instead
         of re-simulating.  ``config_params`` parameterises the configuration
         on every core.

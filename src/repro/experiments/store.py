@@ -35,6 +35,7 @@ from __future__ import annotations
 
 import json
 import os
+import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -129,6 +130,7 @@ class StoreStats:
     hits: int = 0
     misses: int = 0
     puts: int = 0
+    write_errors: int = 0
     entries: int = 0
     path: str = ""
 
@@ -139,6 +141,7 @@ class StoreStats:
             "hits": self.hits,
             "misses": self.misses,
             "puts": self.puts,
+            "write_errors": self.write_errors,
             "entries": self.entries,
             "path": self.path,
         }
@@ -161,6 +164,8 @@ class ResultStore:
     hits: int = 0
     misses: int = 0
     puts: int = 0
+    #: appends that failed with ``OSError`` (their results stayed in memory).
+    write_errors: int = 0
     _index: dict | None = field(default=None, repr=False)
     _meta: dict = field(default_factory=dict, repr=False)
 
@@ -236,11 +241,22 @@ class ResultStore:
                     fcntl.flock(handle.fileno(), fcntl.LOCK_EX)
                 handle.write(json.dumps(record, sort_keys=True) + "\n")
                 handle.flush()
-        except OSError:
-            # Unwritable store (read-only checkout, sandbox): a completed
+        except OSError as error:
+            # Unwritable store (read-only checkout, full disk): a completed
             # simulation must never be lost to a cache write, so degrade to
-            # the in-memory index and stay quiet.
-            pass
+            # the in-memory index — counted, and warned about once.
+            self.write_errors += 1
+            if self.write_errors == 1:
+                warnings.warn(
+                    f"result store {self.directory} is not writable ({error}); "
+                    f"results are kept in memory only",
+                    RuntimeWarning,
+                    stacklevel=3,
+                )
+            if obs.enabled():
+                obs.emit(
+                    "store_write_failed", path=str(self.directory), error=str(error)
+                )
 
     # -- store API ----------------------------------------------------------
     def get(self, spec: Spec) -> Result | None:
@@ -352,6 +368,7 @@ class ResultStore:
             hits=self.hits,
             misses=self.misses,
             puts=self.puts,
+            write_errors=self.write_errors,
             entries=len(self),
             path=str(self.directory),
         )
@@ -363,9 +380,9 @@ def store_stats_payload(store: ResultStore) -> dict:
     The *single* machine-readable serialisation of a store: both ``repro
     cache show --json`` and the daemon's ``GET /store/stats`` return exactly
     this, so scripts never have to reconcile two shapes.  Carries the
-    instance traffic counters (hits/misses/puts), the on-disk footprint,
-    the per-kind entry breakdown, and the code version the entries are
-    keyed under.
+    instance traffic counters (hits/misses/puts/write_errors), the on-disk
+    footprint, the per-kind entry breakdown, and the code version the
+    entries are keyed under.
     """
 
     info = store.stats()

@@ -2,7 +2,7 @@
 
 This module is the catalogue: each entry in :data:`STUDIES` names one
 experiment — its workloads, configurations (with call-time parameters),
-system axis, metric and reducer — and the spec/executor/store pipeline does
+system axis, metric and reducer — and the spec/scheduler/store pipeline does
 the rest.  The legacy ``figure_N`` entry points in
 :mod:`repro.experiments.figures` are thin wrappers over these declarations,
 and the ``repro study`` CLI runs them (with axis overrides) directly.
@@ -293,7 +293,7 @@ MAIN_MATRIX_STUDIES: tuple[str, ...] = ("fig10", "fig11", "fig12", "fig13", "fig
 def main_matrix_specs(runner: ExperimentRunner) -> list:
     """Every RunSpec figures 10-15 need (the union of their compiled batches).
 
-    Submitting this list through the runner's executor warms the store for
+    Submitting this list through the runner warms the store for
     all six figures in a single deduplicated, parallelisable batch.
     """
 

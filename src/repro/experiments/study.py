@@ -6,13 +6,13 @@ metric reducer — plus presentation (figure label, title, notes, column
 relabelling).  It contains no execution logic of its own: a study *compiles*
 to a batch of :class:`~repro.experiments.jobs.RunSpec` /
 :class:`~repro.experiments.jobs.MultiProgramSpec` values for the existing
-executor + store pipeline, and a named *reducer* turns the batch's results
+scheduler + store pipeline, and a named *reducer* turns the batch's results
 into the familiar :class:`FigureResult` table.
 
 The pieces:
 
 * :class:`Study` — the frozen axis spec, with :meth:`Study.compile` (the
-  spec batch), :meth:`Study.run` (reduce through the executor + store,
+  spec batch), :meth:`Study.run` (reduce through the scheduler + store,
   then render) and :meth:`Study.overridden` (the ``--set scale=0.5`` /
   ``--workloads`` / ``--configs`` override hooks, which validate that an
   override actually applies before anything simulates);
@@ -25,7 +25,7 @@ The pieces:
   ``describe`` support; the canonical instance, with every figure and table
   of the paper declared, is :data:`repro.experiments.studies.STUDIES`.
 
-Because studies compile onto the spec/executor/store pipeline unchanged, a
+Because studies compile onto the spec/scheduler/store pipeline unchanged, a
 new scenario — a cache-scale sweep, a custom configuration grid, a degree
 ladder — is one :class:`Study` declaration (or a CLI override of an
 existing one), not a new figure module; and every run it produces persists
@@ -381,7 +381,7 @@ class Study:
         """Reduce this study's results (simulating what the store lacks).
 
         The reducer submits the study's cells as deduplicated batches
-        through the runner's executor + store, so completed cells replay
+        through the runner's scheduler + store, so completed cells replay
         and misses run (in parallel under ``jobs > 1``).  ``runner``
         carries the execution policy (jobs, store, trace overrides, access
         caps) *and*, when given, the system — a shared benchmark runner

@@ -160,6 +160,8 @@ class MemoryHierarchy:
         allocation-free path); otherwise a fresh result is allocated.
         """
 
+        if out is None:
+            out = DemandResult(level="l1", latency=0.0, line_address=0)
         line = line_address(address)
         self.stats.demand_accesses += 1
 
@@ -169,14 +171,6 @@ class MemoryHierarchy:
             if stall < 0.0:
                 stall = 0.0
             self.stats.late_prefetch_stall_cycles += stall
-            if out is None:
-                return DemandResult(
-                    level="l1",
-                    latency=self.params.l1_latency + stall,
-                    line_address=line,
-                    l1_prefetch_first_use=l1_outcome.first_prefetch_use,
-                    late_prefetch_stall=stall,
-                )
             out.level = "l1"
             out.latency = self.params.l1_latency + stall
             out.line_address = line
@@ -200,9 +194,12 @@ class MemoryHierarchy:
         ``line`` is the line-aligned address; the caller has already charged
         the hierarchy-level access counter and performed (and missed) the L1
         lookup.  The fused kernel inlines the L1 probe and jumps straight
-        here, so the L1 fast path costs no extra calls.
+        here, so the L1 fast path costs no extra calls.  ``out`` is
+        overwritten and returned, or allocated when not given.
         """
 
+        if out is None:
+            out = DemandResult(level="l1", latency=0.0, line_address=0)
         p = self.params
         l2_outcome = self.l2.access(line, pc, is_write, now)
         if l2_outcome.hit:
@@ -212,14 +209,6 @@ class MemoryHierarchy:
             self.stats.late_prefetch_stall_cycles += stall
             first_use = l2_outcome.first_prefetch_use
             self._fill_l1(line, pc, is_write, now)
-            if out is None:
-                return DemandResult(
-                    level="l2",
-                    latency=p.l1_latency + p.l2_latency + stall,
-                    line_address=line,
-                    l2_prefetch_first_use=first_use,
-                    late_prefetch_stall=stall,
-                )
             out.level = "l2"
             out.latency = p.l1_latency + p.l2_latency + stall
             out.line_address = line
@@ -240,13 +229,6 @@ class MemoryHierarchy:
         if l3_outcome.hit:
             self._fill_l2(line, pc, is_write, now)
             self._fill_l1(line, pc, is_write, now)
-            if out is None:
-                return DemandResult(
-                    level="l3",
-                    latency=base_latency,
-                    line_address=line,
-                    l2_miss=True,
-                )
             out.level = "l3"
             out.latency = base_latency
             out.line_address = line
@@ -260,13 +242,6 @@ class MemoryHierarchy:
         self._fill_l3(line, pc, is_write, now)
         self._fill_l2(line, pc, is_write, now)
         self._fill_l1(line, pc, is_write, now)
-        if out is None:
-            return DemandResult(
-                level="dram",
-                latency=base_latency + dram_latency,
-                line_address=line,
-                l2_miss=True,
-            )
         out.level = "dram"
         out.latency = base_latency + dram_latency
         out.line_address = line
@@ -295,6 +270,10 @@ class MemoryHierarchy:
         prefetch fill.  ``out``, when given, is overwritten and returned.
         """
 
+        if out is None:
+            out = PrefetchFillResult(
+                already_present=False, from_dram=False, ready_cycle=0.0, latency=0.0
+            )
         p = self.params
         line = address & _LINE_MASK
         # Residency is tested against the tag maps directly (the shift path
@@ -308,10 +287,6 @@ class MemoryHierarchy:
         else:
             resident = target.probe(line)
         if resident:
-            if out is None:
-                return PrefetchFillResult(
-                    already_present=True, from_dram=False, ready_cycle=now, latency=0.0
-                )
             out.already_present = True
             out.from_dram = False
             out.ready_cycle = now
@@ -345,13 +320,6 @@ class MemoryHierarchy:
         else:
             self._fill_l1(line, pc, False, now, prefetched=True, ready_cycle=ready)
             self._fill_l2(line, pc, False, now, prefetched=True, ready_cycle=ready)
-        if out is None:
-            return PrefetchFillResult(
-                already_present=False,
-                from_dram=from_dram,
-                ready_cycle=ready,
-                latency=latency,
-            )
         out.already_present = False
         out.from_dram = from_dram
         out.ready_cycle = ready

@@ -4,9 +4,8 @@ Both Triage and Triangel store their Markov metadata in a variable-size
 partition of the L3 cache: between 0 and 8 of the 16 ways of every set are
 reserved for metadata, and the remaining ways hold ordinary data (paper
 sections 2 and 3.2).  The Markov table itself is modelled by
-:class:`repro.triage.markov_table.MarkovTable` / :class:`repro.core.
-markov_table.TriangelMarkovTable`; this class models the *cost* of the
-partition — the loss of data capacity — by restricting data fills to the
+:class:`repro.triage.markov_table.MarkovTable`; this class models the
+*cost* of the partition — the loss of data capacity — by restricting data fills to the
 non-reserved ways and invalidating resident lines when the partition grows.
 
 The partition size is chosen by the Bloom-filter sizer (Triage-ISR, section

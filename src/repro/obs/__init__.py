@@ -1,7 +1,7 @@
 """repro.obs — the unified telemetry layer (metrics, spans, events).
 
 One dependency-free package gives every layer of the stack — columnar
-kernel, scheduler, batch executor, result store, HTTP daemon — a shared
+kernel, scheduler, result store, HTTP daemon — a shared
 instrumentation vocabulary:
 
 * :mod:`repro.obs.metrics` — a process-local registry of counters, gauges

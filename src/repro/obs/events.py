@@ -8,7 +8,7 @@ the things an operator reconstructs incidents from:
   ``job_cancelled``),
 * scheduler queue transitions (``task_queued`` / ``task_dispatched`` /
   ``task_done`` / ``task_abandoned``),
-* store traffic (``store_hit`` / ``store_put``).
+* store traffic (``store_hit`` / ``store_put`` / ``store_write_failed``).
 
 Every record carries the schema version (``"v"``), a wall-clock timestamp
 (``"ts"``), and the event name (``"event"``); emitters add flat

@@ -1,19 +1,19 @@
 """The service layer: one shared scheduling core for CLI and daemon.
 
 This package turns the experiment layer's batch compute engine (specs →
-executor → content-hashed store) into something many concurrent clients can
-share:
+scheduler → content-hashed store) into something many concurrent clients
+can share:
 
 * :mod:`repro.service.backends` — the :class:`~repro.service.backends.
   WorkerBackend` protocol behind which execution runs (in the scheduler's
   dispatch thread, or on a process pool), so "where work runs" is a
-  pluggable policy rather than executor code;
+  pluggable policy, plus :func:`~repro.service.backends.resolve_jobs`,
+  which resolves and validates worker counts;
 * :mod:`repro.service.scheduler` — the :class:`~repro.service.scheduler.
   Scheduler`: a priority job queue over spec batches with per-client
   quotas, cooperative cancellation of not-yet-started specs, and in-flight
   deduplication so concurrent jobs never execute the same spec twice.  The
-  CLI's one-shot :class:`~repro.experiments.parallel.BatchExecutor` is a
-  thin wrapper over one of these;
+  experiment runner runs each one-shot batch on one of these;
 * :mod:`repro.service.requests` — parsing/compiling HTTP job requests
   (``run``/``multiprogram``/``study``/``explore``) into spec batches plus a
   finalize step that reduces results into a JSON payload;
@@ -28,15 +28,16 @@ share:
 The thin Python client for the HTTP API lives in :mod:`repro.client`.
 """
 
-# Re-exports resolve lazily: the experiment layer's one-shot executor wraps
-# the scheduler, so an eager package import here would cycle back through
-# requests → runner → parallel → scheduler.  Lazy resolution also keeps
-# `import repro.experiments` from dragging in the HTTP server machinery.
+# Re-exports resolve lazily: the experiment runner builds schedulers, so an
+# eager package import here would cycle back through requests → runner →
+# scheduler.  Lazy resolution also keeps `import repro.experiments` from
+# dragging in the HTTP server machinery.
 _EXPORTS = {
     "InlineBackend": "repro.service.backends",
     "ProcessPoolBackend": "repro.service.backends",
     "WorkerBackend": "repro.service.backends",
     "backend_for_jobs": "repro.service.backends",
+    "resolve_jobs": "repro.service.backends",
     "job_manifest": "repro.service.manifest",
     "spec_from_payload": "repro.service.manifest",
     "verify_manifest": "repro.service.manifest",
@@ -73,6 +74,7 @@ __all__ = [
     "build_server",
     "compile_request",
     "job_manifest",
+    "resolve_jobs",
     "serve",
     "spec_from_payload",
     "verify_manifest",

@@ -15,14 +15,53 @@ ship:
 
 Anything satisfying the protocol — a remote-worker pool, a cluster client —
 slots in without the scheduler changing: the backend is a constructor
-argument, not executor code.
+argument, not scheduler code.
+
+This module is also where worker counts are resolved and validated:
+:func:`resolve_jobs` reads the ``REPRO_JOBS`` environment override, so a
+typo'd value renders as a one-line CLI error instead of a traceback from
+deep inside the scheduler.
 """
 
 from __future__ import annotations
 
+import os
 import threading
 from concurrent.futures import Future, ProcessPoolExecutor
 from typing import Protocol, runtime_checkable
+
+
+#: Environment variable supplying a default worker count for entry points
+#: that take one (the CLI's ``--jobs``, the benchmark harness).
+JOBS_ENV = "REPRO_JOBS"
+
+
+def _positive_count(value, what: str) -> int:
+    """Validate one worker count (already int-typed or int-like)."""
+
+    try:
+        count = int(value)
+    except (TypeError, ValueError):
+        raise ValueError(f"{what}: expected an integer, got {value!r}") from None
+    if count < 1:
+        raise ValueError(f"{what}: must be at least 1, got {count}")
+    return count
+
+
+def resolve_jobs(jobs: int | None = None) -> int:
+    """The worker count for an invocation: explicit value, then env, then 1.
+
+    The one place ``REPRO_JOBS`` is read, so a malformed value fails here
+    with a ``ValueError`` naming the variable (the CLI renders that as a
+    one-line exit-2 error) rather than as a traceback once a pool spawns.
+    """
+
+    if jobs is not None:
+        return _positive_count(jobs, "--jobs")
+    raw = os.environ.get(JOBS_ENV, "").strip()
+    if not raw:
+        return 1
+    return _positive_count(raw, f"{JOBS_ENV}={raw!r}")
 
 
 @runtime_checkable
@@ -34,7 +73,7 @@ class WorkerBackend(Protocol):
     ``concurrent.futures.Future`` resolving to the call's result; and
     :meth:`close` releases whatever the backend holds.  ``fn`` and its
     arguments must be picklable — process-based backends ship them to
-    workers exactly as the batch executor always has.
+    worker processes.
     """
 
     slots: int
@@ -53,7 +92,7 @@ class InlineBackend:
 
     The returned future is already resolved, so the scheduler's completion
     path runs immediately — serial execution with zero thread or process
-    overhead, exactly like the old in-process executor path.
+    overhead.
     """
 
     slots = 1
@@ -77,14 +116,11 @@ class ProcessPoolBackend:
     """Fans calls out to ``jobs`` worker processes (created lazily).
 
     The pool spawns on the first :meth:`submit`, so schedulers whose every
-    spec is satisfied from the store never pay for worker processes —
-    matching the old executor's "don't spawn a pool you won't use" rule.
+    spec is satisfied from the store never pay for worker processes.
     """
 
     def __init__(self, jobs: int) -> None:
-        if jobs < 1:
-            raise ValueError(f"worker count must be at least 1, got {jobs}")
-        self.slots = int(jobs)
+        self.slots = _positive_count(jobs, "worker count")
         self._pool: ProcessPoolExecutor | None = None
         self._lock = threading.Lock()
 
@@ -109,6 +145,5 @@ class ProcessPoolBackend:
 def backend_for_jobs(jobs: int) -> WorkerBackend:
     """The default backend for a worker count: inline at 1, a pool above."""
 
-    if jobs < 1:
-        raise ValueError(f"worker count must be at least 1, got {jobs}")
+    jobs = _positive_count(jobs, "worker count")
     return InlineBackend() if jobs == 1 else ProcessPoolBackend(jobs)

@@ -1,11 +1,9 @@
 """The scheduling core shared by the one-shot CLI path and the daemon.
 
-The :class:`Scheduler` is the lifted form of the old batch executor: callers
-submit batches of specs as :class:`Job`\\ s, and one priority queue feeds a
-pluggable :class:`~repro.service.backends.WorkerBackend` (in-thread at
-``jobs == 1``, a process pool above).  What the executor did per batch the
-scheduler does continuously, for many concurrent clients against one warm
-store:
+Callers submit batches of specs as :class:`Job`\\ s, and one priority
+queue feeds a pluggable :class:`~repro.service.backends.WorkerBackend`
+(in-thread at ``jobs == 1``, a process pool above).  The scheduler serves
+one batch or many concurrent clients against one warm store:
 
 * **store first** — every submitted spec is satisfied from the
   :class:`~repro.experiments.store.ResultStore` when it can be, and every
@@ -30,8 +28,8 @@ store:
 
 Every unique spec miss is one task, and every task is one backend call.
 
-:class:`~repro.experiments.parallel.BatchExecutor` is now a thin wrapper
-that builds a scheduler, submits one job, and waits — so the CLI's one-shot
+The experiment runner and the explorer build one scheduler per batch and
+call :meth:`Scheduler.run` (submit one job and wait), so the CLI's one-shot
 path and the ``repro serve`` daemon exercise the same code.
 """
 
@@ -44,10 +42,10 @@ import time
 import uuid
 from collections import deque
 from contextlib import nullcontext
-from functools import partial
 from typing import Callable, Mapping, Sequence
 
 from repro import obs
+from repro.experiments import jobs as spec_jobs
 from repro.experiments.jobs import RunSpec
 from repro.experiments.store import Result, ResultStore, Spec
 
@@ -292,22 +290,19 @@ class Scheduler:
 
     ``backend`` defaults to the policy ``jobs`` implies (inline at 1, a
     process pool above); ``quota`` caps each client's *unresolved* specs —
-    store-satisfied specs never count.  ``kernel`` travels to workers with
-    every call, exactly as the executor forwarded it.
+    store-satisfied specs never count.
     """
 
     def __init__(
         self,
         store: ResultStore | None = None,
         jobs: int = 1,
-        kernel: str | None = None,
         backend=None,
         quota: int | None = None,
     ) -> None:
         from repro.service.backends import backend_for_jobs
 
         self.store = store
-        self.kernel = kernel
         self.quota = quota
         self._backend = backend if backend is not None else backend_for_jobs(jobs)
         self._lock = threading.Lock()
@@ -448,8 +443,6 @@ class Scheduler:
             self._dispatcher.start()
 
     def _dispatch_loop(self) -> None:
-        from repro.experiments import parallel
-
         while True:
             telemetry = obs.enabled()
             with self._cond:
@@ -467,10 +460,6 @@ class Scheduler:
                 if telemetry:
                     task.started = time.perf_counter()
                     self._update_gauges()
-            # Resolved through the parallel namespace per call, which keeps
-            # that module the single patch point for counting or faking
-            # executions in tests.
-            execute = partial(parallel.execute, kernel=self.kernel)
             if telemetry:
                 obs.emit(
                     "task_dispatched", job=task.creator.id, spec=spec_label(task.spec)
@@ -479,10 +468,12 @@ class Scheduler:
             # submit(), on this thread — collect the kernel's phase spans
             # here.  Pool backends return immediately and run the call in a
             # worker process, whose spans stay process-local; only the
-            # dispatch→done wall time survives for them.
+            # dispatch→done wall time survives for them.  ``execute`` is
+            # looked up per call, so patching ``repro.experiments.jobs.
+            # execute`` counts or fakes executions in tests.
             try:
                 with obs.collect() if telemetry else nullcontext([]) as spans:
-                    future = self._backend.submit(execute, task.spec)
+                    future = self._backend.submit(spec_jobs.execute, task.spec)
             except BaseException as error:  # noqa: BLE001 - backend refused
                 self._task_done(task, None, error)
                 continue
@@ -713,11 +704,10 @@ class Scheduler:
 
     # -- one-shot + lifecycle -------------------------------------------------
     def run(self, specs: Sequence[Spec]) -> dict[Spec, Result]:
-        """Submit one batch and wait: the executor-compatible one-shot path.
+        """Submit one batch and wait: the one-shot path.
 
         Returns a spec → result mapping for the unique specs, in
-        submission order.  A failing spec re-raises its original exception,
-        exactly as the in-process executor did.
+        submission order.  A failing spec re-raises its original exception.
         """
 
         job = self.submit(specs)

@@ -340,7 +340,6 @@ def build_server(
     host: str = DEFAULT_HOST,
     port: int = 0,
     jobs: int = 1,
-    kernel: str | None = None,
     quota: int | None = None,
     verbose: bool = False,
 ) -> ServiceServer:
@@ -351,7 +350,7 @@ def build_server(
     ``scheduler.close()``.
     """
 
-    scheduler = Scheduler(store=store, jobs=jobs, kernel=kernel, quota=quota)
+    scheduler = Scheduler(store=store, jobs=jobs, quota=quota)
     return ServiceServer((host, port), scheduler, store, verbose=verbose)
 
 
@@ -360,7 +359,6 @@ def serve(
     host: str = DEFAULT_HOST,
     port: int = DEFAULT_PORT,
     jobs: int = 1,
-    kernel: str | None = None,
     quota: int | None = None,
     verbose: bool = False,
 ) -> int:
@@ -373,8 +371,7 @@ def serve(
     """
 
     server = build_server(
-        store, host=host, port=port, jobs=jobs, kernel=kernel, quota=quota,
-        verbose=verbose,
+        store, host=host, port=port, jobs=jobs, quota=quota, verbose=verbose
     )
 
     def _request_shutdown(signum, frame) -> None:

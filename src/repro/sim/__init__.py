@@ -12,7 +12,6 @@ L3, its Markov partition and the DRAM channel (paper section 6.3).
 
 from repro.sim.config import SystemConfig
 from repro.sim.engine import SimulationResult, Simulator
-from repro.sim.kernel import KERNELS, resolve_kernel, run_simulation
 from repro.sim.multiprogram import MultiProgramResult, MultiProgramSimulator
 from repro.sim.stats import SimulationStats
 from repro.sim.stream import AccessColumns, AccessStream, access_columns
@@ -26,9 +25,6 @@ __all__ = [
     "MultiProgramResult",
     "SimulationStats",
     "TimingModel",
-    "KERNELS",
-    "resolve_kernel",
-    "run_simulation",
     "AccessColumns",
     "AccessStream",
     "access_columns",

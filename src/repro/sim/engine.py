@@ -34,10 +34,6 @@ class SimulationResult:
     stats: SimulationStats
     prefetcher_stats: dict = field(default_factory=dict)
 
-    @property
-    def speedup_denominator(self) -> float:
-        return self.stats.cycles
-
 
 class Simulator:
     """Runs one trace on one core with an arbitrary set of prefetchers."""

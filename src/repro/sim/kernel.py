@@ -1,36 +1,26 @@
-"""Execution kernels: the fused, allocation-free fast path and its dispatch.
+"""The fast kernel: the fused, allocation-free loop every simulation runs on.
 
-Two kernels can drive a simulation:
+:func:`run_fast` runs a simulation as one fused loop over the workload's
+packed columns (the :mod:`repro.sim.stream` protocol): no access objects,
+one scratch :class:`~repro.memory.hierarchy.DemandResult` and
+:class:`~repro.memory.hierarchy.PrefetchFillResult` per run, one reusable
+:class:`~repro.prefetch.base.DecisionBuffer` per run, the L1-hit path
+inlined against the cache's tag index, and every hot attribute bound to a
+local.  :func:`step_fast` is the same access step for the interleaved
+multiprogram simulator.
 
-* the **reference** kernel is :meth:`repro.sim.engine.Simulator.run` — the
-  readable, layered implementation that iterates
-  :class:`~repro.memory.request.MemoryAccess` objects and calls
-  ``Simulator.step`` per access;
-* the **fast** kernel (:func:`run_fast`, this module) runs the same
-  simulation as one fused loop over the workload's packed columns (the
-  :mod:`repro.sim.stream` protocol): no access objects, one scratch
-  :class:`~repro.memory.hierarchy.DemandResult` and
-  :class:`~repro.memory.hierarchy.PrefetchFillResult` per run, one reusable
-  :class:`~repro.prefetch.base.DecisionBuffer` per run, the L1-hit path
-  inlined against the cache's tag index, and every hot attribute bound to a
-  local.
-
-The two kernels must produce **bit-identical**
-:class:`~repro.sim.stats.SimulationStats` (and prefetcher counters) on
-every configuration — the fast kernel performs exactly the reference's
-operations in exactly the reference's order, and the parity matrix in
-``tests/test_kernel.py`` enforces it.  Because results are identical, a
-kernel is an *execution* detail: it is not part of a spec's content hash,
-and results computed by either kernel share one store entry.
-
-Selection: the executor defaults to the fast kernel; ``repro ... --kernel
-reference`` or ``REPRO_KERNEL=reference`` switches a run back to the
-readable implementation (for debugging, or for the bench comparison).
+The readable :meth:`repro.sim.engine.Simulator.run` (and
+``Simulator.step``) is the oracle: the fast kernel performs exactly its
+operations in exactly its order, so on every configuration it must produce
+**bit-identical** :class:`~repro.sim.stats.SimulationStats` (and
+prefetcher counters).  The parity matrix in ``tests/test_kernel.py`` and
+``repro bench`` enforce it.  The execution layer looks both functions up
+in this module at call time, which is how the parity tests substitute the
+reference engine.
 """
 
 from __future__ import annotations
 
-import os
 from time import perf_counter
 
 from repro import obs
@@ -39,57 +29,6 @@ from repro.memory.hierarchy import DemandResult, PrefetchFillResult
 from repro.prefetch.base import DecisionBuffer
 from repro.sim.stats import SimulationStats
 from repro.sim.stream import access_columns
-
-#: Environment variable overriding the kernel for a whole process tree.
-KERNEL_ENV = "REPRO_KERNEL"
-
-#: The recognised kernel names.
-KERNELS = ("reference", "fast")
-
-#: What the executor uses when neither a call-site nor the environment says.
-DEFAULT_KERNEL = "fast"
-
-
-def resolve_kernel(kernel: str | None = None) -> str:
-    """The kernel a run should use: explicit choice > environment > default."""
-
-    chosen = kernel or os.environ.get(KERNEL_ENV) or DEFAULT_KERNEL
-    if chosen not in KERNELS:
-        raise ValueError(
-            f"unknown kernel {chosen!r}; expected one of {', '.join(KERNELS)}"
-        )
-    return chosen
-
-
-def run_simulation(
-    simulator,
-    trace,
-    kernel: str | None = None,
-    max_accesses: int | None = None,
-    workload_name: str = "",
-    warmup_accesses: int = 0,
-):
-    """Run ``trace`` on ``simulator`` under the chosen kernel.
-
-    This is the single dispatch point the execution layer calls; both
-    branches return the same :class:`~repro.sim.engine.SimulationResult`
-    with bit-identical statistics.
-    """
-
-    if resolve_kernel(kernel) == "reference":
-        return simulator.run(
-            trace,
-            max_accesses=max_accesses,
-            workload_name=workload_name,
-            warmup_accesses=warmup_accesses,
-        )
-    return run_fast(
-        simulator,
-        trace,
-        max_accesses=max_accesses,
-        workload_name=workload_name,
-        warmup_accesses=warmup_accesses,
-    )
 
 
 class KernelScratch:

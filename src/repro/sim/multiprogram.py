@@ -164,34 +164,27 @@ class MultiProgramSimulator:
         workload_names: Sequence[str] | None = None,
         max_accesses_per_core: int | None = None,
         warmup_accesses_per_core: int = 0,
-        kernel: str | None = None,
     ) -> MultiProgramResult:
         """Interleave the traces round-robin and return per-core results.
 
-        ``kernel`` selects the execution kernel (:mod:`repro.sim.kernel`):
-        the fast kernel steps each core from its trace's packed columns
-        through reusable scratch buffers, the reference kernel materialises
-        :class:`MemoryAccess` objects and calls ``Simulator.step`` — both
-        produce bit-identical per-core statistics.
+        Each core steps from its trace's packed columns through
+        :func:`~repro.sim.kernel.step_fast` and reusable scratch buffers;
+        ``step_fast`` is looked up per run, so a caller can substitute the
+        reference ``Simulator.step`` for a parity check.
         """
 
-        from repro.sim.kernel import KernelScratch, resolve_kernel, step_fast
+        from repro.sim import kernel
         from repro.sim.stream import access_columns
 
         if len(traces) != len(self.simulators):
             raise ValueError(
                 f"expected {len(self.simulators)} traces, got {len(traces)}"
             )
-        fast = resolve_kernel(kernel) == "fast"
+        step = kernel.step_fast
         names = list(workload_names or ["" for _ in traces])
-        if fast:
-            columns = [access_columns(trace) for trace in traces]
-            positions = [0] * len(traces)
-            scratches = [KernelScratch() for _ in traces]
-            iterators = None
-        else:
-            columns = None
-            iterators = [iter(trace) for trace in traces]
+        columns = [access_columns(trace) for trace in traces]
+        positions = [0] * len(traces)
+        scratches = [kernel.KernelScratch() for _ in traces]
         warmup_stats = [
             SimulationStats(workload=name, configuration=self.configuration_name)
             for name in names
@@ -221,28 +214,20 @@ class MultiProgramSimulator:
                 ):
                     finished[core] = True
                     continue
-                if fast:
-                    cols = columns[core]
-                    position = positions[core]
-                    if position >= cols.length:
-                        finished[core] = True
-                        continue
-                    positions[core] = position + 1
-                    step_fast(
-                        self.simulators[core],
-                        cols.pcs[position],
-                        cols.addresses[position],
-                        bool(cols.writes[position]),
-                        active_stats[core],
-                        scratches[core],
-                    )
-                else:
-                    try:
-                        access = next(iterators[core])
-                    except StopIteration:
-                        finished[core] = True
-                        continue
-                    self.simulators[core].step(access, active_stats[core])
+                cols = columns[core]
+                position = positions[core]
+                if position >= cols.length:
+                    finished[core] = True
+                    continue
+                positions[core] = position + 1
+                step(
+                    self.simulators[core],
+                    cols.pcs[position],
+                    cols.addresses[position],
+                    bool(cols.writes[position]),
+                    active_stats[core],
+                    scratches[core],
+                )
 
         results = []
         for core, simulator in enumerate(self.simulators):

@@ -61,15 +61,14 @@ class TestRunBench:
     def test_parity_mismatch_fails_loudly(self, monkeypatch):
         """The bench must refuse to report rates for diverging kernels."""
 
-        real = bench.run_simulation
+        real = bench.KERNELS["fast"]
 
-        def skewed(simulator, trace, kernel=None, **kwargs):
-            result = real(simulator, trace, kernel=kernel, **kwargs)
-            if kernel == "fast":
-                result.stats.accesses += 1
+        def skewed(simulator, trace, **kwargs):
+            result = real(simulator, trace, **kwargs)
+            result.stats.accesses += 1
             return result
 
-        monkeypatch.setattr(bench, "run_simulation", skewed)
+        monkeypatch.setitem(bench.KERNELS, "fast", skewed)
         with pytest.raises(BenchParityError, match="accesses"):
             run_bench(length=400, repeats=1)
 
@@ -128,40 +127,3 @@ class TestBenchCli:
         assert "kernels disagree" in captured.err
         assert "Traceback" not in captured.err
 
-
-class TestKernelCliFlag:
-    def test_run_accepts_kernel_flag(self, capsys):
-        code = main(
-            [
-                "run",
-                "xalan",
-                "--config",
-                "triage",
-                "--trace-length",
-                "900",
-                "--max-accesses",
-                "400",
-                "--kernel",
-                "reference",
-                "--no-cache",
-            ]
-        )
-        assert code == 0
-        assert "triage" in capsys.readouterr().out
-
-    def test_kernel_flag_does_not_change_output(self, tmp_path, capsys):
-        argv = [
-            "run",
-            "xalan",
-            "--config",
-            "triangel",
-            "--trace-length",
-            "900",
-            "--max-accesses",
-            "400",
-            "--no-cache",
-        ]
-        assert main(argv + ["--kernel", "reference"]) == 0
-        reference_out = capsys.readouterr().out
-        assert main(argv + ["--kernel", "fast"]) == 0
-        assert capsys.readouterr().out == reference_out

@@ -181,7 +181,7 @@ class TestStudyCommands:
             calls.append(spec)
             return execute_spec(spec, *args, **kwargs)
 
-        with patch("repro.experiments.parallel.execute", side_effect=counting):
+        with patch("repro.experiments.jobs.execute", side_effect=counting):
             code = main(
                 [
                     "study",
@@ -215,7 +215,7 @@ class TestStudyCommands:
             calls.append(spec)
             return execute_spec(spec, *args, **kwargs)
 
-        with patch("repro.experiments.parallel.execute", side_effect=counting):
+        with patch("repro.experiments.jobs.execute", side_effect=counting):
             code = main(
                 [
                     "study",

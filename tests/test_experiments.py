@@ -11,11 +11,9 @@ from repro.core.triangel import TriangelPrefetcher
 from repro.experiments import figures
 from repro.experiments.configs import (
     ABLATION_LADDER,
-    ALL_CONFIGS,
     CONFIGS,
     EVALUATION_CONFIGS,
     METADATA_FORMAT_CONFIGS,
-    PARAMETERISED_CONFIGS,
     available_configurations,
     build_prefetchers,
     configuration_signatures,
@@ -87,7 +85,7 @@ class TestConfigurations:
 
     def test_replacement_configs_resolve_with_params(self, small_system):
         expected = {"triage-lru", "triage-srrip", "triage-hawkeye"}
-        assert expected == set(PARAMETERISED_CONFIGS)
+        assert expected == {name for name in CONFIGS if CONFIGS.takes_params(name)}
         prefetcher = build_prefetchers(
             "triage-hawkeye", small_system, params={"max_entries": 64}
         )[1]
@@ -112,8 +110,7 @@ class TestConfigurations:
         assert "triangel" in names and "baseline" in names
         # The unified listing covers plain and parameterised entries alike.
         assert "triage-lru" in names and "triage-hawkeye" in names
-        assert all(name in ALL_CONFIGS or name in PARAMETERISED_CONFIGS for name in names)
-        assert set(names) == set(CONFIGS)
+        assert names == CONFIGS.names()
 
     def test_configuration_signatures(self):
         signatures = configuration_signatures()
@@ -123,26 +120,24 @@ class TestConfigurations:
         assert not CONFIGS.takes_params("baseline")
 
     def test_registry_views_are_live(self, small_system):
-        """Registrations show up in the derived views without re-deriving them."""
+        """Registrations show up in the registry's listings immediately."""
 
-        from repro.experiments.configs import ConfigRegistry, _RegistryView, make_triage
+        from repro.experiments.configs import ConfigRegistry, make_triage
 
         registry = ConfigRegistry()
-        plain = _RegistryView(registry, parameterised=False)
-        parameterised = _RegistryView(registry, parameterised=True)
-        assert "deg2" not in plain and len(plain) == 0
+        assert "deg2" not in registry and registry.names() == []
 
         registry.register("deg2", lambda system: make_triage(system, degree=2))
-        assert "deg2" in plain and "deg2" not in parameterised
-        assert plain["deg2"](small_system)[1].config.degree == 2
+        assert "deg2" in registry and not registry.takes_params("deg2")
+        assert registry.resolve("deg2", small_system)[1].config.degree == 2
 
         def capped(system, max_entries=8):
             return make_triage(system, degree=1, max_entries_override=max_entries)
 
         registry.register("capped", capped)
-        assert "capped" in parameterised and "capped" not in plain
-        with pytest.raises(KeyError):
-            plain["capped"]
+        assert registry.names() == ["capped", "deg2"]
+        assert registry.takes_params("capped")
+        assert registry.signatures()["capped"] == "(max_entries=8)"
 
 
 class TestRunner:

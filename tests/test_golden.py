@@ -33,7 +33,7 @@ from repro.experiments.configs import CONFIGS, MULTIPROGRAM_SERIES, build_prefet
 from repro.experiments.jobs import MultiProgramSpec, execute_multiprogram_spec
 from repro.sim.config import SystemConfig
 from repro.sim.engine import Simulator
-from repro.sim.kernel import run_simulation
+from repro.sim.kernel import run_fast
 from repro.sim.timing import TimingModel
 from repro.traces.format import load_trace
 from repro.traces.recorder import record_workload
@@ -104,10 +104,9 @@ def _single_core(
         config=system,
         configuration_name=configuration,
     )
-    result = run_simulation(
+    result = run_fast(
         simulator,
         trace,
-        kernel="fast",
         workload_name=workload,
         warmup_accesses=int(len(trace) * WARMUP_FRACTION),
     )
@@ -136,7 +135,7 @@ def compute_cell(cell: str, recording: Path) -> dict:
             trace_overrides={"length": PAIR_LENGTH},
             warmup_fraction=WARMUP_FRACTION,
         )
-        payload = execute_multiprogram_spec(spec, kernel="fast").as_payload()
+        payload = execute_multiprogram_spec(spec).as_payload()
     elif workload.startswith(ODD_PREFIX):
         trace = generate_workload(ODD_WORKLOAD, length=ODD_LENGTH)
         payload = _single_core(trace, workload, configuration, ODD_SCALE)

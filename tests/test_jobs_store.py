@@ -14,7 +14,7 @@ from repro.experiments.jobs import (
     execute_spec,
 )
 from repro.experiments.runner import ExperimentRunner, clear_caches
-from repro.experiments.store import ResultStore, default_store
+from repro.experiments.store import ResultStore, default_store, store_stats_payload
 from repro.sim.config import SystemConfig
 from repro.sim.multiprogram import MultiProgramResult
 from repro.sim.stats import SimulationStats
@@ -322,7 +322,14 @@ class TestResultStore:
         blocker.write_text("not a directory")
         store = ResultStore(blocker / "cache")  # mkdir will fail: parent is a file
         spec = make_spec()
-        store.put(spec, SimulationStats(accesses=4))  # must not raise
+        with pytest.warns(RuntimeWarning, match="not writable") as caught:
+            store.put(spec, SimulationStats(accesses=4))  # must not raise
+            store.put(make_spec(max_accesses=400), SimulationStats(accesses=5))
+        warned = [w for w in caught if issubclass(w.category, RuntimeWarning)]
+        assert len(warned) == 1  # once per store instance, naming the directory
+        assert str(blocker / "cache") in str(warned[0].message)
+        assert store.write_errors == 2
+        assert store_stats_payload(store)["write_errors"] == 2
         assert store.get(spec).accesses == 4  # in-memory index still works
         assert ResultStore(blocker / "cache").get(spec) is None  # nothing on disk
 

@@ -1,11 +1,14 @@
 """Kernel parity matrix: the fast kernel must be bit-identical everywhere.
 
-The fast kernel (`repro.sim.kernel`) is the executor's default, so its one
+The fast kernel (`repro.sim.kernel`) runs every simulation, so its one
 obligation is total: for **every** registered configuration — plain,
 parameterised and multiprogrammed — it must produce exactly the statistics
-the readable reference engine produces, counter for counter, cold and
-against a warm store.  These tests enforce that, plus the stream/buffer
-building blocks the kernel runs on.
+the readable reference engine (`Simulator.run` / `Simulator.step`)
+produces, counter for counter.  The execution layer looks `run_fast` and
+`step_fast` up in `repro.sim.kernel` at call time, so these tests reach the
+reference by substituting it there: one spec construction and one
+interleaving feed both kernels.  The stream/buffer building blocks the
+kernel runs on are tested here too.
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ from dataclasses import asdict, replace
 
 import pytest
 
-from repro.experiments.configs import CONFIGS, build_prefetchers
+from repro.experiments.configs import CONFIGS, MULTIPROGRAM_SERIES, build_prefetchers
 from repro.experiments.jobs import (
     RunSpec,
     execute_multiprogram_spec,
@@ -25,17 +28,12 @@ from repro.experiments.jobs import (
 from repro.experiments.runner import ExperimentRunner
 from repro.experiments.store import ResultStore
 from repro.memory.hierarchy import DemandResult
+from repro.memory.request import MemoryAccess
 from repro.prefetch.base import DecisionBuffer
+from repro.sim import kernel as kernel_module
 from repro.sim.config import SystemConfig
 from repro.sim.engine import Simulator
-from repro.sim.kernel import (
-    DEFAULT_KERNEL,
-    KERNEL_ENV,
-    KERNELS,
-    resolve_kernel,
-    run_fast,
-    run_simulation,
-)
+from repro.sim.kernel import run_fast
 from repro.sim.stream import access_columns, expand_write_bitset, pack_columns
 from repro.sim.timing import TimingModel
 from repro.traces.format import PackedTrace, pack_trace
@@ -45,6 +43,9 @@ from repro.workloads.trace import Trace
 
 #: Every name make_replacement_policy() accepts.
 POLICY_NAMES = ("lru", "fifo", "random", "plru", "srrip", "brrip", "hawkeye")
+
+#: The two kernels, both called as ``run(simulator, trace, **options)``.
+KERNELS = {"reference": Simulator.run, "fast": run_fast}
 
 
 @contextmanager
@@ -67,6 +68,22 @@ def time_limit(seconds: float):
         signal.signal(signal.SIGALRM, previous)
 
 
+def reference_step(simulator, pc, address, is_write, stats, scratch) -> None:
+    """``Simulator.step`` in ``step_fast``'s calling convention."""
+
+    simulator.step(MemoryAccess(pc, address, is_write), stats)
+
+
+@contextmanager
+def reference_kernel():
+    """Run ``execute_spec`` and multiprogram runs on the reference engine."""
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(kernel_module, "run_fast", Simulator.run)
+        patch.setattr(kernel_module, "step_fast", reference_step)
+        yield
+
+
 def quick_runner(**overrides) -> ExperimentRunner:
     defaults = dict(
         max_accesses=500,
@@ -81,10 +98,17 @@ def quick_runner(**overrides) -> ExperimentRunner:
 def both_kernels(spec: RunSpec):
     """(reference, fast) statistics for one spec, computed without a store."""
 
-    return (
-        execute_spec(spec, kernel="reference"),
-        execute_spec(spec, kernel="fast"),
-    )
+    with reference_kernel():
+        reference = execute_spec(spec)
+    return reference, execute_spec(spec)
+
+
+def assert_pair_parity(spec) -> None:
+    """The reference and fast multiprogram runs of one spec are identical."""
+
+    with reference_kernel():
+        reference = execute_multiprogram_spec(spec)
+    assert reference.as_payload() == execute_multiprogram_spec(spec).as_payload()
 
 
 def prefetcher_counters(simulator: Simulator) -> dict:
@@ -132,13 +156,11 @@ class TestParityMatrix:
         )
         trace = generate_workload(workload, **sizing)
         snapshots = {}
-        for kernel in ("reference", "fast"):
+        for name, run in KERNELS.items():
             simulator = build_simulator(configuration)
-            run_simulation(
-                simulator, trace, kernel=kernel, warmup_accesses=400
-            )
+            run(simulator, trace, warmup_accesses=400)
             hierarchy = simulator.hierarchy
-            snapshots[kernel] = (
+            snapshots[name] = (
                 hierarchy.stats.demand_accesses,
                 hierarchy.stats.late_prefetch_stall_cycles,
                 asdict(hierarchy.dram.stats),
@@ -171,12 +193,10 @@ class TestParityMatrix:
         trace = generate_workload("xalan", length=1500)
         results = {}
         counters = {}
-        for kernel in KERNELS:
+        for name, run in KERNELS.items():
             simulator = build_simulator("triangel", system)
-            results[kernel] = run_simulation(
-                simulator, trace, kernel=kernel, warmup_accesses=400
-            )
-            counters[kernel] = prefetcher_counters(simulator)
+            results[name] = run(simulator, trace, warmup_accesses=400)
+            counters[name] = prefetcher_counters(simulator)
         assert asdict(results["reference"].stats) == asdict(results["fast"].stats)
         assert counters["reference"] == counters["fast"]
 
@@ -186,27 +206,37 @@ class TestParityMatrix:
         packed = pack_trace(generate_workload("mcf", length=1400))
         assert isinstance(packed, PackedTrace)
         stats = {}
-        for kernel in KERNELS:
+        for name, run in KERNELS.items():
             simulator = build_simulator("triage")
-            stats[kernel] = run_simulation(
-                simulator, packed, kernel=kernel, warmup_accesses=300
-            ).stats
+            stats[name] = run(simulator, packed, warmup_accesses=300).stats
         assert asdict(stats["reference"]) == asdict(stats["fast"])
 
 
 class TestParityMultiprogram:
-    @pytest.mark.parametrize("share_metadata", [True, False])
-    def test_multiprogram_pair(self, share_metadata):
+    @staticmethod
+    def pair_spec(configuration: str, share_metadata: bool = True):
         runner = ExperimentRunner(trace_overrides={"length": 900}, use_cache=False)
-        spec = runner.multiprogram_spec_for(
+        return runner.multiprogram_spec_for(
             ["xalan", "omnet"],
-            "triangel",
+            configuration,
             max_accesses_per_core=400,
             share_metadata=share_metadata,
         )
-        reference = execute_multiprogram_spec(spec, kernel="reference")
-        fast = execute_multiprogram_spec(spec, kernel="fast")
-        assert reference.as_payload() == fast.as_payload()
+
+    @pytest.mark.parametrize("share_metadata", [True, False])
+    def test_multiprogram_pair(self, share_metadata):
+        """Triangel, with shared and with core-private metadata."""
+
+        assert_pair_parity(self.pair_spec("triangel", share_metadata))
+
+    @pytest.mark.parametrize(
+        "configuration",
+        [name for name in ("baseline", *MULTIPROGRAM_SERIES) if name != "triangel"],
+    )
+    def test_figure_16_series(self, configuration):
+        """Figure 16's other series and its baseline, with shared metadata."""
+
+        assert_pair_parity(self.pair_spec(configuration))
 
     def test_multiprogram_parameterised(self):
         runner = ExperimentRunner(trace_overrides={"length": 800}, use_cache=False)
@@ -216,9 +246,7 @@ class TestParityMultiprogram:
             max_accesses_per_core=300,
             config_params={"max_entries": 128},
         )
-        reference = execute_multiprogram_spec(spec, kernel="reference")
-        fast = execute_multiprogram_spec(spec, kernel="fast")
-        assert reference.as_payload() == fast.as_payload()
+        assert_pair_parity(spec)
 
 
 class TestParityEdges:
@@ -234,12 +262,11 @@ class TestParityEdges:
     def test_warmup_and_cap_edges(self, warmup, cap):
         trace = self.make_trace()
         stats = {}
-        for kernel in KERNELS:
+        for name, run in KERNELS.items():
             simulator = build_simulator("triangel")
-            stats[kernel] = run_simulation(
+            stats[name] = run(
                 simulator,
                 trace,
-                kernel=kernel,
                 max_accesses=cap,
                 warmup_accesses=warmup,
                 workload_name="xalan",
@@ -249,9 +276,9 @@ class TestParityEdges:
             assert stats["fast"].accesses == 0
 
     def test_empty_trace(self):
-        for kernel in KERNELS:
+        for run in KERNELS.values():
             simulator = build_simulator("baseline")
-            result = run_simulation(simulator, Trace(name="empty"), kernel=kernel)
+            result = run(simulator, Trace(name="empty"))
             assert result.stats.accesses == 0
 
     @pytest.mark.parametrize(
@@ -277,50 +304,24 @@ class TestParityEdges:
         system = SystemConfig.scaled(scale)
         params = replace(system.hierarchy, line_size=line_size)
         stats = {}
-        for kernel in KERNELS:
+        for name, run in KERNELS.items():
             simulator = Simulator(
                 MemoryHierarchy(params),
                 build_prefetchers("triangel", system),
                 timing=TimingModel(system.timing),
                 configuration_name="triangel",
             )
-            stats[kernel] = run_simulation(
-                simulator, trace, kernel=kernel, warmup_accesses=length // 4
-            ).stats
+            stats[name] = run(simulator, trace, warmup_accesses=length // 4).stats
         assert asdict(stats["reference"]) == asdict(stats["fast"])
         if scale != 1.0:
             assert stats["fast"].temporal_prefetches_issued > 0
 
 
 class TestWarmStoreAcrossKernels:
-    """Bit-identical results mean the kernels share one store entry."""
-
-    def test_fast_cold_then_reference_warm(self, tmp_path):
-        store = ResultStore(tmp_path)
-        fast_runner = quick_runner(use_cache=True, store=store, kernel="fast")
-        stats_cold = fast_runner.run("xalan", "triangel")
-        executions = store.puts
-        reference_runner = quick_runner(
-            use_cache=True, store=store, kernel="reference"
-        )
-        stats_warm = reference_runner.run("xalan", "triangel")
-        assert store.puts == executions  # replayed, not re-simulated
-        assert asdict(stats_warm) == asdict(stats_cold)
-
-    def test_reference_cold_then_fast_warm(self, tmp_path):
-        store = ResultStore(tmp_path)
-        reference_runner = quick_runner(
-            use_cache=True, store=store, kernel="reference"
-        )
-        cold = reference_runner.run("omnet", "triage")
-        puts = store.puts
-        fast_runner = quick_runner(use_cache=True, store=store, kernel="fast")
-        warm = fast_runner.run("omnet", "triage")
-        assert store.puts == puts
-        assert asdict(cold) == asdict(warm)
+    """Bit-identical results mean one store entry serves either kernel."""
 
     def test_cross_kernel_store_matches_fresh_execution(self, tmp_path):
-        """A store warmed by either kernel serves the other's exact output."""
+        """A store warmed by the fast kernel serves the reference's exact output."""
 
         runner = quick_runner()
         spec = runner.spec_for("xalan", "triangel-bloom")
@@ -332,28 +333,32 @@ class TestWarmStoreAcrossKernels:
 
 
 class TestKernelSelection:
-    def test_resolution_precedence(self, monkeypatch):
-        monkeypatch.delenv(KERNEL_ENV, raising=False)
-        assert resolve_kernel() == DEFAULT_KERNEL == "fast"
-        monkeypatch.setenv(KERNEL_ENV, "reference")
-        assert resolve_kernel() == "reference"
-        assert resolve_kernel("fast") == "fast"  # explicit beats environment
+    """The kernel is a call-time lookup in ``repro.sim.kernel``."""
 
-    def test_unknown_kernel_rejected(self, monkeypatch):
-        with pytest.raises(ValueError, match="unknown kernel"):
-            resolve_kernel("turbo")
-        monkeypatch.setenv(KERNEL_ENV, "warp")
-        with pytest.raises(ValueError, match="unknown kernel"):
-            resolve_kernel()
+    def test_reference_substitution_reaches_every_access(self, monkeypatch):
+        """Substituting the reference engine sends every access of a spec —
+        warm-up and sample, single-core and each core of a pair — through
+        ``Simulator.step``; the fast kernel sends none."""
 
-    def test_env_override_reaches_execute(self, monkeypatch):
-        runner = quick_runner()
-        spec = runner.spec_for("xalan", "baseline")
-        monkeypatch.setenv(KERNEL_ENV, "reference")
-        via_env = execute_spec(spec)
-        monkeypatch.delenv(KERNEL_ENV)
-        via_default = execute_spec(spec)
-        assert asdict(via_env) == asdict(via_default)
+        steps = []
+        real_step = Simulator.step
+
+        def counting(simulator, access, stats):
+            steps.append(access)
+            real_step(simulator, access, stats)
+
+        monkeypatch.setattr(Simulator, "step", counting)
+        single = quick_runner().spec_for("xalan", "baseline")
+        pair = TestParityMultiprogram.pair_spec("triangel")
+        execute_spec(single)
+        execute_multiprogram_spec(pair)
+        assert steps == []
+        with reference_kernel():
+            execute_spec(single)
+            assert len(steps) == int(1100 * 0.3) + 500
+            execute_multiprogram_spec(pair)
+        # Two cores, each warmed on 40% of its 400-access cap, then capped.
+        assert len(steps) == int(1100 * 0.3) + 500 + 2 * (int(400 * 0.4) + 400)
 
     def test_store_cache_key_covers_kernel_module(self):
         """The code-version salt must re-key the store when the kernel changes."""

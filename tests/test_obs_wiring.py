@@ -1,4 +1,4 @@
-"""Tests for the telemetry *wiring*: kernel → executor → scheduler → service.
+"""Tests for the telemetry *wiring*: kernel → scheduler → service.
 
 The unit behaviour of the metrics registry, spans and event log lives in
 ``test_obs.py``; this module checks the layers that record into them:
@@ -26,7 +26,6 @@ from repro.cli import main
 from repro.client import ServiceClient
 from repro.experiments.configs import build_prefetchers
 from repro.experiments.jobs import trace_for_workload
-from repro.experiments.parallel import BatchExecutor
 from repro.experiments.runner import ExperimentRunner
 from repro.experiments.store import ResultStore
 from repro.obs import events as events_module
@@ -36,6 +35,7 @@ from repro.service.server import METRICS_CONTENT_TYPE, build_server
 from repro.sim import kernel as kernel_module
 from repro.sim.config import SystemConfig
 from repro.sim.engine import Simulator
+from repro.sim.stats import SimulationStats
 from repro.sim.timing import TimingModel
 
 
@@ -239,22 +239,6 @@ class TestSchedulerTelemetry:
         assert "store_io" in warm.telemetry["phases"]
         assert "execute" not in warm.telemetry["phases"]
 
-    def test_executor_surfaces_last_telemetry(self, tmp_path, telemetry):
-        store = ResultStore(tmp_path / "store")
-        spec = quick_runner(store=store).spec_for("xalan", "baseline")
-        executor = BatchExecutor(store=store, jobs=1)
-        executor.run([spec])
-        assert executor.last_telemetry is not None
-        assert executor.last_telemetry["provenance"]["executed"] == 1
-        assert executor.last_telemetry["phases"]["execute"] > 0
-
-    def test_executor_telemetry_none_when_disabled(self, tmp_path, no_telemetry):
-        store = ResultStore(tmp_path / "store")
-        spec = quick_runner(store=store).spec_for("xalan", "baseline")
-        executor = BatchExecutor(store=store, jobs=1)
-        executor.run([spec])
-        assert executor.last_telemetry is None
-
     def test_disabled_job_has_no_telemetry(self, tmp_path, no_telemetry):
         store = ResultStore(tmp_path / "store")
         spec = quick_runner(store=store).spec_for("xalan", "baseline")
@@ -263,6 +247,20 @@ class TestSchedulerTelemetry:
             assert job.wait(60)
         assert job.telemetry is None
         assert "telemetry" not in job.snapshot()
+
+    def test_store_write_failure_is_an_event(self, tmp_path, telemetry):
+        blocker = tmp_path / "blocker"
+        blocker.write_text("not a directory")
+        store = ResultStore(blocker / "cache")  # mkdir fails: parent is a file
+        spec = quick_runner(store=store).spec_for("xalan", "baseline")
+        with pytest.warns(RuntimeWarning, match="not writable"):
+            store.put(spec, SimulationStats(accesses=1))
+        failures = [
+            record
+            for record in events_module.default_log().read()
+            if record["event"] == "store_write_failed"
+        ]
+        assert [record["path"] for record in failures] == [str(blocker / "cache")]
 
 
 # ---------------------------------------------------------------------------

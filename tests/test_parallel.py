@@ -1,9 +1,9 @@
-"""Tests for the batch executor: dedupe, parallel determinism, persistence."""
+"""Tests for one-shot batches: dedupe, parallel determinism, persistence."""
 
 from repro.experiments.jobs import RunSpec
-from repro.experiments.parallel import BatchExecutor
 from repro.experiments.runner import ExperimentRunner, clear_caches
 from repro.experiments.store import ResultStore
+from repro.service.scheduler import Scheduler
 from repro.sim.multiprogram import MultiProgramResult
 from repro.sim.stats import SimulationStats
 
@@ -25,12 +25,13 @@ def spec(runner: ExperimentRunner, workload: str, configuration: str) -> RunSpec
     return runner.spec_for(workload, configuration)
 
 
-class TestBatchExecutor:
+class TestSchedulerRun:
     def test_batch_dedupes_specs(self, tmp_path):
         store = ResultStore(tmp_path)
         runner = quick_runner(store=store)
         one = spec(runner, "xalan", "baseline")
-        results = BatchExecutor(store=store, jobs=1).run([one, one, one])
+        with Scheduler(store=store) as scheduler:
+            results = scheduler.run([one, one, one])
         assert len(results) == 1
         assert store.puts == 1
 
@@ -38,18 +39,17 @@ class TestBatchExecutor:
         store = ResultStore(tmp_path)
         runner = quick_runner(store=store)
         batch = [spec(runner, w, "baseline") for w in WORKLOADS]
-        executor = BatchExecutor(store=store, jobs=1)
-        executor.run(batch)
-        puts_after_first = store.puts
-        executor.run(batch)
+        with Scheduler(store=store) as scheduler:
+            scheduler.run(batch)
+            puts_after_first = store.puts
+            scheduler.run(batch)
         assert store.puts == puts_after_first  # nothing re-ran
         assert store.hits >= len(batch)
 
     def test_no_store_executes_everything(self):
         runner = quick_runner(use_cache=False)
-        results = BatchExecutor(store=None, jobs=1).run(
-            [spec(runner, "xalan", "baseline")]
-        )
+        with Scheduler() as scheduler:
+            results = scheduler.run([spec(runner, "xalan", "baseline")])
         assert next(iter(results.values())).accesses == 600
 
 
@@ -104,7 +104,7 @@ class TestMultiProgramBatches:
         runner = quick_runner(store=store)
         single = spec(runner, "xalan", "baseline")
         multi = runner.multiprogram_spec_for(("xalan", "omnet"), "baseline", 100)
-        results = BatchExecutor(store=store, jobs=1).run([single, multi, single])
+        results = runner.submit([single, multi, single])
         assert len(results) == 2
         assert isinstance(results[single], SimulationStats)
         assert isinstance(results[multi], MultiProgramResult)

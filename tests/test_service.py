@@ -21,7 +21,6 @@ import pytest
 from repro.cli import main
 from repro.client import ServiceClient, ServiceError
 from repro.experiments.jobs import code_version
-from repro.experiments.parallel import BatchExecutor
 from repro.experiments.runner import ExperimentRunner
 from repro.experiments.store import ResultStore, default_store, store_stats_payload
 from repro.service import scheduler as scheduler_module
@@ -81,7 +80,7 @@ class TestSchedulerCore:
         store = ResultStore(tmp_path)
         runner = quick_runner(store=store)
         spec = runner.spec_for("xalan", "baseline")
-        BatchExecutor(store=store, jobs=1).run([spec])
+        runner.submit([spec])
 
         backend = ManualBackend()
         with Scheduler(store=store, backend=backend) as scheduler:
@@ -198,7 +197,7 @@ class TestCancellation:
         store = ResultStore(tmp_path)
         runner = quick_runner(store=store)
         spec = runner.spec_for("xalan", "baseline")
-        BatchExecutor(store=store, jobs=1).run([spec])
+        runner.submit([spec])
         with Scheduler(store=store) as scheduler:
             job = scheduler.submit([spec])
             assert job.wait(5)
@@ -255,7 +254,7 @@ class TestQuota:
         store = ResultStore(tmp_path)
         runner = quick_runner(store=store)
         warm = [runner.spec_for(w, "baseline") for w in ("xalan", "omnet")]
-        BatchExecutor(store=store, jobs=1).run(warm)
+        runner.submit(warm)
         miss = runner.spec_for("mcf", "baseline")
         with Scheduler(store=store, backend=ManualBackend(), quota=1) as scheduler:
             # Two hits + one miss fits a quota of one unresolved spec.
@@ -571,9 +570,9 @@ class TestStoreConcurrentWriters:
 
         if "fork" not in multiprocessing.get_all_start_methods():
             pytest.skip("fork start method unavailable")
-        runner = quick_runner(store=None)
+        runner = quick_runner(use_cache=False)
         base = runner.spec_for("xalan", "baseline")
-        result = BatchExecutor(store=None, jobs=1).run([base])[base]
+        result = runner.submit([base])[base]
         specs = [
             dataclasses.replace(base, max_accesses=600 + index)
             for index in range(48)
@@ -610,7 +609,7 @@ class TestServiceCLI:
     def test_cache_show_json_shares_the_service_serializer(self, capsys):
         store = default_store()
         runner = quick_runner(store=store)
-        BatchExecutor(store=store, jobs=1).run([runner.spec_for("xalan", "baseline")])
+        runner.submit([runner.spec_for("xalan", "baseline")])
         assert main(["cache", "show", "--json"]) == 0
         payload = json.loads(capsys.readouterr().out)
         expected = store_stats_payload(store)

@@ -382,7 +382,7 @@ class TestEncodingParityMatrix:
         results = {}
         for workload in ("xalan", "trace:bh"):
             spec = runner.spec_for(workload, configuration, params)
-            stats = asdict(execute_spec(spec, kernel="fast"))
+            stats = asdict(execute_spec(spec))
             stats["workload"] = "trace"  # the only legitimate difference
             results[workload] = stats
         assert results["trace:bh"] == results["xalan"]
