@@ -21,15 +21,18 @@ Each spec's ``content_hash`` keys the persistent result store
 every field (including a ``kind`` discriminator, so the two spec types can
 never collide) plus a code-version salt derived from the simulator sources,
 so results cached by one version of the code are never replayed by another.
+Each instance computes its digest once and keeps it beside the code version
+it was salted with, so asking again is a lookup.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import asdict, dataclass
+from collections.abc import Mapping, Sequence
+from dataclasses import dataclass, fields
+from functools import cache
 from pathlib import Path
-from typing import Mapping, Sequence
 
 from repro.sim.config import SystemConfig, TimingParams
 from repro.memory.hierarchy import HierarchyParams
@@ -81,13 +84,33 @@ def code_version() -> str:
     return _code_version_cache
 
 
-def _freeze(value):
-    """Recursively convert mappings/sequences to sorted, hashable tuples."""
+#: Types :func:`_freeze` returns as they are, checked by exact type first.
+_SCALAR_TYPES = frozenset((int, float, str, bool, type(None)))
 
+
+@cache
+def _sorted_field_names(cls: type) -> tuple[str, ...]:
+    return tuple(sorted(field.name for field in fields(cls)))
+
+
+def _freeze(value):
+    """Recursively convert mappings/sequences to sorted, hashable tuples.
+
+    A dataclass instance (a :class:`SystemConfig` tree) freezes to the same
+    tree as ``_freeze(asdict(value))`` — its fields as name-sorted
+    ``(name, value)`` pairs — by walking the fields instead of deep-copying
+    them into a dictionary first.
+    """
+
+    if type(value) in _SCALAR_TYPES:
+        return value
     if isinstance(value, Mapping):
         return tuple(sorted((key, _freeze(item)) for key, item in value.items()))
     if isinstance(value, (list, tuple)):
-        return tuple(_freeze(item) for item in value)
+        return tuple([_freeze(item) for item in value])
+    if hasattr(type(value), "__dataclass_fields__"):
+        names = _sorted_field_names(type(value))
+        return tuple([(name, _freeze(getattr(value, name))) for name in names])
     return value
 
 
@@ -174,11 +197,25 @@ class _SpecBase:
 
     # -- identity -----------------------------------------------------------
     def content_hash(self) -> str:
-        """Hex digest keying the persistent store (salted by code version)."""
+        """Hex digest keying the persistent store (salted by code version).
 
+        The SHA-256 of ``code_version()``, ``|`` and the key-sorted compact
+        JSON of :meth:`as_dict`.  It is computed once per instance and cached
+        as a ``(code_version, digest)`` pair, so a code-version change
+        re-keys the instance.  The canonical JSON itself is not kept.  The
+        cache is a plain instance attribute, not a dataclass field: it takes
+        no part in equality, ``hash()``, ``repr`` or
+        :func:`dataclasses.replace`, and it pickles with the spec.
+        """
+
+        version = code_version()
+        cached = self.__dict__.get("_digest")
+        if cached is not None and cached[0] == version:
+            return cached[1]
         canonical = json.dumps(self.as_dict(), sort_keys=True, separators=(",", ":"))
-        digest = hashlib.sha256(f"{code_version()}|{canonical}".encode())
-        return digest.hexdigest()
+        digest = hashlib.sha256(f"{version}|{canonical}".encode()).hexdigest()
+        object.__setattr__(self, "_digest", (version, digest))
+        return digest
 
 
 @dataclass(frozen=True)
@@ -226,7 +263,7 @@ class RunSpec(_SpecBase):
         return cls(
             workload=workload,
             configuration=configuration,
-            system=_freeze(asdict(system)),
+            system=_freeze(system),
             trace_overrides=_freeze(dict(trace_overrides or {})),
             warmup_fraction=warmup_fraction,
             max_accesses=max_accesses,
@@ -310,7 +347,7 @@ class MultiProgramSpec(_SpecBase):
         return cls(
             workloads=tuple(workloads),
             configuration=configuration,
-            system=_freeze(asdict(system)),
+            system=_freeze(system),
             trace_overrides=_freeze(dict(trace_overrides or {})),
             warmup_fraction=warmup_fraction,
             max_accesses_per_core=max_accesses_per_core,

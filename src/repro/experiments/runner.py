@@ -74,6 +74,9 @@ class ExperimentRunner:
     jobs: int = 1
     #: result store; ``None`` means the process-wide default store.
     store: ResultStore | None = None
+    #: every spec this runner has made, keyed by value: an equal spec comes
+    #: back as the first instance, so its cached digest is computed once.
+    _specs: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     # -- the spec → scheduler → store plumbing -------------------------------
     def spec_for(
@@ -86,17 +89,20 @@ class ExperimentRunner:
 
         ``config_params`` carries the call-time parameters of a
         parameterised configuration; they become part of the spec's identity
-        (and hence the store key).
+        (and hence the store key).  Equal calls return the same instance
+        (see :meth:`_intern`).
         """
 
-        return RunSpec.create(
-            workload=workload,
-            configuration=configuration,
-            system=self.system,
-            trace_overrides=self.trace_overrides,
-            warmup_fraction=self.warmup_fraction,
-            max_accesses=self.max_accesses,
-            config_params=config_params,
+        return self._intern(
+            RunSpec.create(
+                workload=workload,
+                configuration=configuration,
+                system=self.system,
+                trace_overrides=self.trace_overrides,
+                warmup_fraction=self.warmup_fraction,
+                max_accesses=self.max_accesses,
+                config_params=config_params,
+            )
         )
 
     def multiprogram_spec_for(
@@ -115,16 +121,29 @@ class ExperimentRunner:
 
         if configuration not in CONFIGS:
             raise ValueError(f"unknown configuration {configuration!r}")
-        return MultiProgramSpec.create(
-            workloads=workloads,
-            configuration=configuration,
-            system=self.system,
-            trace_overrides=self.trace_overrides,
-            warmup_fraction=self.warmup_fraction,
-            max_accesses_per_core=max_accesses_per_core,
-            share_metadata=share_metadata,
-            config_params=config_params,
+        return self._intern(
+            MultiProgramSpec.create(
+                workloads=workloads,
+                configuration=configuration,
+                system=self.system,
+                trace_overrides=self.trace_overrides,
+                warmup_fraction=self.warmup_fraction,
+                max_accesses_per_core=max_accesses_per_core,
+                share_metadata=share_metadata,
+                config_params=config_params,
+            )
         )
+
+    def _intern(self, spec: Spec) -> Spec:
+        """The first instance of ``spec`` this runner made.
+
+        The spec is always built from the runner's current fields, so a
+        changed field yields a new spec; interning only folds equal ones.
+        A study's reduce pass re-derives the specs its compile pass made,
+        and through the interned instances it reuses their digests.
+        """
+
+        return self._specs.setdefault(spec, spec)
 
     def _store(self) -> ResultStore | None:
         if not self.use_cache:

@@ -284,17 +284,18 @@ class ResultStore:
 
         key = spec.content_hash()
         kind, payload = result_to_record(result)
+        canonical = spec.as_dict()
         self._append(
             {
                 "key": key,
                 "v": code_version(),
                 "kind": kind,
-                "spec": spec.as_dict(),
+                "spec": canonical,
                 "payload": payload,
             }
         )
         self._load_index()[key] = result
-        self._meta[key] = {"kind": kind, "spec": spec.as_dict()}
+        self._meta[key] = {"kind": kind, "spec": canonical}
         self.puts += 1
         if obs.enabled():
             _STORE_PUTS.inc()

@@ -87,15 +87,41 @@ def _names(value, field_name: str) -> list[str]:
     return value
 
 
+def _positive_int(payload: Mapping, key: str) -> int | None:
+    """A positive integer field (a JSON bool is not one), or ``None`` if null."""
+
+    value = payload.get(key)
+    if value is None:
+        return None
+    if isinstance(value, bool) or not isinstance(value, int) or value <= 0:
+        raise ValueError(f"{key} must be a positive integer or null, got {value!r}")
+    return value
+
+
+def _warmup_fraction(payload: Mapping) -> float:
+    """The warm-up fraction: a real number in [0, 1), 0.4 when absent."""
+
+    value = payload.get("warmup_fraction", 0.4)
+    real = isinstance(value, (int, float)) and not isinstance(value, bool)
+    if not real or not 0 <= value < 1:
+        raise ValueError(f"warmup_fraction must be a number in [0, 1), got {value!r}")
+    return float(value)
+
+
+def _share_metadata(payload: Mapping) -> bool:
+    """The multiprogram metadata-sharing flag: a JSON boolean, true when absent."""
+
+    value = payload.get("share_metadata", True)
+    if not isinstance(value, bool):
+        raise ValueError(f"share_metadata must be true or false, got {value!r}")
+    return value
+
+
 def _trace_overrides(payload: Mapping) -> dict:
     """Trace-generation overrides from a request (same rule as the CLI)."""
 
-    length = payload.get("trace_length")
-    if length is None:
-        return {}
-    if not isinstance(length, int) or length <= 0:
-        raise ValueError("trace_length must be a positive integer")
-    return {"length": length}
+    length = _positive_int(payload, "trace_length")
+    return {} if length is None else {"length": length}
 
 
 def _runner_for(payload: Mapping, store: ResultStore | None) -> ExperimentRunner:
@@ -103,9 +129,9 @@ def _runner_for(payload: Mapping, store: ResultStore | None) -> ExperimentRunner
 
     return ExperimentRunner(
         system=SystemConfig.scaled(float(payload.get("scale", 1.0))),
-        max_accesses=payload.get("max_accesses"),
+        max_accesses=_positive_int(payload, "max_accesses"),
         trace_overrides=_trace_overrides(payload),
-        warmup_fraction=float(payload.get("warmup_fraction", 0.4)),
+        warmup_fraction=_warmup_fraction(payload),
         store=store,
     )
 
@@ -179,8 +205,8 @@ def _compile_multiprogram(
     spec = runner.multiprogram_spec_for(
         workloads,
         configuration,
-        payload.get("max_accesses_per_core"),
-        share_metadata=bool(payload.get("share_metadata", True)),
+        _positive_int(payload, "max_accesses_per_core"),
+        share_metadata=_share_metadata(payload),
         config_params=payload.get("config_params") or None,
     )
 
@@ -207,7 +233,7 @@ def _compile_study(payload: Mapping, store: ResultStore | None) -> CompiledReque
         else None,
         assignments=_assignments(payload),
     )
-    max_accesses = payload.get("max_accesses")
+    max_accesses = _positive_int(payload, "max_accesses")
     if study.pairs and max_accesses is not None:
         # Same rule as the CLI: multiprogram specs cap per-core accesses.
         raise ValueError(

@@ -104,6 +104,9 @@ class MarkovTable:
         )
         self._indexing_ways = [initial_ways] * l3_sets
         self._ways = initial_ways
+        # Valid entries, kept as a running count: capped configurations
+        # read it on every training event (see :meth:`occupancy`).
+        self._occupancy = 0
         self.stats = MarkovStats()
 
     # -- geometry -------------------------------------------------------------
@@ -181,11 +184,13 @@ class MarkovTable:
         self._indexing_ways[set_index] = self._ways
         if self._ways == 0:
             self.stats.entries_dropped_on_rearrange += len(survivors)
+            self._occupancy -= len(survivors)
             return
         for entry in survivors:
             placed = self._place_rearranged(set_index, entry)
             if not placed:
                 self.stats.entries_dropped_on_rearrange += 1
+                self._occupancy -= 1
 
     def _place_rearranged(self, set_index: int, entry: MarkovEntry) -> bool:
         way = self._sub_set(entry.tag)
@@ -288,6 +293,8 @@ class MarkovTable:
             )
             evicted_tag = line[victim_slot].tag
             self.stats.evictions += 1
+        else:
+            self._occupancy += 1
         entry = line[victim_slot]
         entry.valid = True
         entry.tag = tag
@@ -300,12 +307,11 @@ class MarkovTable:
 
     # -- diagnostics ----------------------------------------------------------------
     def occupancy(self) -> int:
-        """Number of valid entries currently stored."""
+        """Number of valid entries currently stored.
 
-        count = 0
-        for per_set in self._lines:
-            for line in per_set:
-                for entry in line:
-                    if entry.valid:
-                        count += 1
-        return count
+        A running count: :meth:`train` adds one when it fills an invalid
+        slot, and a rearrangement subtracts each entry it drops (the
+        entries ``entries_dropped_on_rearrange`` counts).
+        """
+
+        return self._occupancy

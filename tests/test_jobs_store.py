@@ -1,13 +1,18 @@
 """Tests for run specs (hashing, reconstruction) and the persistent store."""
 
 import dataclasses
+import hashlib
 import json
+import pickle
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.experiments.jobs import (
     MultiProgramSpec,
     RunSpec,
+    _freeze,
     code_version,
     execute,
     execute_multiprogram_spec,
@@ -15,7 +20,8 @@ from repro.experiments.jobs import (
 )
 from repro.experiments.runner import ExperimentRunner, clear_caches
 from repro.experiments.store import ResultStore, default_store, store_stats_payload
-from repro.sim.config import SystemConfig
+from repro.memory.hierarchy import HierarchyParams
+from repro.sim.config import SystemConfig, TimingParams
 from repro.sim.multiprogram import MultiProgramResult
 from repro.sim.stats import SimulationStats
 
@@ -97,10 +103,15 @@ class TestRunSpec:
         from repro.experiments import jobs
 
         assert code_version() == code_version()  # stable within a process
-        before = make_spec().content_hash()
+        spec = make_spec()
+        before = spec.content_hash()
         assert len(before) == 64
         monkeypatch.setattr(jobs, "_code_version_cache", "other-code-version")
         assert make_spec().content_hash() != before
+        # The digest cached on an instance is re-keyed too.
+        assert spec.content_hash() == make_spec().content_hash()
+        monkeypatch.undo()
+        assert spec.content_hash() == before
 
     def test_execute_spec_runs_from_spec_alone(self):
         stats = execute_spec(make_spec(max_accesses=300, warmup_fraction=0.2))
@@ -123,6 +134,129 @@ class TestRunSpec:
         )
         assert next(iter(jobs._TRACE_MEMO.values())) is trace
         assert len(jobs._TRACE_MEMO) == 1
+
+
+def _field_values(cls) -> st.SearchStrategy:
+    """Values for every scalar field of a config dataclass, drawn by type."""
+
+    by_type = {
+        int: st.integers(),
+        float: st.floats(allow_nan=False),
+        str: st.text(max_size=8),
+    }
+    return st.fixed_dictionaries(
+        {
+            field.name: by_type[type(field.default)]
+            for field in dataclasses.fields(cls)
+            if type(field.default) in by_type
+        }
+    )
+
+
+class TestSpecIdentity:
+    """Spec identity is computed once per instance, but never changes."""
+
+    @pytest.mark.parametrize(
+        "system",
+        [SystemConfig.scaled(), SystemConfig.scaled(1.5), SystemConfig.paper()],
+        ids=["scaled", "scaled-1.5", "paper"],
+    )
+    def test_field_walk_freezes_like_asdict(self, system):
+        assert _freeze(system) == _freeze(dataclasses.asdict(system))
+        assert make_spec(system=system).system == _freeze(dataclasses.asdict(system))
+
+    @given(
+        top=_field_values(SystemConfig),
+        hierarchy=_field_values(HierarchyParams),
+        timing=_field_values(TimingParams),
+    )
+    @settings(max_examples=50, deadline=None)
+    def test_field_walk_freezes_like_asdict_for_any_values(self, top, hierarchy, timing):
+        system = SystemConfig(
+            hierarchy=HierarchyParams(**hierarchy), timing=TimingParams(**timing), **top
+        )
+        assert _freeze(system) == _freeze(dataclasses.asdict(system))
+
+    @pytest.mark.parametrize("factory", [make_spec, make_mp_spec])
+    def test_content_hash_keeps_its_definition(self, factory):
+        spec = factory()
+        canonical = json.dumps(spec.as_dict(), sort_keys=True, separators=(",", ":"))
+        expected = hashlib.sha256(f"{code_version()}|{canonical}".encode()).hexdigest()
+        assert spec.content_hash() == expected
+        assert spec.content_hash() == expected  # the cached answer
+
+    @pytest.mark.parametrize("factory", [make_spec, make_mp_spec])
+    def test_cached_digest_matches_fresh_spec_and_survives_pickling(self, factory):
+        spec = factory()
+        digest = spec.content_hash()
+        assert factory().content_hash() == digest
+        restored = pickle.loads(pickle.dumps(spec))
+        assert restored == spec
+        assert restored.content_hash() == digest
+
+    def test_cache_takes_no_part_in_equality_or_repr(self):
+        hashed, fresh = make_spec(), make_spec()
+        hashed.content_hash()
+        assert hashed == fresh
+        assert hash(hashed) == hash(fresh)
+        assert repr(hashed) == repr(fresh)
+
+    @pytest.mark.parametrize(
+        ("factory", "change"),
+        [
+            (make_spec, {"max_accesses": 501}),
+            (make_spec, {"workload": "mcf"}),
+            (make_mp_spec, {"share_metadata": False}),
+            (make_mp_spec, {"max_accesses_per_core": 201}),
+        ],
+    )
+    def test_replace_gives_a_new_digest(self, factory, change):
+        spec = factory()
+        digest = spec.content_hash()
+        changed = dataclasses.replace(spec, **change)
+        assert changed.content_hash() != digest
+        assert changed.content_hash() == factory(**change).content_hash()
+
+    def test_runner_interns_equal_specs(self):
+        runner = ExperimentRunner(trace_overrides={"length": 1000}, max_accesses=300)
+        first = runner.spec_for("xalan", "triage")
+        assert runner.spec_for("xalan", "triage") is first
+        capped = runner.spec_for("xalan", "triage-lru", {"max_entries": 64})
+        assert runner.spec_for("xalan", "triage-lru", {"max_entries": 64}) is capped
+        assert runner.spec_for("mcf", "triage") is not first
+        pair = runner.multiprogram_spec_for(["xalan", "mcf"], "triangel", 100)
+        assert runner.multiprogram_spec_for(["xalan", "mcf"], "triangel", 100) is pair
+        # A fresh runner makes its own instances: interning is per runner.
+        other = ExperimentRunner(trace_overrides={"length": 1000}, max_accesses=300)
+        assert other.spec_for("xalan", "triage") == first
+        assert other.spec_for("xalan", "triage") is not first
+
+    @pytest.mark.parametrize(
+        ("change", "moves_pair"),
+        [
+            # multiprogram specs cap per core, not through max_accesses
+            (lambda runner: setattr(runner, "max_accesses", 301), False),
+            (lambda runner: setattr(runner, "warmup_fraction", 0.5), True),
+            (lambda runner: runner.trace_overrides.update(length=1001), True),
+            (lambda runner: setattr(runner, "system", SystemConfig.scaled(2.0)), True),
+            (lambda runner: setattr(runner.system, "bloom_window", 99), True),
+        ],
+    )
+    def test_changing_a_runner_field_gives_a_different_spec(self, change, moves_pair):
+        runner = ExperimentRunner(trace_overrides={"length": 1000}, max_accesses=300)
+        before = runner.spec_for("xalan", "triage")
+        pair_before = runner.multiprogram_spec_for(["xalan", "mcf"], "triangel")
+        change(runner)
+        after = runner.spec_for("xalan", "triage")
+        assert after != before
+        assert after.content_hash() != before.content_hash()
+        pair_after = runner.multiprogram_spec_for(["xalan", "mcf"], "triangel")
+        assert (pair_after != pair_before) is moves_pair
+
+    def test_intern_table_is_private(self):
+        names = {field.name for field in dataclasses.fields(ExperimentRunner) if field.init}
+        assert "_specs" not in names
+        assert "_specs" not in repr(ExperimentRunner())
 
 
 class TestParameterisedSpecs:

@@ -276,6 +276,44 @@ class TestMarkovTableProperties:
             # but never an address that was never trained as a target.
             assert result is None or result in trained_targets
 
+    @pytest.mark.parametrize("replacement", ["lru", "srrip", "hawkeye"])
+    @given(
+        operations=st.lists(
+            st.one_of(
+                st.tuples(
+                    st.just("train"),
+                    st.integers(0, 127).map(lambda n: n * 64),
+                    st.integers(0, 127).map(lambda n: n * 64),
+                ),
+                st.tuples(st.just("lookup"), st.integers(0, 127).map(lambda n: n * 64)),
+                st.tuples(st.just("ways"), st.integers(0, 3)),
+            ),
+            min_size=40,
+            max_size=300,
+        )
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_occupancy_counter_matches_full_scan(self, replacement, operations):
+        # The full scan is the reference the running count must track
+        # through inserts, evictions, resizes (to 0 ways too) and the lazy
+        # rearrangements lookups and trains trigger after a resize.  Two
+        # sets of 12-entry lines fill within a few dozen trains, so shrinks
+        # drop entries.
+        def scanned(table):
+            return sum(
+                entry.valid for per_set in table._lines for line in per_set for entry in line
+            )
+
+        table = MarkovTable(2, 3, Full42Format(), replacement=replacement, initial_ways=3)
+        for operation in operations:
+            if operation[0] == "train":
+                table.train(operation[1], operation[2], pc=operation[1] >> 6)
+            elif operation[0] == "lookup":
+                table.lookup(operation[1])
+            else:
+                table.set_ways(operation[1])
+            assert table.occupancy() == scanned(table)
+
 
 class TestBloomFilterProperties:
     @given(values=st.lists(st.integers(min_value=0, max_value=1 << 32), max_size=300))

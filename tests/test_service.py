@@ -12,19 +12,28 @@ from __future__ import annotations
 import dataclasses
 import json
 import multiprocessing
+import os
+import queue
+import re
+import signal
 import socket
+import subprocess
+import sys
 import threading
+import time
 from concurrent.futures import Future
+from pathlib import Path
 
 import pytest
 
 from repro.cli import main
 from repro.client import ServiceClient, ServiceError
-from repro.experiments.jobs import code_version
+from repro.experiments.jobs import RunSpec, code_version
 from repro.experiments.runner import ExperimentRunner
 from repro.experiments.store import ResultStore, default_store, store_stats_payload
 from repro.service import scheduler as scheduler_module
 from repro.service.manifest import job_manifest, spec_from_payload, spec_payload, verify_manifest
+from repro.service.requests import compile_request
 from repro.service.scheduler import Job, QuotaExceededError, Scheduler
 from repro.service.server import MAX_BODY_BYTES, build_server
 
@@ -436,6 +445,71 @@ class TestHTTPService:
         assert len(message.splitlines()) == 1
         assert client.jobs() == []
 
+    def test_well_formed_numbers_compile(self):
+        run = compile_request({**TINY_RUN, "warmup_fraction": 0, "max_accesses": None})
+        (spec,) = run.specs
+        assert spec.warmup_fraction == 0.0 and spec.max_accesses is None
+        same = compile_request({**TINY_RUN, "warmup_fraction": 0.0, "max_accesses": None})
+        assert same.specs[0].content_hash() == spec.content_hash()
+        pair = compile_request(
+            {"kind": "multiprogram", "workloads": ["xalan", "mcf"],
+             "configuration": "baseline", "max_accesses_per_core": 100,
+             "share_metadata": False}
+        )
+        assert pair.specs[0].max_accesses_per_core == 100
+        assert pair.specs[0].share_metadata is False
+
+    @pytest.mark.parametrize(
+        ("request_body", "field"),
+        [
+            ({**TINY_RUN, "trace_length": True}, "trace_length"),
+            ({**TINY_RUN, "trace_length": 0}, "trace_length"),
+            *[
+                ({**TINY_RUN, "max_accesses": value}, "max_accesses")
+                for value in (-5, 0, 2.5, "10", True)
+            ],
+            *[
+                ({**TINY_RUN, "warmup_fraction": value}, "warmup_fraction")
+                for value in (3.0, -1, 1, "0.5", None, True)
+            ],
+            (
+                {"kind": "study", "name": "fig10", "workloads": ["xalan"],
+                 "configs": ["triangel"], "trace_length": True},
+                "trace_length",
+            ),
+            (
+                {"kind": "study", "name": "fig10", "workloads": ["xalan"],
+                 "configs": ["triangel"], "max_accesses": "10"},
+                "max_accesses",
+            ),
+            *[
+                (
+                    {"kind": "multiprogram", "workloads": ["xalan", "mcf"],
+                     "configuration": "baseline", "max_accesses_per_core": value},
+                    "max_accesses_per_core",
+                )
+                for value in (0, -1, 2.5, "10", True)
+            ],
+            *[
+                (
+                    {"kind": "multiprogram", "workloads": ["xalan", "mcf"],
+                     "configuration": "baseline", "share_metadata": value},
+                    "share_metadata",
+                )
+                for value in ("false", 0, None)
+            ],
+        ],
+    )
+    def test_malformed_numbers_are_one_line_400s(self, service, request_body, field):
+        client = ServiceClient(service.url)
+        with pytest.raises(ServiceError) as rejected:
+            client.submit(request_body)
+        assert rejected.value.status == 400
+        message = rejected.value.payload["error"]
+        assert field in message
+        assert len(message.splitlines()) == 1
+        assert client.jobs() == []
+
     @pytest.mark.parametrize(
         ("declared", "status"),
         [("-1", 400), ("abc", 400), (str(MAX_BODY_BYTES + 1), 413)],
@@ -550,6 +624,45 @@ class TestHTTPService:
         assert results["alice"]["result"]["rendered"] == results["bob"]["result"]["rendered"]
 
 
+class TestSpecIdentityCost:
+    def test_warm_study_canonicalises_each_spec_at_most_twice(
+        self, service, monkeypatch
+    ):
+        # A warm request needs each spec's canonical form twice: once for
+        # its digest (cached on the instance, which the runner interns, so
+        # compile and finalize share it) and once for its manifest entry.
+        request = {
+            "kind": "study",
+            "name": "fig10",
+            "workloads": ["astar", "gcc_166", "mcf", "omnet", "xalan"],
+            "trace_length": 600,
+            "max_accesses": 240,
+        }
+        client = ServiceClient(service.url)
+        cold = client.submit(request)
+        assert client.wait(cold["id"], timeout=300)["state"] == "completed"
+
+        calls: dict = {}
+        as_dict = RunSpec.as_dict
+
+        def counting(spec):
+            calls[spec] = calls.get(spec, 0) + 1
+            return as_dict(spec)
+
+        monkeypatch.setattr(RunSpec, "as_dict", counting)
+        warm = client.submit(request)
+        assert client.wait(warm["id"], timeout=60)["state"] == "completed"
+        manifest = client.result(warm["id"])["manifest"]
+        monkeypatch.undo()
+
+        assert manifest["store"]["executed"] == 0
+        distinct = {entry["digest"] for entry in manifest["specs"]}
+        assert len(distinct) == 30  # 5 workloads x (baseline + 5 series)
+        assert len(calls) == len(distinct)
+        assert max(calls.values()) <= 2
+        assert verify_manifest(manifest) == []
+
+
 def _hammer_store(path, pairs) -> None:
     """Worker-process body for the concurrent-append regression test."""
 
@@ -592,6 +705,114 @@ class TestStoreConcurrentWriters:
         assert len(fresh.records()) == len(specs)
         for spec in specs:
             assert fresh.get(spec) is not None
+
+
+#: The source tree the daemon subprocess imports (the one under test).
+SRC_ROOT = Path(__file__).resolve().parent.parent / "src"
+
+
+class _Daemon:
+    """``python -m repro serve --port 0`` as a subprocess, read line by line."""
+
+    def __init__(self, cache_dir) -> None:
+        env = dict(os.environ, PYTHONPATH=str(SRC_ROOT))
+        env.pop("REPRO_TELEMETRY", None)
+        self.process = subprocess.Popen(
+            [sys.executable, "-m", "repro", "serve", "--port", "0",
+             "--cache-dir", str(cache_dir)],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.STDOUT,
+            text=True,
+            env=env,
+        )
+        self.lines: queue.Queue = queue.Queue()
+        self._reader = threading.Thread(target=self._read, daemon=True)
+        self._reader.start()
+        try:
+            self.url = self._await_url(timeout=60)
+        except BaseException:
+            self.stop(signal.SIGKILL)
+            raise
+
+    def _read(self) -> None:
+        for text in self.process.stdout:
+            self.lines.put(text)
+        self.lines.put(None)  # end of output: the daemon exited
+
+    def _await_url(self, timeout: float) -> str:
+        deadline = time.monotonic() + timeout
+        seen = []
+        while True:
+            text = self.lines.get(timeout=max(0.0, deadline - time.monotonic()))
+            if text is None:
+                raise AssertionError(f"daemon exited before listening: {seen}")
+            seen.append(text)
+            match = re.search(r"listening on (http://\S+)", text)
+            if match:
+                return match.group(1)
+
+    def stop(self, sig: int) -> int:
+        """Send ``sig``, wait for the exit (bounded) and return the exit code."""
+
+        if self.process.poll() is None:
+            self.process.send_signal(sig)
+        try:
+            code = self.process.wait(timeout=30)
+        finally:
+            if self.process.poll() is None:
+                self.process.kill()
+                self.process.wait(timeout=30)
+            self._reader.join(timeout=30)
+            self.process.stdout.close()
+        assert not self._reader.is_alive()
+        return code
+
+
+class TestDaemonKill:
+    def test_sigkill_mid_job_keeps_the_store_and_resubmission_replays(self, tmp_path):
+        cache_dir = tmp_path / "killed-store"
+        # 2 workloads x (baseline + 5 series) = 12 cells of ~0.1 s each.
+        request = {
+            "kind": "study",
+            "name": "fig10",
+            "workloads": ["xalan", "mcf"],
+            "trace_length": 3000,
+        }
+        daemon = _Daemon(cache_dir)
+        try:
+            client = ServiceClient(daemon.url, timeout=30)
+            job = client.submit(request)
+            total = job["specs"]["total"]
+            assert total >= 8
+            deadline = time.monotonic() + 120
+            while True:
+                events = client.status(job["id"])["events"]
+                if any(
+                    event["event"] == "spec_resolved" and event["source"] == "executed"
+                    for event in events
+                ):
+                    break
+                assert time.monotonic() < deadline, "no spec executed in time"
+                time.sleep(0.01)
+        finally:
+            code = daemon.stop(signal.SIGKILL)
+        assert code == -signal.SIGKILL
+
+        stored = len(ResultStore(cache_dir))
+        assert 1 <= stored < total
+
+        daemon = _Daemon(cache_dir)
+        try:
+            client = ServiceClient(daemon.url, timeout=30)
+            again = client.submit(request)
+            assert client.wait(again["id"], timeout=120)["state"] == "completed"
+            manifest = client.result(again["id"])["manifest"]
+        finally:
+            code = daemon.stop(signal.SIGTERM)
+        assert code == 0
+        assert manifest["store"]["hits"] == stored
+        assert manifest["store"]["executed"] == total - stored
+        assert verify_manifest(manifest) == []
 
 
 class TestServiceCLI:
