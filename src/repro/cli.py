@@ -1298,23 +1298,23 @@ def _render_job_snapshot(snapshot: dict) -> str:
 def _command_submit(args: argparse.Namespace) -> str:
     """Implement ``repro submit``: build the request, post it, maybe wait."""
 
-    client = _client_for(args)
-    job = client.submit(_submit_payload(args))
-    if not args.wait:
-        if args.json:
-            return json.dumps(job, indent=2, sort_keys=True)
-        return (
-            f"submitted {job['id']} ({job['kind']}: {job['label']}) "
-            f"to {client.url}\npoll with: repro status {job['id']}"
-        )
-    try:
-        snapshot = client.wait(job["id"], timeout=args.timeout)
-    except TimeoutError as error:
-        raise ValueError(str(error)) from None
-    if snapshot["state"] != "completed":
-        suffix = f": {snapshot['error']}" if snapshot.get("error") else ""
-        raise ValueError(f"job {job['id']} {snapshot['state']}{suffix}")
-    result = client.result(job["id"])
+    with _client_for(args) as client:
+        job = client.submit(_submit_payload(args))
+        if not args.wait:
+            if args.json:
+                return json.dumps(job, indent=2, sort_keys=True)
+            return (
+                f"submitted {job['id']} ({job['kind']}: {job['label']}) "
+                f"to {client.url}\npoll with: repro status {job['id']}"
+            )
+        try:
+            snapshot = client.wait(job["id"], timeout=args.timeout)
+        except TimeoutError as error:
+            raise ValueError(str(error)) from None
+        if snapshot["state"] != "completed":
+            suffix = f": {snapshot['error']}" if snapshot.get("error") else ""
+            raise ValueError(f"job {job['id']} {snapshot['state']}{suffix}")
+        result = client.result(job["id"])
     if args.json:
         return json.dumps(
             {**result, "wait": client.last_wait}, indent=2, sort_keys=True
@@ -1383,7 +1383,8 @@ def _command_obs(args: argparse.Namespace) -> str:
 def _command_status(args: argparse.Namespace) -> str:
     """Implement ``repro status``: one job's state and progress events."""
 
-    snapshot = _client_for(args).status(args.job, after=args.after)
+    with _client_for(args) as client:
+        snapshot = client.status(args.job, after=args.after)
     if args.json:
         return json.dumps(snapshot, indent=2, sort_keys=True)
     return _render_job_snapshot(snapshot)
@@ -1392,7 +1393,8 @@ def _command_status(args: argparse.Namespace) -> str:
 def _command_result(args: argparse.Namespace) -> str:
     """Implement ``repro result``: a completed job's payload + manifest."""
 
-    result = _client_for(args).result(args.job)
+    with _client_for(args) as client:
+        result = client.result(args.job)
     if args.json:
         return json.dumps(result, indent=2, sort_keys=True)
     return _render_job_result(result)
@@ -1401,7 +1403,8 @@ def _command_result(args: argparse.Namespace) -> str:
 def _command_cancel(args: argparse.Namespace) -> str:
     """Implement ``repro cancel``: cooperative cancellation by job id."""
 
-    outcome = _client_for(args).cancel(args.job)
+    with _client_for(args) as client:
+        outcome = client.cancel(args.job)
     if args.json:
         return json.dumps(outcome, indent=2, sort_keys=True)
     if outcome.get("cancelled"):

@@ -4,31 +4,42 @@ Everything the daemon exposes, as one small stdlib-only class::
 
     from repro.client import ServiceClient
 
-    client = ServiceClient("http://127.0.0.1:8642")
-    job = client.submit({"kind": "study", "name": "fig10"})
-    done = client.wait(job["id"])
-    result = client.result(job["id"])          # reduced tables + manifest
+    with ServiceClient("http://127.0.0.1:8642") as client:
+        job = client.submit({"kind": "study", "name": "fig10"})
+        done = client.wait(job["id"])
+        result = client.result(job["id"])      # reduced tables + manifest
 
 The ``repro submit|status|result|cancel`` CLI verbs are built on this
 class, so scripts and the command line see identical payloads.  The daemon
 URL defaults to the ``REPRO_SERVE_URL`` environment variable, falling back
 to the daemon's default bind address.
 
+Each client keeps one HTTP/1.1 connection to the daemon alive and sends
+every call over it, so a call costs one request, not a TCP handshake and a
+fresh daemon handler thread.  The open connection holds one daemon handler
+thread until :meth:`ServiceClient.close` (or the end of the ``with``
+block) or until the daemon shuts down.  Threads sharing one client take
+turns on its connection; a caller wanting parallel requests uses one
+client per thread.
+
 Errors surface as :class:`ServiceError`, carrying the HTTP status and the
 decoded error payload — a 400 is a validation problem in the submitted
 request (the server's message says what), a 404 an unknown job, a 409 a
-result fetched before completion, and a 429 the per-client quota.
+result fetched before completion, and a 429 the per-client quota.  Status
+0 means no HTTP answer arrived: the daemon is unreachable or the
+connection failed.
 """
 
 from __future__ import annotations
 
+import http.client
 import json
 import os
 import random
+import threading
 import time
-import urllib.error
-import urllib.request
 from typing import Mapping
+from urllib.parse import urlsplit
 
 #: Environment variable naming the daemon to talk to.
 SERVE_URL_ENV = "REPRO_SERVE_URL"
@@ -38,6 +49,11 @@ DEFAULT_URL = "http://127.0.0.1:8642"
 
 #: Job states after which polling can stop.
 TERMINAL_STATES = ("completed", "failed", "cancelled")
+
+#: What a kept-alive connection raises, before any response byte arrives,
+#: when the daemon closed it while idle (or restarted): the one failure a
+#: call retries, once, on a fresh connection.
+_STALE_CONNECTION = (http.client.RemoteDisconnected, ConnectionResetError, BrokenPipeError)
 
 
 class ServiceError(RuntimeError):
@@ -66,6 +82,10 @@ class ServiceClient:
 
     ``client`` names this client for the daemon's per-client quotas and the
     manifests' provenance; it travels as the ``X-Repro-Client`` header.
+    ``timeout`` bounds, in seconds, each wait to connect, send or receive.
+    The client keeps one connection open between calls; :meth:`close` it,
+    or use the client as a context manager.  A call after :meth:`close`
+    opens a new connection.
     """
 
     def __init__(
@@ -79,31 +99,69 @@ class ServiceClient:
         self.timeout = timeout
         #: ``{"polls", "elapsed_s"}`` for the most recent :meth:`wait` call.
         self.last_wait: dict | None = None
+        parts = urlsplit(self.url)
+        if parts.scheme != "http" or not parts.hostname:
+            raise ValueError(f"daemon URL {self.url!r} is not http://host[:port]")
+        self._path = parts.path
+        # Connects lazily, on the first request.
+        self._connection = http.client.HTTPConnection(
+            parts.hostname, parts.port, timeout=timeout
+        )
+        self._lock = threading.Lock()
+
+    def close(self) -> None:
+        """Close the kept-alive connection (a later call opens a new one)."""
+
+        with self._lock:
+            self._connection.close()
+
+    def __enter__(self) -> ServiceClient:
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.close()
 
     # -- transport -----------------------------------------------------------
     def _request(self, method: str, path: str, body: Mapping | None = None) -> dict:
         headers = {"Content-Type": "application/json"}
         if self.client:
             headers["X-Repro-Client"] = self.client
-        request = urllib.request.Request(
-            self.url + path,
-            data=json.dumps(body).encode() if body is not None else None,
-            headers=headers,
-            method=method,
-        )
-        try:
-            with urllib.request.urlopen(request, timeout=self.timeout) as response:
-                return json.loads(response.read() or b"{}")
-        except urllib.error.HTTPError as error:
-            raw = error.read()
+        data = json.dumps(body).encode() if body is not None else None
+        with self._lock:
+            status, raw = self._exchange(method, self._path + path, data, headers)
+        if status >= 400:
             try:
                 payload = json.loads(raw) if raw else {}
             except json.JSONDecodeError:
                 payload = {"error": raw.decode(errors="replace")}
-            raise ServiceError(error.code, payload) from None
-        except urllib.error.URLError as error:
+            raise ServiceError(status, payload)
+        return json.loads(raw or b"{}")
+
+    def _exchange(
+        self, method: str, target: str, data: bytes | None, headers: dict
+    ) -> tuple[int, bytes]:
+        """One request and its whole response; the caller holds the lock."""
+
+        connection = self._connection
+        reused = connection.sock is not None
+        try:
+            try:
+                connection.request(method, target, body=data, headers=headers)
+                response = connection.getresponse()
+            except _STALE_CONNECTION:
+                if not reused:
+                    raise
+                # The daemon closed the idle connection before reading this
+                # request: send it once more, on a new connection.
+                connection.close()
+                connection.request(method, target, body=data, headers=headers)
+                response = connection.getresponse()
+            return response.status, response.read()
+        except (OSError, http.client.HTTPException) as error:
+            # The connection's state is unknown: start the next call afresh.
+            connection.close()
             raise ServiceError(
-                0, {"error": f"cannot reach {self.url}: {error.reason}"}
+                0, {"error": f"cannot reach {self.url}: {error}"}
             ) from None
 
     # -- the API -------------------------------------------------------------

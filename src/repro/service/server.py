@@ -8,9 +8,10 @@ JSON:
 ==========================  =================================================
 ``POST /jobs``              submit a job (see :mod:`repro.service.requests`
                             for the body kinds); returns the job snapshot,
-                            ``429`` over quota, ``400`` on validation errors
-                            or a malformed ``Content-Length``, ``413`` for
-                            bodies over :data:`MAX_BODY_BYTES`
+                            ``429`` over quota, ``400`` on validation errors,
+                            a malformed ``Content-Length`` or any
+                            ``Transfer-Encoding``, ``413`` for bodies over
+                            :data:`MAX_BODY_BYTES`
 ``GET /jobs``               list every job's snapshot (without event logs)
 ``GET /jobs/<id>``          one job's status; ``?after=N`` returns only
                             progress events with ``seq > N`` (poll-based
@@ -38,12 +39,18 @@ Everything is stdlib (``http.server.ThreadingHTTPServer``): no new
 dependencies.  Handler threads block in :meth:`Scheduler.submit` only long
 enough to compile and enqueue — execution happens on the scheduler's
 backend — so a slow simulation never starves ``/healthz``.
+
+Connections are HTTP/1.1 and kept alive: each accepted connection gets one
+handler thread, which serves its requests in turn until the client closes
+it or the server is closed.  Every route reads the body it was sent, so the
+next request on the connection starts at its own first byte.
 """
 
 from __future__ import annotations
 
 import json
 import signal
+import socket
 import sys
 import threading
 import time
@@ -112,7 +119,15 @@ class _BodyTooLarge(Exception):
 
 
 class ServiceServer(ThreadingHTTPServer):
-    """The HTTP server plus the scheduler/store it fronts."""
+    """The HTTP server plus the scheduler/store it fronts.
+
+    :meth:`server_close` also ends every open connection, because a
+    kept-alive connection's handler thread would otherwise outlive the
+    server (``daemon_threads`` are never joined) and keep answering from a
+    closed scheduler.  A handler in the middle of a request still writes
+    its reply; an idle one reads end-of-file and exits; a request read
+    after the close is dropped unanswered.
+    """
 
     daemon_threads = True
 
@@ -121,7 +136,33 @@ class ServiceServer(ThreadingHTTPServer):
         self.scheduler = scheduler
         self.store = store
         self.verbose = verbose
+        #: Set by :meth:`server_close`; handlers then serve no new request.
+        self.closed = False
+        self._connections: set[socket.socket] = set()
+        self._connections_lock = threading.Lock()
         super().__init__(address, _Handler)
+
+    def process_request(self, request, client_address) -> None:
+        with self._connections_lock:
+            self._connections.add(request)
+        super().process_request(request, client_address)
+
+    def shutdown_request(self, request) -> None:
+        # Forgotten before it is closed, so server_close() (which holds the
+        # lock) never shuts down a descriptor that was closed and reused.
+        with self._connections_lock:
+            self._connections.discard(request)
+        super().shutdown_request(request)
+
+    def server_close(self) -> None:
+        self.closed = True
+        super().server_close()
+        with self._connections_lock:
+            for connection in self._connections:
+                try:
+                    connection.shutdown(socket.SHUT_RD)
+                except OSError:
+                    pass  # the peer already reset it
 
     @property
     def url(self) -> str:
@@ -134,6 +175,9 @@ class ServiceServer(ThreadingHTTPServer):
 class _Handler(BaseHTTPRequestHandler):
     server_version = "repro-serve/1"
     protocol_version = "HTTP/1.1"
+    # _send_bytes writes the headers and the body in two sends; with Nagle's
+    # algorithm on, a kept-alive client's delayed ACK holds the body ~40 ms.
+    disable_nagle_algorithm = True
     server: ServiceServer  # narrowed for the route handlers
 
     # -- plumbing ------------------------------------------------------------
@@ -162,14 +206,32 @@ class _Handler(BaseHTTPRequestHandler):
     def _error(self, status: int, message: str) -> None:
         self._send(status, {"error": message})
 
-    def _read_json(self) -> dict:
+    def parse_request(self) -> bool:
+        if self.server.closed:
+            # The scheduler may be closed already: answer nothing, and the
+            # client sees the connection end.
+            self.close_connection = True
+            return False
+        return super().parse_request()
+
+    def _read_body(self) -> bytes:
+        """The request's whole declared body (``b""`` when it has none)."""
+
+        # Each refusal below leaves the body unread, so the connection's
+        # remaining bytes cannot be framed into a next request: close it
+        # after replying.
+        encoding = self.headers.get("Transfer-Encoding")
+        if encoding is not None:
+            self.close_connection = True
+            raise ValueError(
+                f"Transfer-Encoding {encoding!r} is not supported: send the "
+                f"body with a Content-Length"
+            )
         declared = self.headers.get("Content-Length") or "0"
         try:
             length = int(declared)
         except ValueError:
             length = -1
-        # Either way the body stays unread, so the connection's remaining
-        # bytes cannot be framed into a next request: close it after replying.
         if length < 0:
             self.close_connection = True
             raise ValueError(
@@ -182,16 +244,7 @@ class _Handler(BaseHTTPRequestHandler):
                 f"request body of {length} bytes exceeds the "
                 f"{MAX_BODY_BYTES}-byte limit"
             )
-        raw = self.rfile.read(length) if length else b""
-        if not raw:
-            return {}
-        try:
-            payload = json.loads(raw)
-        except json.JSONDecodeError as error:
-            raise ValueError(f"request body is not valid JSON: {error}") from None
-        if not isinstance(payload, dict):
-            raise ValueError("request body must be a JSON object")
-        return payload
+        return self.rfile.read(length) if length else b""
 
     def _client_name(self, payload: dict) -> str:
         return (
@@ -213,12 +266,12 @@ class _Handler(BaseHTTPRequestHandler):
         """Run one route handler, measuring latency and counting status."""
 
         if not obs.enabled():
-            handler()
+            self._dispatch(handler)
             return
         self._status = 0
         start = time.perf_counter()
         try:
-            handler()
+            self._dispatch(handler)
         finally:
             route = _route_label(self.path)
             _HTTP_SECONDS.observe(
@@ -226,61 +279,17 @@ class _Handler(BaseHTTPRequestHandler):
             )
             _HTTP_REQUESTS.inc(method=method, route=route, status=str(self._status))
 
-    def _handle_get(self) -> None:
-        url = urlparse(self.path)
-        parts = [part for part in url.path.split("/") if part]
-        try:
-            if parts == ["healthz"]:
-                self._send(
-                    200,
-                    {
-                        "status": "ok",
-                        "code_version": code_version(),
-                        "scheduler": self.server.scheduler.stats(),
-                        "store": store_stats_payload(self.server.store)
-                        if self.server.store is not None
-                        else None,
-                    },
-                )
-            elif parts == ["metrics"]:
-                self._send_text(200, obs.REGISTRY.render(), METRICS_CONTENT_TYPE)
-            elif parts == ["store", "stats"]:
-                if self.server.store is None:
-                    self._error(404, "this daemon runs without a store")
-                    return
-                self._send(200, store_stats_payload(self.server.store))
-            elif parts == ["jobs"]:
-                with_jobs = self.server.scheduler.jobs()
-                self._send(
-                    200, {"jobs": [job.snapshot(events=False) for job in with_jobs]}
-                )
-            elif len(parts) == 2 and parts[0] == "jobs":
-                query = parse_qs(url.query)
-                after_raw = query.get("after", [None])[0]
-                after = int(after_raw) if after_raw is not None else None
-                self._send(200, self.server.scheduler.job_snapshot(parts[1], after))
-            elif len(parts) == 3 and parts[0] == "jobs" and parts[2] == "result":
-                self._send_result(parts[1])
-            else:
-                self._error(404, f"no such endpoint: GET {url.path}")
-        except KeyError:
-            self._error(404, f"unknown job {parts[1]!r}")
-        except ValueError as error:
-            self._error(400, str(error))
+    def _dispatch(self, handler) -> None:
+        """Read the body, run the route and answer its errors.
 
-    def _handle_post(self) -> None:
+        Every route reads the body first, even one it ignores: bytes left
+        unread would be parsed as the connection's next request.
+        """
+
         url = urlparse(self.path)
         parts = [part for part in url.path.split("/") if part]
         try:
-            if parts == ["jobs"]:
-                self._submit_job()
-            elif len(parts) == 3 and parts[0] == "jobs" and parts[2] == "cancel":
-                scheduler = self.server.scheduler
-                cancelled = scheduler.cancel(parts[1])
-                snapshot = scheduler.job_snapshot(parts[1])
-                self._send(200, {"cancelled": cancelled, "job": snapshot})
-            else:
-                self._error(404, f"no such endpoint: POST {url.path}")
+            handler(url, parts, self._read_body())
         except KeyError:
             self._error(404, f"unknown job {parts[1]!r}")
         except QuotaExceededError as error:
@@ -290,8 +299,59 @@ class _Handler(BaseHTTPRequestHandler):
         except ValueError as error:
             self._error(400, str(error))
 
-    def _submit_job(self) -> None:
-        payload = self._read_json()
+    def _handle_get(self, url, parts: list[str], body: bytes) -> None:
+        if parts == ["healthz"]:
+            self._send(
+                200,
+                {
+                    "status": "ok",
+                    "code_version": code_version(),
+                    "scheduler": self.server.scheduler.stats(),
+                    "store": store_stats_payload(self.server.store)
+                    if self.server.store is not None
+                    else None,
+                },
+            )
+        elif parts == ["metrics"]:
+            self._send_text(200, obs.REGISTRY.render(), METRICS_CONTENT_TYPE)
+        elif parts == ["store", "stats"]:
+            if self.server.store is None:
+                self._error(404, "this daemon runs without a store")
+                return
+            self._send(200, store_stats_payload(self.server.store))
+        elif parts == ["jobs"]:
+            with_jobs = self.server.scheduler.jobs()
+            self._send(
+                200, {"jobs": [job.snapshot(events=False) for job in with_jobs]}
+            )
+        elif len(parts) == 2 and parts[0] == "jobs":
+            query = parse_qs(url.query)
+            after_raw = query.get("after", [None])[0]
+            after = int(after_raw) if after_raw is not None else None
+            self._send(200, self.server.scheduler.job_snapshot(parts[1], after))
+        elif len(parts) == 3 and parts[0] == "jobs" and parts[2] == "result":
+            self._send_result(parts[1])
+        else:
+            self._error(404, f"no such endpoint: GET {url.path}")
+
+    def _handle_post(self, url, parts: list[str], body: bytes) -> None:
+        if parts == ["jobs"]:
+            self._submit_job(body)
+        elif len(parts) == 3 and parts[0] == "jobs" and parts[2] == "cancel":
+            scheduler = self.server.scheduler
+            cancelled = scheduler.cancel(parts[1])
+            snapshot = scheduler.job_snapshot(parts[1])
+            self._send(200, {"cancelled": cancelled, "job": snapshot})
+        else:
+            self._error(404, f"no such endpoint: POST {url.path}")
+
+    def _submit_job(self, body: bytes) -> None:
+        try:
+            payload = json.loads(body) if body else {}
+        except json.JSONDecodeError as error:
+            raise ValueError(f"request body is not valid JSON: {error}") from None
+        if not isinstance(payload, dict):
+            raise ValueError("request body must be a JSON object")
         compiled = compile_request(payload, self.server.store)
         priority = payload.get("priority", 0)
         if not isinstance(priority, int):

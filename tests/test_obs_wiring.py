@@ -291,30 +291,30 @@ class TestMetricsEndpoint:
         assert "# TYPE repro_jobs_completed_total counter" in text
 
     def test_request_latency_measured_per_endpoint(self, live_server, telemetry):
-        client = ServiceClient(live_server.url, client="obs-test")
-        job = client.submit(
-            {
-                "kind": "run",
-                "workload": "xalan",
-                "configs": ["baseline"],
-                "trace": {"length": 1200},
-                "max_accesses": 600,
-                "warmup_fraction": 0.3,
-            }
-        )
-        snapshot = client.wait(job["id"], timeout=60)
-        assert snapshot["state"] == "completed"
-        assert client.last_wait["polls"] >= 1
-        assert snapshot["telemetry"]["phases"]["execute"] > 0
-        _, text = _get(live_server.url + "/metrics")
-        assert 'repro_http_requests_total{method="POST",route="/jobs",status="201"}' in text
-        assert 'route="/jobs/{id}"' in text  # job ids normalised out
-        assert "repro_http_request_seconds_bucket" in text
-        for required in ("repro_jobs_completed_total", "repro_store_puts_total"):
-            line = next(
-                ln for ln in text.splitlines() if ln.startswith(required + " ")
+        with ServiceClient(live_server.url, client="obs-test") as client:
+            job = client.submit(
+                {
+                    "kind": "run",
+                    "workload": "xalan",
+                    "configs": ["baseline"],
+                    "trace": {"length": 1200},
+                    "max_accesses": 600,
+                    "warmup_fraction": 0.3,
+                }
             )
-            assert float(line.split()[-1]) > 0
+            snapshot = client.wait(job["id"], timeout=60)
+            assert snapshot["state"] == "completed"
+            assert client.last_wait["polls"] >= 1
+            assert snapshot["telemetry"]["phases"]["execute"] > 0
+            _, text = _get(live_server.url + "/metrics")
+            assert 'repro_http_requests_total{method="POST",route="/jobs",status="201"}' in text
+            assert 'route="/jobs/{id}"' in text  # job ids normalised out
+            assert "repro_http_request_seconds_bucket" in text
+            for required in ("repro_jobs_completed_total", "repro_store_puts_total"):
+                line = next(
+                    ln for ln in text.splitlines() if ln.startswith(required + " ")
+                )
+                assert float(line.split()[-1]) > 0
 
 
 # ---------------------------------------------------------------------------
@@ -322,36 +322,36 @@ class TestMetricsEndpoint:
 # ---------------------------------------------------------------------------
 class TestClientBackoff:
     def test_decorrelated_backoff_grows_and_caps(self, monkeypatch):
-        client = ServiceClient(url="http://example.invalid")
-        states = iter(["running"] * 4 + ["completed"])
-        monkeypatch.setattr(
-            client, "status", lambda job_id, after=None: {"state": next(states)}
-        )
-        sleeps: list[float] = []
-        monkeypatch.setattr("repro.client.time.sleep", sleeps.append)
-        # Deterministic: always draw the top of the jitter range.
-        monkeypatch.setattr("repro.client.random.uniform", lambda low, high: high)
-        snapshot = client.wait("job-1", poll=0.2, max_poll=3.0)
-        assert snapshot["state"] == "completed"
-        assert client.last_wait["polls"] == 5
-        assert sleeps == [
-            pytest.approx(0.6),
-            pytest.approx(1.8),
-            pytest.approx(3.0),
-            pytest.approx(3.0),
-        ]
+        with ServiceClient(url="http://example.invalid") as client:
+            states = iter(["running"] * 4 + ["completed"])
+            monkeypatch.setattr(
+                client, "status", lambda job_id, after=None: {"state": next(states)}
+            )
+            sleeps: list[float] = []
+            monkeypatch.setattr("repro.client.time.sleep", sleeps.append)
+            # Deterministic: always draw the top of the jitter range.
+            monkeypatch.setattr("repro.client.random.uniform", lambda low, high: high)
+            snapshot = client.wait("job-1", poll=0.2, max_poll=3.0)
+            assert snapshot["state"] == "completed"
+            assert client.last_wait["polls"] == 5
+            assert sleeps == [
+                pytest.approx(0.6),
+                pytest.approx(1.8),
+                pytest.approx(3.0),
+                pytest.approx(3.0),
+            ]
 
     def test_jitter_never_sleeps_below_base(self, monkeypatch):
-        client = ServiceClient(url="http://example.invalid")
-        states = iter(["running"] * 3 + ["completed"])
-        monkeypatch.setattr(
-            client, "status", lambda job_id, after=None: {"state": next(states)}
-        )
-        sleeps: list[float] = []
-        monkeypatch.setattr("repro.client.time.sleep", sleeps.append)
-        monkeypatch.setattr("repro.client.random.uniform", lambda low, high: low)
-        client.wait("job-1", poll=0.2, max_poll=3.0)
-        assert all(s == pytest.approx(0.2) for s in sleeps)
+        with ServiceClient(url="http://example.invalid") as client:
+            states = iter(["running"] * 3 + ["completed"])
+            monkeypatch.setattr(
+                client, "status", lambda job_id, after=None: {"state": next(states)}
+            )
+            sleeps: list[float] = []
+            monkeypatch.setattr("repro.client.time.sleep", sleeps.append)
+            monkeypatch.setattr("repro.client.random.uniform", lambda low, high: low)
+            client.wait("job-1", poll=0.2, max_poll=3.0)
+            assert all(s == pytest.approx(0.2) for s in sleeps)
 
 
 # ---------------------------------------------------------------------------

@@ -350,100 +350,143 @@ TINY_RUN = {
 }
 
 
+def _read_response(stream) -> tuple[int, bytes]:
+    """One HTTP/1.1 response from a socket's file: its status and body."""
+
+    status_line = stream.readline()
+    assert status_line.startswith(b"HTTP/1.1 "), status_line
+    length = 0
+    while (line := stream.readline()) not in (b"\r\n", b""):
+        name, _, value = line.partition(b":")
+        if name.strip().lower() == b"content-length":
+            length = int(value)
+    return int(status_line.split()[1]), stream.read(length)
+
+
+class _ConnectionLog:
+    """Records every connection a live server accepts and finishes."""
+
+    def __init__(self, server, monkeypatch) -> None:
+        self.accepted: list[socket.socket] = []
+        self.finished: list[socket.socket] = []
+        self._cond = threading.Condition()
+        process_request = server.process_request
+        shutdown_request = server.shutdown_request
+
+        def accept(request, client_address) -> None:
+            with self._cond:
+                self.accepted.append(request)
+            process_request(request, client_address)
+
+        def finish(request) -> None:
+            shutdown_request(request)
+            with self._cond:
+                self.finished.append(request)
+                self._cond.notify_all()
+
+        monkeypatch.setattr(server, "process_request", accept)
+        monkeypatch.setattr(server, "shutdown_request", finish)
+
+    def wait_finished(self, count: int, timeout: float = 10.0) -> bool:
+        with self._cond:
+            return self._cond.wait_for(lambda: len(self.finished) >= count, timeout)
+
+
 class TestHTTPService:
     def test_healthz_and_store_stats(self, service):
-        client = ServiceClient(service.url)
-        health = client.healthz()
-        assert health["status"] == "ok"
-        assert health["code_version"] == code_version()
-        assert health["scheduler"]["backend_slots"] == 1
-        stats = client.store_stats()
-        assert stats == json.loads(json.dumps(store_stats_payload(service.store)))
+        with ServiceClient(service.url) as client:
+            health = client.healthz()
+            assert health["status"] == "ok"
+            assert health["code_version"] == code_version()
+            assert health["scheduler"]["backend_slots"] == 1
+            stats = client.store_stats()
+            assert stats == json.loads(json.dumps(store_stats_payload(service.store)))
 
     def test_submit_wait_result_manifest_and_warm_replay(self, service):
-        client = ServiceClient(service.url, client="test-suite")
-        job = client.submit(TINY_RUN)
-        assert job["state"] in ("running", "completed")
-        snapshot = client.wait(job["id"], timeout=60)
-        assert snapshot["state"] == "completed"
-        result = client.result(job["id"])
-        stats = result["result"]["results"]["baseline"]
-        assert stats["accesses"] == 600
-        manifest = result["manifest"]
-        assert manifest["job"]["client"] == "test-suite"
-        assert manifest["store"] == {
-            "path": str(service.store.directory),
-            "hits": 0,
-            "executed": 1,
-            "shared": 0,
-        }
-        assert verify_manifest(manifest) == []
+        with ServiceClient(service.url, client="test-suite") as client:
+            job = client.submit(TINY_RUN)
+            assert job["state"] in ("running", "completed")
+            snapshot = client.wait(job["id"], timeout=60)
+            assert snapshot["state"] == "completed"
+            result = client.result(job["id"])
+            stats = result["result"]["results"]["baseline"]
+            assert stats["accesses"] == 600
+            manifest = result["manifest"]
+            assert manifest["job"]["client"] == "test-suite"
+            assert manifest["store"] == {
+                "path": str(service.store.directory),
+                "hits": 0,
+                "executed": 1,
+                "shared": 0,
+            }
+            assert verify_manifest(manifest) == []
 
-        # Same request again: fully satisfied by the store, zero executions.
-        replay = client.submit(TINY_RUN)
-        client.wait(replay["id"], timeout=60)
-        replay_manifest = client.result(replay["id"])["manifest"]
-        assert replay_manifest["store"]["hits"] == 1
-        assert replay_manifest["store"]["executed"] == 0
+            # Same request again: fully satisfied by the store, zero executions.
+            replay = client.submit(TINY_RUN)
+            client.wait(replay["id"], timeout=60)
+            replay_manifest = client.result(replay["id"])["manifest"]
+            assert replay_manifest["store"]["hits"] == 1
+            assert replay_manifest["store"]["executed"] == 0
 
-        # The manifest's spec entries resubmit verbatim as a spec job.
-        resubmit = client.submit({"kind": "spec", "specs": manifest["specs"]})
-        client.wait(resubmit["id"], timeout=60)
-        fetched = client.result(resubmit["id"])
-        digest = manifest["specs"][0]["digest"]
-        assert fetched["manifest"]["store"]["executed"] == 0
-        assert digest in fetched["result"]["results"]
+            # The manifest's spec entries resubmit verbatim as a spec job.
+            resubmit = client.submit({"kind": "spec", "specs": manifest["specs"]})
+            client.wait(resubmit["id"], timeout=60)
+            fetched = client.result(resubmit["id"])
+            digest = manifest["specs"][0]["digest"]
+            assert fetched["manifest"]["store"]["executed"] == 0
+            assert digest in fetched["result"]["results"]
 
     def test_event_streaming_with_after(self, service):
-        client = ServiceClient(service.url)
-        job = client.submit(TINY_RUN)
-        client.wait(job["id"], timeout=60)
-        full = client.status(job["id"])
-        assert [e["seq"] for e in full["events"]] == list(range(len(full["events"])))
-        last = full["events"][-1]["seq"]
-        assert client.status(job["id"], after=last)["events"] == []
-        tail = client.status(job["id"], after=last - 1)["events"]
-        assert [e["seq"] for e in tail] == [last]
+        with ServiceClient(service.url) as client:
+            job = client.submit(TINY_RUN)
+            client.wait(job["id"], timeout=60)
+            full = client.status(job["id"])
+            assert [e["seq"] for e in full["events"]] == list(range(len(full["events"])))
+            last = full["events"][-1]["seq"]
+            assert client.status(job["id"], after=last)["events"] == []
+            tail = client.status(job["id"], after=last - 1)["events"]
+            assert [e["seq"] for e in tail] == [last]
 
     def test_job_listing_and_cancel_of_finished_job(self, service):
-        client = ServiceClient(service.url)
-        job = client.submit(TINY_RUN)
-        client.wait(job["id"], timeout=60)
-        listed = client.jobs()
-        assert job["id"] in [entry["id"] for entry in listed]
-        assert all("events" not in entry for entry in listed)
-        outcome = client.cancel(job["id"])
-        assert outcome["cancelled"] is False
-        assert outcome["job"]["state"] == "completed"
+        with ServiceClient(service.url) as client:
+            job = client.submit(TINY_RUN)
+            client.wait(job["id"], timeout=60)
+            listed = client.jobs()
+            assert job["id"] in [entry["id"] for entry in listed]
+            assert all("events" not in entry for entry in listed)
+            outcome = client.cancel(job["id"])
+            assert outcome["cancelled"] is False
+            assert outcome["job"]["state"] == "completed"
 
     def test_error_mapping(self, service):
-        client = ServiceClient(service.url)
-        with pytest.raises(ServiceError) as not_found:
-            client.status("job-nope")
-        assert not_found.value.status == 404
-        with pytest.raises(ServiceError) as bad_kind:
-            client.submit({"kind": "teleport"})
-        assert bad_kind.value.status == 400
-        with pytest.raises(ServiceError) as bad_endpoint:
-            client._request("GET", "/nope")
-        assert bad_endpoint.value.status == 404
-        with pytest.raises(ServiceError) as unreachable:
-            ServiceClient("http://127.0.0.1:9", timeout=0.5).healthz()
+        with ServiceClient(service.url) as client:
+            with pytest.raises(ServiceError) as not_found:
+                client.status("job-nope")
+            assert not_found.value.status == 404
+            with pytest.raises(ServiceError) as bad_kind:
+                client.submit({"kind": "teleport"})
+            assert bad_kind.value.status == 400
+            with pytest.raises(ServiceError) as bad_endpoint:
+                client._request("GET", "/nope")
+            assert bad_endpoint.value.status == 404
+        with ServiceClient("http://127.0.0.1:9", timeout=0.5) as nobody:
+            with pytest.raises(ServiceError) as unreachable:
+                nobody.healthz()
         assert unreachable.value.status == 0
 
     def test_spec_with_unknown_field_is_a_one_line_400(self, service):
-        client = ServiceClient(service.url)
-        entry = {
-            **quick_runner(store=None).spec_for("xalan", "baseline").as_dict(),
-            "replay_windows": 4,
-        }
-        with pytest.raises(ServiceError) as rejected:
-            client.submit({"kind": "spec", "specs": [entry]})
-        assert rejected.value.status == 400
-        message = rejected.value.payload["error"]
-        assert "replay_windows" in message
-        assert len(message.splitlines()) == 1
-        assert client.jobs() == []
+        with ServiceClient(service.url) as client:
+            entry = {
+                **quick_runner(store=None).spec_for("xalan", "baseline").as_dict(),
+                "replay_windows": 4,
+            }
+            with pytest.raises(ServiceError) as rejected:
+                client.submit({"kind": "spec", "specs": [entry]})
+            assert rejected.value.status == 400
+            message = rejected.value.payload["error"]
+            assert "replay_windows" in message
+            assert len(message.splitlines()) == 1
+            assert client.jobs() == []
 
     def test_well_formed_numbers_compile(self):
         run = compile_request({**TINY_RUN, "warmup_fraction": 0, "max_accesses": None})
@@ -501,14 +544,14 @@ class TestHTTPService:
         ],
     )
     def test_malformed_numbers_are_one_line_400s(self, service, request_body, field):
-        client = ServiceClient(service.url)
-        with pytest.raises(ServiceError) as rejected:
-            client.submit(request_body)
-        assert rejected.value.status == 400
-        message = rejected.value.payload["error"]
-        assert field in message
-        assert len(message.splitlines()) == 1
-        assert client.jobs() == []
+        with ServiceClient(service.url) as client:
+            with pytest.raises(ServiceError) as rejected:
+                client.submit(request_body)
+            assert rejected.value.status == 400
+            message = rejected.value.payload["error"]
+            assert field in message
+            assert len(message.splitlines()) == 1
+            assert client.jobs() == []
 
     @pytest.mark.parametrize(
         ("declared", "status"),
@@ -539,36 +582,90 @@ class TestHTTPService:
         assert b"connection: close" in head.lower()
         assert len(json.loads(body)["error"].splitlines()) == 1
 
+    def test_chunked_body_is_refused_and_the_connection_closed(self, service):
+        """A chunked body cannot be framed: one 400 line, then the end of
+        the connection, never the chunks parsed as a next request."""
+
+        host, port = service.server_address[:2]
+        body = b'{"kind": "teleport"}'
+        request = (
+            b"POST /jobs HTTP/1.1\r\nHost: localhost\r\n"
+            b"Content-Type: application/json\r\nTransfer-Encoding: chunked\r\n\r\n"
+            + b"%x\r\n%s\r\n0\r\n\r\n" % (len(body), body)
+        )
+        with socket.create_connection((host, port), timeout=5.0) as connection:
+            connection.sendall(request)
+            response = b""
+            while chunk := connection.recv(65536):
+                response += chunk
+        head, _, rest = response.partition(b"\r\n\r\n")
+        assert head.split()[1] == b"400"
+        assert b"connection: close" in head.lower()
+        error = json.loads(rest)["error"]  # the one reply, nothing after it
+        assert "Transfer-Encoding" in error and len(error.splitlines()) == 1
+
+    @pytest.mark.parametrize(
+        ("method", "path", "status"),
+        [
+            ("POST", "/jobs/job-nope/cancel", 404),
+            ("POST", "/no-such-route", 404),
+            ("GET", "/healthz", 200),
+        ],
+    )
+    def test_unread_body_never_garbles_the_next_request(
+        self, service, method, path, status
+    ):
+        """Every route reads the body it was sent, even one it ignores, so
+        the next request on a kept-alive connection is answered as itself."""
+
+        body = b'{"unread": "garbage"}'
+        assert len(body) == 21
+        host, port = service.server_address[:2]
+        with socket.create_connection((host, port), timeout=5.0) as connection:
+            with connection.makefile("rb") as stream:
+                connection.sendall(
+                    f"{method} {path} HTTP/1.1\r\nHost: localhost\r\n"
+                    f"Content-Type: application/json\r\n"
+                    f"Content-Length: {len(body)}\r\n\r\n".encode()
+                    + body
+                )
+                first_status, _ = _read_response(stream)
+                connection.sendall(b"GET /healthz HTTP/1.1\r\nHost: localhost\r\n\r\n")
+                second_status, second = _read_response(stream)
+        assert first_status == status
+        assert second_status == 200, second
+        assert json.loads(second)["status"] == "ok"
+
     def test_daemon_forgets_finished_jobs_beyond_the_limit(
         self, service, monkeypatch
     ):
         monkeypatch.setattr(scheduler_module, "FINISHED_JOB_LIMIT", 2)
-        client = ServiceClient(service.url)
-        ids = []
-        for _ in range(4):
-            job = client.submit(TINY_RUN)
-            client.wait(job["id"], timeout=60)
-            ids.append(job["id"])
-        assert [entry["id"] for entry in client.jobs()] == ids[-2:]
-        assert client.healthz()["scheduler"]["jobs"] == {"completed": 2}
-        with pytest.raises(ServiceError) as forgotten:
-            client.result(ids[0])
-        assert forgotten.value.status == 404
-        assert client.result(ids[-1])["manifest"]["store"]["hits"] == 1
+        with ServiceClient(service.url) as client:
+            ids = []
+            for _ in range(4):
+                job = client.submit(TINY_RUN)
+                client.wait(job["id"], timeout=60)
+                ids.append(job["id"])
+            assert [entry["id"] for entry in client.jobs()] == ids[-2:]
+            assert client.healthz()["scheduler"]["jobs"] == {"completed": 2}
+            with pytest.raises(ServiceError) as forgotten:
+                client.result(ids[0])
+            assert forgotten.value.status == 404
+            assert client.result(ids[-1])["manifest"]["store"]["hits"] == 1
 
     def test_quota_maps_to_429(self, tmp_path):
         server = build_server(None, port=0, jobs=1, quota=1)
         thread = threading.Thread(target=server.serve_forever, daemon=True)
         thread.start()
         try:
-            client = ServiceClient(server.url, client="greedy")
-            with pytest.raises(ServiceError) as over:
-                client.submit(
-                    {**TINY_RUN, "configurations": ["baseline", "triage"]}
-                )
-            assert over.value.status == 429
-            with pytest.raises(ServiceError):
-                client.store_stats()  # no store on this daemon: 404
+            with ServiceClient(server.url, client="greedy") as client:
+                with pytest.raises(ServiceError) as over:
+                    client.submit(
+                        {**TINY_RUN, "configurations": ["baseline", "triage"]}
+                    )
+                assert over.value.status == 429
+                with pytest.raises(ServiceError):
+                    client.store_stats()  # no store on this daemon: 404
         finally:
             server.shutdown()
             server.server_close()
@@ -590,11 +687,11 @@ class TestHTTPService:
         results: dict[str, dict] = {}
 
         def submit_and_fetch(name: str) -> None:
-            client = ServiceClient(service.url, client=name)
-            barrier.wait()
-            job = client.submit(payload)
-            client.wait(job["id"], timeout=120)
-            results[name] = client.result(job["id"])
+            with ServiceClient(service.url, client=name) as client:
+                barrier.wait()
+                job = client.submit(payload)
+                client.wait(job["id"], timeout=120)
+                results[name] = client.result(job["id"])
 
         threads = [
             threading.Thread(target=submit_and_fetch, args=(name,))
@@ -624,6 +721,100 @@ class TestHTTPService:
         assert results["alice"]["result"]["rendered"] == results["bob"]["result"]["rendered"]
 
 
+class TestKeptAliveTransport:
+    """Each client keeps one connection to the daemon and reuses it."""
+
+    def test_twenty_calls_arrive_over_one_connection(self, service, monkeypatch):
+        log = _ConnectionLog(service, monkeypatch)
+        with ServiceClient(service.url) as client:
+            for _ in range(20):
+                assert client.healthz()["status"] == "ok"
+        assert len(log.accepted) == 1
+
+    def test_accepted_sockets_disable_nagle(self, service, monkeypatch):
+        # Headers and body leave in two sends: with Nagle's algorithm on,
+        # the body waits for the client's delayed ACK.
+        log = _ConnectionLog(service, monkeypatch)
+        with ServiceClient(service.url) as first, ServiceClient(service.url) as second:
+            first.healthz()
+            second.jobs()
+            assert len(log.accepted) == 2
+            for connection in log.accepted:
+                assert connection.getsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY)
+
+    def test_closed_server_answers_nothing(self, service, monkeypatch):
+        log = _ConnectionLog(service, monkeypatch)
+        with ServiceClient(service.url) as client:
+            assert client.healthz()["status"] == "ok"
+            service.shutdown()
+            service.server_close()
+            # The idle handler reads end-of-file and exits...
+            assert log.wait_finished(1)
+            # ...and the retry on a fresh connection finds no listener.
+            with pytest.raises(ServiceError) as refused:
+                client.healthz()
+        assert refused.value.status == 0
+
+    def test_request_completed_after_close_is_dropped(self, service):
+        host, port = service.server_address[:2]
+        with socket.create_connection((host, port), timeout=5.0) as connection:
+            with connection.makefile("rb") as stream:
+                connection.sendall(b"GET /healthz HTTP/1.1\r\nHost: localhost\r\n\r\n")
+                assert _read_response(stream)[0] == 200
+                # The handler holds half a request line when the server
+                # closes; it reads the rest (end-of-file) only afterwards.
+                connection.sendall(b"GET /healthz HTTP/1.1")
+                service.shutdown()
+                service.server_close()
+                assert stream.read() == b""
+
+    def test_dropped_connection_is_replaced_once(self, service, monkeypatch):
+        log = _ConnectionLog(service, monkeypatch)
+        with ServiceClient(service.url) as client:
+            client.healthz()
+            # The daemon ends the idle connection, as a restart would.
+            log.accepted[0].shutdown(socket.SHUT_RDWR)
+            assert log.wait_finished(1)
+            assert client.healthz()["status"] == "ok"
+        assert len(log.accepted) == 2
+
+    def test_threads_sharing_a_client_take_turns(self, service):
+        errors: list[str] = []
+        with ServiceClient(service.url) as client:
+            job_ids = [client.submit(TINY_RUN)["id"] for _ in range(4)]
+
+            def poll(job_id: str) -> None:
+                try:
+                    for _ in range(10):
+                        seen = client.status(job_id)["id"]
+                        if seen != job_id:
+                            errors.append(f"{job_id} got {seen}")
+                except Exception as error:  # noqa: BLE001 - reported below
+                    errors.append(repr(error))
+
+            threads = [threading.Thread(target=poll, args=(job_id,)) for job_id in job_ids]
+            interval = sys.getswitchinterval()
+            sys.setswitchinterval(1e-5)
+            try:
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=60)
+            finally:
+                sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+
+    def test_call_after_close_opens_a_new_connection(self, service, monkeypatch):
+        log = _ConnectionLog(service, monkeypatch)
+        with ServiceClient(service.url) as client:
+            client.healthz()
+            client.close()
+            assert log.wait_finished(1)
+            assert client.healthz()["status"] == "ok"
+        assert len(log.accepted) == 2
+
+
 class TestSpecIdentityCost:
     def test_warm_study_canonicalises_each_spec_at_most_twice(
         self, service, monkeypatch
@@ -638,22 +829,22 @@ class TestSpecIdentityCost:
             "trace_length": 600,
             "max_accesses": 240,
         }
-        client = ServiceClient(service.url)
-        cold = client.submit(request)
-        assert client.wait(cold["id"], timeout=300)["state"] == "completed"
+        with ServiceClient(service.url) as client:
+            cold = client.submit(request)
+            assert client.wait(cold["id"], timeout=300)["state"] == "completed"
 
-        calls: dict = {}
-        as_dict = RunSpec.as_dict
+            calls: dict = {}
+            as_dict = RunSpec.as_dict
 
-        def counting(spec):
-            calls[spec] = calls.get(spec, 0) + 1
-            return as_dict(spec)
+            def counting(spec):
+                calls[spec] = calls.get(spec, 0) + 1
+                return as_dict(spec)
 
-        monkeypatch.setattr(RunSpec, "as_dict", counting)
-        warm = client.submit(request)
-        assert client.wait(warm["id"], timeout=60)["state"] == "completed"
-        manifest = client.result(warm["id"])["manifest"]
-        monkeypatch.undo()
+            monkeypatch.setattr(RunSpec, "as_dict", counting)
+            warm = client.submit(request)
+            assert client.wait(warm["id"], timeout=60)["state"] == "completed"
+            manifest = client.result(warm["id"])["manifest"]
+            monkeypatch.undo()
 
         assert manifest["store"]["executed"] == 0
         distinct = {entry["digest"] for entry in manifest["specs"]}
@@ -780,20 +971,20 @@ class TestDaemonKill:
         }
         daemon = _Daemon(cache_dir)
         try:
-            client = ServiceClient(daemon.url, timeout=30)
-            job = client.submit(request)
-            total = job["specs"]["total"]
-            assert total >= 8
-            deadline = time.monotonic() + 120
-            while True:
-                events = client.status(job["id"])["events"]
-                if any(
-                    event["event"] == "spec_resolved" and event["source"] == "executed"
-                    for event in events
-                ):
-                    break
-                assert time.monotonic() < deadline, "no spec executed in time"
-                time.sleep(0.01)
+            with ServiceClient(daemon.url, timeout=30) as client:
+                job = client.submit(request)
+                total = job["specs"]["total"]
+                assert total >= 8
+                deadline = time.monotonic() + 120
+                while True:
+                    events = client.status(job["id"])["events"]
+                    if any(
+                        event["event"] == "spec_resolved" and event["source"] == "executed"
+                        for event in events
+                    ):
+                        break
+                    assert time.monotonic() < deadline, "no spec executed in time"
+                    time.sleep(0.01)
         finally:
             code = daemon.stop(signal.SIGKILL)
         assert code == -signal.SIGKILL
@@ -803,10 +994,10 @@ class TestDaemonKill:
 
         daemon = _Daemon(cache_dir)
         try:
-            client = ServiceClient(daemon.url, timeout=30)
-            again = client.submit(request)
-            assert client.wait(again["id"], timeout=120)["state"] == "completed"
-            manifest = client.result(again["id"])["manifest"]
+            with ServiceClient(daemon.url, timeout=30) as client:
+                again = client.submit(request)
+                assert client.wait(again["id"], timeout=120)["state"] == "completed"
+                manifest = client.result(again["id"])["manifest"]
         finally:
             code = daemon.stop(signal.SIGTERM)
         assert code == 0
@@ -850,6 +1041,12 @@ class TestServiceCLI:
     def test_submit_unreachable_daemon_exits_2(self, capsys):
         assert main(["submit", "run", "xalan", "--url", "http://127.0.0.1:9"]) == 2
         assert "cannot reach" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("url", ["127.0.0.1:8642", "https://127.0.0.1:8642"])
+    def test_non_http_daemon_url_is_a_one_line_error(self, capsys, url):
+        assert main(["status", "job-1", "--url", url]) == 2
+        err = capsys.readouterr().err
+        assert "http://host" in err and len(err.strip().splitlines()) == 1
 
     def test_submit_status_result_cancel_round_trip(
         self, tmp_path, monkeypatch, capsys
