@@ -69,6 +69,24 @@ def normalize_against_baseline(
     return normalized
 
 
+def normalized_table(
+    results: Mapping[str, Mapping[str, SimulationStats]],
+    metric: str,
+    baseline_config: str = "baseline",
+    include_geomean: bool = True,
+) -> dict[str, dict[str, float]]:
+    """:func:`normalize_against_baseline` without the baseline's own column.
+
+    With ``include_geomean`` the summary row of :func:`add_geomean_row` is
+    appended: the shape of every baseline-normalised figure table.
+    """
+
+    table = normalize_against_baseline(results, metric, baseline_config)
+    for per_config in table.values():
+        per_config.pop(baseline_config, None)
+    return add_geomean_row(table) if include_geomean else table
+
+
 def summarize_ratio(per_workload: Mapping[str, float]) -> float:
     """Geomean summary of a per-workload relative metric (the figures' last bar).
 

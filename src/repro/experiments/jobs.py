@@ -22,7 +22,9 @@ every field (including a ``kind`` discriminator, so the two spec types can
 never collide) plus a code-version salt derived from the simulator sources,
 so results cached by one version of the code are never replayed by another.
 Each instance computes its digest once and keeps it beside the code version
-it was salted with, so asking again is a lookup.
+it was salted with, so asking again is a lookup.  Specs made together (a
+study's cells) share one frozen system tree, and :func:`tree_json` encodes
+that tree once for all of them.
 """
 
 from __future__ import annotations
@@ -124,6 +126,46 @@ def _thaw(value):
     return value
 
 
+def _canonical_json(value) -> str:
+    """The compact, key-sorted JSON that content hashes are taken over."""
+
+    return json.dumps(value, sort_keys=True, separators=(",", ":"))
+
+
+#: id(tree) -> (tree, canonical JSON) for recently encoded frozen trees.  Each
+#: entry holds its tree, so the id cannot be reused while the entry lives.
+_TREE_JSON: dict[int, tuple[tuple, str]] = {}
+_TREE_JSON_LIMIT = 64
+
+
+def tree_json(tree: tuple) -> str:
+    """The canonical JSON of a frozen tree (``_canonical_json(_thaw(tree))``).
+
+    Memoised by the tree's identity, never by equality: trees that differ
+    only as ``25``/``25.0``, ``1``/``True`` or ``0.0``/``-0.0`` compare equal
+    but encode differently, so an equality-keyed cache would make a digest
+    depend on which tree the process happened to encode first.  The cache
+    is emptied when full.  Threads share it without a lock: each entry is
+    stored whole and always pairs a tree with its own JSON, so a race can
+    at worst drop an entry or overshoot the limit briefly.
+    """
+
+    entry = _TREE_JSON.get(id(tree))
+    if entry is not None and entry[0] is tree:
+        return entry[1]
+    text = _canonical_json(_thaw(tree))
+    if len(_TREE_JSON) >= _TREE_JSON_LIMIT:
+        _TREE_JSON.clear()
+    _TREE_JSON[id(tree)] = (tree, text)
+    return text
+
+
+def _frozen_system(system: SystemConfig | tuple) -> tuple:
+    """A system as the frozen tree specs carry (a frozen tree is kept as is)."""
+
+    return system if isinstance(system, tuple) else _freeze(system)
+
+
 def _trace_digests(workloads: Sequence[str]) -> dict[str, str]:
     """Content digests of every on-disk trace workload among ``workloads``.
 
@@ -196,23 +238,41 @@ class _SpecBase:
             )
 
     # -- identity -----------------------------------------------------------
+    def as_dict(self) -> dict:
+        """JSON-serialisable canonical form (also stored alongside results).
+
+        :meth:`canonical_fields` plus the thawed ``system`` tree.
+        """
+
+        return {**self.canonical_fields(), "system": _thaw(self.system)}
+
     def content_hash(self) -> str:
         """Hex digest keying the persistent store (salted by code version).
 
         The SHA-256 of ``code_version()``, ``|`` and the key-sorted compact
-        JSON of :meth:`as_dict`.  It is computed once per instance and cached
-        as a ``(code_version, digest)`` pair, so a code-version change
-        re-keys the instance.  The canonical JSON itself is not kept.  The
-        cache is a plain instance attribute, not a dataclass field: it takes
-        no part in equality, ``hash()``, ``repr`` or
-        :func:`dataclasses.replace`, and it pickles with the spec.
+        JSON of :meth:`as_dict`.  That JSON is assembled from the encoded
+        :meth:`canonical_fields` and the system tree's :func:`tree_json`, so
+        specs sharing one tree encode it once.  The digest is computed once
+        per instance and cached as a ``(code_version, digest)`` pair, so a
+        code-version change re-keys the instance.  The cache is a plain
+        instance attribute, not a dataclass field: it takes no part in
+        equality, ``hash()``, ``repr`` or :func:`dataclasses.replace`, and it
+        pickles with the spec.
         """
 
         version = code_version()
         cached = self.__dict__.get("_digest")
         if cached is not None and cached[0] == version:
             return cached[1]
-        canonical = json.dumps(self.as_dict(), sort_keys=True, separators=(",", ":"))
+        # Key-sorted JSON is "{" + the sorted "key":value items + "}", so the
+        # fields sorting before and after "system" encode on either side.
+        fields = self.canonical_fields()
+        items = [
+            _canonical_json({key: value for key, value in fields.items() if key < "system"})[1:-1],
+            f'"system":{tree_json(self.system)}',
+            _canonical_json({key: value for key, value in fields.items() if key > "system"})[1:-1],
+        ]
+        canonical = "{" + ",".join(item for item in items if item) + "}"
         digest = hashlib.sha256(f"{version}|{canonical}".encode()).hexdigest()
         object.__setattr__(self, "_digest", (version, digest))
         return digest
@@ -252,18 +312,22 @@ class RunSpec(_SpecBase):
         cls,
         workload: str,
         configuration: str,
-        system: SystemConfig,
+        system: SystemConfig | tuple,
         trace_overrides: Mapping | None = None,
         warmup_fraction: float = 0.4,
         max_accesses: int | None = None,
         config_params: Mapping | None = None,
     ) -> "RunSpec":
-        """Build a canonical spec from mutable inputs (see class docs)."""
+        """Build a canonical spec from mutable inputs (see class docs).
+
+        ``system`` is a :class:`SystemConfig` or the tree it freezes to; a
+        batch of specs passes one tree, so they share it.
+        """
 
         return cls(
             workload=workload,
             configuration=configuration,
-            system=_freeze(system),
+            system=_frozen_system(system),
             trace_overrides=_freeze(dict(trace_overrides or {})),
             warmup_fraction=warmup_fraction,
             max_accesses=max_accesses,
@@ -271,8 +335,8 @@ class RunSpec(_SpecBase):
             trace_digests=_freeze(_trace_digests([workload])),
         )
 
-    def as_dict(self) -> dict:
-        """JSON-serialisable canonical form (also stored alongside results).
+    def canonical_fields(self) -> dict:
+        """The canonical form of every field but ``system`` (see :meth:`as_dict`).
 
         For ``trace:`` workloads a ``trace_digests`` entry content-addresses
         the backing file, so the spec's hash — and hence the store key —
@@ -285,7 +349,6 @@ class RunSpec(_SpecBase):
             "workload": self.workload,
             "configuration": self.configuration,
             "config_params": self.config_params_dict(),
-            "system": _thaw(self.system),
             "trace_overrides": self.trace_overrides_dict(),
             "warmup_fraction": self.warmup_fraction,
             "max_accesses": self.max_accesses,
@@ -335,19 +398,22 @@ class MultiProgramSpec(_SpecBase):
         cls,
         workloads: Sequence[str],
         configuration: str,
-        system: SystemConfig,
+        system: SystemConfig | tuple,
         trace_overrides: Mapping | None = None,
         warmup_fraction: float = 0.4,
         max_accesses_per_core: int | None = None,
         share_metadata: bool = True,
         config_params: Mapping | None = None,
     ) -> "MultiProgramSpec":
-        """Build a canonical multiprogram spec from mutable inputs."""
+        """Build a canonical multiprogram spec from mutable inputs.
+
+        ``system`` may be an already-frozen tree, as for :meth:`RunSpec.create`.
+        """
 
         return cls(
             workloads=tuple(workloads),
             configuration=configuration,
-            system=_freeze(system),
+            system=_frozen_system(system),
             trace_overrides=_freeze(dict(trace_overrides or {})),
             warmup_fraction=warmup_fraction,
             max_accesses_per_core=max_accesses_per_core,
@@ -356,11 +422,12 @@ class MultiProgramSpec(_SpecBase):
             trace_digests=_freeze(_trace_digests(workloads)),
         )
 
-    def as_dict(self) -> dict:
-        """JSON-serialisable canonical form (also stored alongside results).
+    def canonical_fields(self) -> dict:
+        """The canonical form of every field but ``system`` (see :meth:`as_dict`).
 
         ``trace_digests`` content-addresses any ``trace:`` workloads among
-        the per-core streams, exactly as :meth:`RunSpec.as_dict` does.
+        the per-core streams, exactly as :meth:`RunSpec.canonical_fields`
+        does.
         """
 
         data = {
@@ -368,7 +435,6 @@ class MultiProgramSpec(_SpecBase):
             "workloads": list(self.workloads),
             "configuration": self.configuration,
             "config_params": self.config_params_dict(),
-            "system": _thaw(self.system),
             "trace_overrides": self.trace_overrides_dict(),
             "warmup_fraction": self.warmup_fraction,
             "max_accesses_per_core": self.max_accesses_per_core,

@@ -33,11 +33,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
-from repro.analysis.metrics import add_geomean_row, normalize_against_baseline
+from repro.analysis.metrics import normalized_table
 from repro.experiments.configs import CONFIGS
 from repro.experiments.jobs import (
     MultiProgramSpec,
     RunSpec,
+    _freeze,
     trace_for_workload,
 )
 from repro.experiments.jobs import clear_trace_memo as jobs_clear_trace_memo
@@ -74,35 +75,41 @@ class ExperimentRunner:
     jobs: int = 1
     #: result store; ``None`` means the process-wide default store.
     store: ResultStore | None = None
-    #: every spec this runner has made, keyed by value: an equal spec comes
-    #: back as the first instance, so its cached digest is computed once.
-    _specs: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     # -- the spec → scheduler → store plumbing -------------------------------
+    def frozen_system(self) -> tuple:
+        """This runner's system as the frozen tree its specs carry.
+
+        Pass it as ``system`` to :meth:`spec_for` or
+        :meth:`multiprogram_spec_for` when making a batch: the specs then
+        share one tree, frozen once and encoded once for all their digests.
+        """
+
+        return _freeze(self.system)
+
     def spec_for(
         self,
         workload: str,
         configuration: str,
         config_params: Mapping | None = None,
+        system: tuple | None = None,
     ) -> RunSpec:
         """The immutable spec describing one single-core cell under this runner.
 
         ``config_params`` carries the call-time parameters of a
         parameterised configuration; they become part of the spec's identity
-        (and hence the store key).  Equal calls return the same instance
-        (see :meth:`_intern`).
+        (and hence the store key).  ``system`` is :meth:`frozen_system`'s
+        tree, when the caller already has it.
         """
 
-        return self._intern(
-            RunSpec.create(
-                workload=workload,
-                configuration=configuration,
-                system=self.system,
-                trace_overrides=self.trace_overrides,
-                warmup_fraction=self.warmup_fraction,
-                max_accesses=self.max_accesses,
-                config_params=config_params,
-            )
+        return RunSpec.create(
+            workload=workload,
+            configuration=configuration,
+            system=self.system if system is None else system,
+            trace_overrides=self.trace_overrides,
+            warmup_fraction=self.warmup_fraction,
+            max_accesses=self.max_accesses,
+            config_params=config_params,
         )
 
     def multiprogram_spec_for(
@@ -112,38 +119,27 @@ class ExperimentRunner:
         max_accesses_per_core: int | None = None,
         share_metadata: bool = True,
         config_params: Mapping | None = None,
+        system: tuple | None = None,
     ) -> MultiProgramSpec:
         """The immutable spec describing one multiprogrammed run.
 
         ``config_params`` parameterises the configuration every core runs,
-        exactly as :meth:`spec_for` does for single-core cells.
+        and ``system`` may be :meth:`frozen_system`'s tree, exactly as for
+        :meth:`spec_for`.
         """
 
         if configuration not in CONFIGS:
             raise ValueError(f"unknown configuration {configuration!r}")
-        return self._intern(
-            MultiProgramSpec.create(
-                workloads=workloads,
-                configuration=configuration,
-                system=self.system,
-                trace_overrides=self.trace_overrides,
-                warmup_fraction=self.warmup_fraction,
-                max_accesses_per_core=max_accesses_per_core,
-                share_metadata=share_metadata,
-                config_params=config_params,
-            )
+        return MultiProgramSpec.create(
+            workloads=workloads,
+            configuration=configuration,
+            system=self.system if system is None else system,
+            trace_overrides=self.trace_overrides,
+            warmup_fraction=self.warmup_fraction,
+            max_accesses_per_core=max_accesses_per_core,
+            share_metadata=share_metadata,
+            config_params=config_params,
         )
-
-    def _intern(self, spec: Spec) -> Spec:
-        """The first instance of ``spec`` this runner made.
-
-        The spec is always built from the runner's current fields, so a
-        changed field yields a new spec; interning only folds equal ones.
-        A study's reduce pass re-derives the specs its compile pass made,
-        and through the interned instances it reuses their digests.
-        """
-
-        return self._specs.setdefault(spec, spec)
 
     def _store(self) -> ResultStore | None:
         if not self.use_cache:
@@ -198,12 +194,13 @@ class ExperimentRunner:
         registry configurations ignore it).
         """
 
+        system = self.frozen_system()
         cell_specs: dict[tuple[str, str], RunSpec] = {}
         for configuration in configurations:
             params = config_params if CONFIGS.takes_params(configuration) else None
             for workload in workloads:
                 cell_specs[(workload, configuration)] = self.spec_for(
-                    workload, configuration, params
+                    workload, configuration, params, system
                 )
         batch = self.submit(list(cell_specs.values()))
 
@@ -230,12 +227,7 @@ class ExperimentRunner:
         if baseline_config not in run_configs:
             run_configs = [baseline_config] + run_configs
         results = self.run_matrix(workloads, run_configs, config_params)
-        table = normalize_against_baseline(results, metric, baseline_config)
-        for per_config in table.values():
-            per_config.pop(baseline_config, None)
-        if include_geomean:
-            table = add_geomean_row(table)
-        return table
+        return normalized_table(results, metric, baseline_config, include_geomean)
 
     # -- multiprogrammed runs ---------------------------------------------------
     def run_multiprogram(

@@ -48,7 +48,7 @@ from repro.experiments.study import (
     FigureResult,
     Study,
     StudyRegistry,
-    no_specs,
+    no_cells,
     register_reducer,
 )
 from repro.workloads.registry import (
@@ -102,19 +102,19 @@ def system_config_result(system) -> FigureResult:
     return result
 
 
-def _table1_tables(study: Study, runner: ExperimentRunner) -> FigureResult:
+def _table1_table(study: Study, results: dict) -> FigureResult:
     return structure_sizes_result()
 
 
-def _table2_tables(study: Study, runner: ExperimentRunner) -> FigureResult:
+def _table2_table(study: Study, results: dict) -> FigureResult:
     from repro.sim.config import system_for
 
     return system_config_result(system_for(study.system, study.scale))
 
 
-register_reducer("structure-sizes", no_specs, _table1_tables, axes=())
+register_reducer("structure-sizes", no_cells, _table1_table, axes=())
 register_reducer(
-    "system-description", no_specs, _table2_tables, axes={"system", "scale"}
+    "system-description", no_cells, _table2_table, axes={"system", "scale"}
 )
 
 

@@ -3,24 +3,27 @@
 A :class:`Study` is an immutable declaration of an experiment's axes —
 workloads × configurations (with optional call-time parameters) × system ×
 metric reducer — plus presentation (figure label, title, notes, column
-relabelling).  It contains no execution logic of its own: a study *compiles*
-to a batch of :class:`~repro.experiments.jobs.RunSpec` /
-:class:`~repro.experiments.jobs.MultiProgramSpec` values for the existing
-scheduler + store pipeline, and a named *reducer* turns the batch's results
-into the familiar :class:`FigureResult` table.
+relabelling).  It contains no execution logic of its own: a study lists its
+*cells* (each a :class:`~repro.experiments.jobs.RunSpec` /
+:class:`~repro.experiments.jobs.MultiProgramSpec`), *compiles* to their
+unique specs for the existing scheduler + store pipeline, and a named
+*reducer* turns the cells' results into the familiar :class:`FigureResult`
+table.
 
 The pieces:
 
-* :class:`Study` — the frozen axis spec, with :meth:`Study.compile` (the
-  spec batch), :meth:`Study.run` (reduce through the scheduler + store,
-  then render) and :meth:`Study.overridden` (the ``--set scale=0.5`` /
-  ``--workloads`` / ``--configs`` override hooks, which validate that an
-  override actually applies before anything simulates);
+* :class:`Study` — the frozen axis spec, with :meth:`Study.cells` (cell →
+  spec), :meth:`Study.compile` (the unique specs), :meth:`Study.reduce`
+  (cell → result, then render), :meth:`Study.run` (submit the compiled
+  specs once through the scheduler + store, then reduce) and
+  :meth:`Study.overridden` (the ``--set scale=0.5`` / ``--workloads`` /
+  ``--configs`` override hooks, which validate that an override actually
+  applies before anything simulates);
 * :data:`REDUCERS` — named reducers (``matrix``, ``stat``, ``matrix-pair``,
   ``multiprogram``, ``slowdown-traffic``, plus analytic ones registered by
-  :mod:`repro.experiments.studies`), each pairing a spec enumerator with a
-  table builder so ``compile`` and ``run`` can never disagree about which
-  simulations a study needs;
+  :mod:`repro.experiments.studies`), each pairing a cell enumerator with a
+  table builder that reads only those cells' results, so ``compile`` and
+  ``run`` can never disagree about which simulations a study needs;
 * :class:`StudyRegistry` — a name → :class:`Study` registry with
   ``describe`` support; the canonical instance, with every figure and table
   of the paper declared, is :data:`repro.experiments.studies.STUDIES`.
@@ -37,13 +40,13 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 from dataclasses import dataclass, field
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Hashable, Mapping, Sequence
 
 from repro.analysis.metrics import (
     RELATIVE_METRICS,
     add_geomean_row,
     geomean,
-    normalize_against_baseline,
+    normalized_table,
 )
 from repro.analysis.report import render_figure
 from repro.experiments.configs import CONFIGS
@@ -364,47 +367,70 @@ class Study:
             system=system_for(self.system, self.scale), **runner_fields
         )
 
+    def cells(self, runner: ExperimentRunner | None = None) -> dict:
+        """Every cell this study reduces, mapped to the spec that computes it.
+
+        The built-in reducers make each spec once, over one frozen system
+        tree.  Analytic studies have no cells.
+        """
+
+        return REDUCERS[self.reducer].cells(self, runner or self.make_runner())
+
     def compile(self, runner: ExperimentRunner | None = None) -> list[Spec]:
         """The deduplicated batch of specs this study needs, in axis order.
 
-        This is exactly the set of simulations :meth:`run` executes (the
-        reducer's ``specs`` and ``tables`` enumerate the same cells), so
-        submitting the batch — from any process, e.g. a prewarm pass —
-        warms the store and a subsequent :meth:`run` re-executes nothing.
+        These are the unique specs of :meth:`cells`, exactly the set of
+        simulations :meth:`run` executes, so submitting the batch — from any
+        process, e.g. a prewarm pass — warms the store and a subsequent
+        :meth:`run` re-executes nothing.
         """
 
-        runner = runner or self.make_runner()
-        specs = REDUCERS[self.reducer].specs(self, runner)
-        return list(dict.fromkeys(specs))
+        return list(dict.fromkeys(self.cells(runner).values()))
+
+    def reduce(self, cells: Mapping, results: Mapping) -> FigureResult:
+        """The rendered table, from ``cells`` (cell → spec) and their results.
+
+        ``results`` maps each spec to its result — a scheduler job's
+        ``results`` or :meth:`ExperimentRunner.submit`'s answer — so a
+        caller that already resolved the specs reduces without a second
+        pass through the scheduler.
+        """
+
+        by_cell = {cell: results[spec] for cell, spec in cells.items()}
+        return render_result(REDUCERS[self.reducer].table(self, by_cell))
 
     def run(self, runner: ExperimentRunner | None = None) -> FigureResult:
         """Reduce this study's results (simulating what the store lacks).
 
-        The reducer submits the study's cells as deduplicated batches
-        through the runner's scheduler + store, so completed cells replay
-        and misses run (in parallel under ``jobs > 1``).  ``runner``
-        carries the execution policy (jobs, store, trace overrides, access
-        caps) *and*, when given, the system — a shared benchmark runner
-        keeps its own system axis.  Without one, the study runs on its
-        declared ``system``/``scale``.
+        The cells' unique specs go through the runner's scheduler + store
+        in one batch, so completed cells replay and misses run (in
+        parallel under ``jobs > 1``).  ``runner`` carries the execution
+        policy (jobs, store, trace overrides, access caps) *and*, when
+        given, the system — a shared benchmark runner keeps its own system
+        axis.  Without one, the study runs on its declared
+        ``system``/``scale``.
         """
 
         runner = runner or self.make_runner()
-        return render_result(REDUCERS[self.reducer].tables(self, runner))
+        cells = self.cells(runner)
+        results = runner.submit(list(cells.values())) if cells else {}
+        return self.reduce(cells, results)
 
 
 # ---------------------------------------------------------------------------
-# Reducers: spec enumeration + table construction, paired under one name
+# Reducers: cell enumeration + table construction, paired under one name
 # ---------------------------------------------------------------------------
 @dataclass(frozen=True)
 class Reducer:
-    """One named way of turning a study's axes into specs and a table.
+    """One named way of turning a study's axes into cells and a table.
 
-    ``specs(study, runner)`` enumerates every spec the study needs;
-    ``tables(study, runner)`` builds the (unrendered) :class:`FigureResult`.
-    Both run against the same runner, and ``tables`` reads results through
-    the runner's store, so a :meth:`Study.run` never simulates a cell its
-    compiled batch did not declare.
+    ``cells(study, runner)`` maps every cell the study needs to the spec
+    that computes it (its keys are the reducer's own: ``(workload,
+    configuration)`` or ``(pair, configuration)``); ``table(study,
+    results)`` builds the (unrendered) :class:`FigureResult` from cell →
+    result.  ``table`` sees only the results of the cells ``cells``
+    listed, so a :meth:`Study.run` never simulates a cell its compiled
+    batch did not declare.
 
     ``axes`` names the :data:`_AXIS_FIELDS` this reducer actually reads;
     :meth:`Study.overridden` rejects ``--set`` keys outside it, so an
@@ -417,8 +443,8 @@ class Reducer:
     """
 
     name: str
-    specs: Callable[[Study, ExperimentRunner], list]
-    tables: Callable[[Study, ExperimentRunner], FigureResult]
+    cells: Callable[[Study, ExperimentRunner], dict]
+    table: Callable[[Study, Mapping[Hashable, object]], FigureResult]
     axes: frozenset = frozenset(_AXIS_FIELDS)
     valid_metrics: frozenset | None = None
 
@@ -427,21 +453,24 @@ REDUCERS: dict[str, Reducer] = {}
 
 
 def register_reducer(
-    name: str, specs, tables, axes=frozenset(_AXIS_FIELDS), valid_metrics=None
+    name: str, cells, table, axes=frozenset(_AXIS_FIELDS), valid_metrics=None
 ) -> Reducer:
     """Register a reducer under a unique name and return it.
 
-    ``axes`` defaults to every overridable axis; built-in reducers narrow
-    it to the fields they read.  ``valid_metrics`` (optional) is the set of
-    metric values the reducer understands; ``None`` skips validation.
+    ``cells(study, runner)`` returns cell → spec and ``table(study,
+    results)`` builds the unrendered :class:`FigureResult` from cell →
+    result (see :class:`Reducer`).  ``axes`` defaults to every overridable
+    axis; built-in reducers narrow it to the fields they read.
+    ``valid_metrics`` (optional) is the set of metric values the reducer
+    understands; ``None`` skips validation.
     """
 
     if name in REDUCERS:
         raise ValueError(f"reducer {name!r} is already registered")
     reducer = Reducer(
         name=name,
-        specs=specs,
-        tables=tables,
+        cells=cells,
+        table=table,
         axes=frozenset(axes),
         valid_metrics=frozenset(valid_metrics) if valid_metrics is not None else None,
     )
@@ -460,10 +489,10 @@ def _relabeled(table: dict, mapping: dict[str, str]) -> dict:
     }
 
 
-def no_specs(study: Study, runner: ExperimentRunner) -> list:
-    """Spec enumerator of analytic studies: nothing to simulate."""
+def no_cells(study: Study, runner: ExperimentRunner) -> dict:
+    """Cell enumerator of analytic studies: nothing to simulate."""
 
-    return []
+    return {}
 
 
 #: Metric values the baseline-normalising reducers understand (the dispatch
@@ -489,34 +518,43 @@ def _stat_metrics() -> frozenset:
     return frozenset(fields | properties)
 
 
-def _single_core_specs(
+def _single_core_cells(
     study: Study, runner: ExperimentRunner, include_baseline: bool
-) -> list:
-    """Every RunSpec of a single-core study, baseline optionally included."""
+) -> dict:
+    """``(workload, configuration)`` → RunSpec, configuration-major.
+
+    The study's baseline configuration leads when ``include_baseline``.
+    """
 
     configurations = list(study.configurations)
     if include_baseline and study.baseline not in configurations:
         configurations = [study.baseline] + configurations
-    return [
-        runner.spec_for(workload, configuration, study.params_for(configuration))
+    system = runner.frozen_system()
+    return {
+        (workload, configuration): runner.spec_for(
+            workload, configuration, study.params_for(configuration), system
+        )
         for configuration in configurations
         for workload in study.workloads
-    ]
+    }
+
+
+def _by_workload(results: Mapping) -> dict[str, dict]:
+    """``(workload, configuration)`` → result as workload → configuration → result."""
+
+    nested: dict[str, dict] = {}
+    for (workload, configuration), result in results.items():
+        nested.setdefault(workload, {})[configuration] = result
+    return nested
 
 
 # -- "matrix": baseline-normalised (workload × configuration) metric ---------
-def _matrix_specs(study: Study, runner: ExperimentRunner) -> list:
-    return _single_core_specs(study, runner, include_baseline=True)
+def _matrix_cells(study: Study, runner: ExperimentRunner) -> dict:
+    return _single_core_cells(study, runner, include_baseline=True)
 
 
-def _matrix_tables(study: Study, runner: ExperimentRunner) -> FigureResult:
-    table = runner.normalized_matrix(
-        list(study.workloads),
-        list(study.configurations),
-        study.metric,
-        baseline_config=study.baseline,
-        config_params=study.config_params_dict() or None,
-    )
+def _matrix_table(study: Study, results: Mapping) -> FigureResult:
+    table = normalized_table(_by_workload(results), study.metric, study.baseline)
     return FigureResult(
         figure=study.figure,
         title=study.display_title(),
@@ -527,30 +565,25 @@ def _matrix_tables(study: Study, runner: ExperimentRunner) -> FigureResult:
 
 
 register_reducer(
-    "matrix", _matrix_specs, _matrix_tables,
+    "matrix", _matrix_cells, _matrix_table,
     axes={"system", "scale", "metric", "baseline"},
     valid_metrics=_MATRIX_METRICS,
 )
 
 
 # -- "stat": a raw per-cell statistic, no baseline or normalisation ----------
-def _stat_specs(study: Study, runner: ExperimentRunner) -> list:
-    return _single_core_specs(study, runner, include_baseline=False)
+def _stat_cells(study: Study, runner: ExperimentRunner) -> dict:
+    return _single_core_cells(study, runner, include_baseline=False)
 
 
-def _stat_tables(study: Study, runner: ExperimentRunner) -> FigureResult:
-    results = runner.run_matrix(
-        list(study.workloads),
-        list(study.configurations),
-        config_params=study.config_params_dict() or None,
-    )
+def _stat_table(study: Study, results: Mapping) -> FigureResult:
     mapping = study.relabel_dict()
     table = {
         workload: {
             mapping.get(name, name): getattr(stats, study.metric)
             for name, stats in per_config.items()
         }
-        for workload, per_config in results.items()
+        for workload, per_config in _by_workload(results).items()
     }
     return FigureResult(
         figure=study.figure,
@@ -562,7 +595,7 @@ def _stat_tables(study: Study, runner: ExperimentRunner) -> FigureResult:
 
 
 register_reducer(
-    "stat", _stat_specs, _stat_tables,
+    "stat", _stat_cells, _stat_table,
     axes={"system", "scale", "metric"},
     valid_metrics=_stat_metrics(),
 )
@@ -574,24 +607,13 @@ register_reducer(
 _METRIC_ROW_SUFFIX = {"dram_traffic": "dram"}
 
 
-def _matrix_pair_tables(study: Study, runner: ExperimentRunner) -> FigureResult:
+def _matrix_pair_table(study: Study, results: Mapping) -> FigureResult:
     mapping = study.relabel_dict()
-    series = list(study.configurations)
-    run_configs = series if study.baseline in series else [study.baseline] + series
-    # One submission for both metrics: the matrix runs once and each metric
-    # is a different reduction of the same results (without this, a
-    # store-less runner would re-simulate the batch per metric).
-    results = runner.run_matrix(
-        list(study.workloads),
-        run_configs,
-        config_params=study.config_params_dict() or None,
-    )
-    per_metric: dict[str, dict] = {}
-    for metric in study.metrics:
-        table = normalize_against_baseline(results, metric, study.baseline)
-        for per_config in table.values():
-            per_config.pop(study.baseline, None)
-        per_metric[metric] = _relabeled(add_geomean_row(table), mapping)
+    by_workload = _by_workload(results)
+    per_metric = {
+        metric: _relabeled(normalized_table(by_workload, metric, study.baseline), mapping)
+        for metric in study.metrics
+    }
     table: dict[str, dict[str, float]] = {}
     for metric in study.metrics:
         suffix = _METRIC_ROW_SUFFIX.get(metric, metric)
@@ -608,7 +630,7 @@ def _matrix_pair_tables(study: Study, runner: ExperimentRunner) -> FigureResult:
 
 
 register_reducer(
-    "matrix-pair", _matrix_specs, _matrix_pair_tables,
+    "matrix-pair", _matrix_cells, _matrix_pair_table,
     axes={"system", "scale", "baseline"},  # the metric pair is fixed
 )
 
@@ -629,33 +651,28 @@ def _multiprogram_cells(study: Study, runner: ExperimentRunner) -> dict:
                 f"accept; they would be silently ignored"
             )
     series = [study.baseline] + list(study.configurations)
+    system = runner.frozen_system()
     return {
         (pair, configuration): runner.multiprogram_spec_for(
             pair,
             configuration,
             study.max_accesses_per_core,
             config_params=study.params_for(configuration),
+            system=system,
         )
         for pair in study.pairs
         for configuration in series
     }
 
 
-def _multiprogram_specs(study: Study, runner: ExperimentRunner) -> list:
-    return list(_multiprogram_cells(study, runner).values())
-
-
-def _multiprogram_tables(study: Study, runner: ExperimentRunner) -> FigureResult:
-    cell_specs = _multiprogram_cells(study, runner)
-    batch = runner.submit(list(cell_specs.values()))
+def _multiprogram_table(study: Study, results: Mapping) -> FigureResult:
     table: dict[str, dict[str, float]] = {}
     for pair in study.pairs:
         label = " & ".join(pair)
-        baseline = batch[cell_specs[(pair, study.baseline)]]
+        baseline = results[(pair, study.baseline)]
         table[label] = {}
         for configuration in study.configurations:
-            result = batch[cell_specs[(pair, configuration)]]
-            speedups = result.speedups_relative_to(baseline)
+            speedups = results[(pair, configuration)].speedups_relative_to(baseline)
             table[label][configuration] = geomean(speedups)
     return FigureResult(
         figure=study.figure,
@@ -667,26 +684,20 @@ def _multiprogram_tables(study: Study, runner: ExperimentRunner) -> FigureResult
 
 
 register_reducer(
-    "multiprogram", _multiprogram_specs, _multiprogram_tables,
+    "multiprogram", _multiprogram_cells, _multiprogram_table,
     axes={"system", "scale", "baseline", "max_accesses_per_core"},
 )
 
 
 # -- "slowdown-traffic": inverse speedup + DRAM traffic rows per workload ----
-def _slowdown_traffic_tables(study: Study, runner: ExperimentRunner) -> FigureResult:
-    series = list(study.configurations)
-    results = runner.run_matrix(
-        list(study.workloads),
-        [study.baseline] + series,
-        config_params=study.config_params_dict() or None,
-    )
+def _slowdown_traffic_table(study: Study, results: Mapping) -> FigureResult:
     table: dict[str, dict[str, float]] = {}
     for workload in study.workloads:
-        baseline = results[workload][study.baseline]
+        baseline = results[(workload, study.baseline)]
         slowdown_row = {}
         traffic_row = {}
-        for configuration in series:
-            stats = results[workload][configuration]
+        for configuration in study.configurations:
+            stats = results[(workload, configuration)]
             speedup = stats.speedup_relative_to(baseline)
             slowdown_row[configuration] = 1.0 / speedup if speedup > 0 else float("inf")
             traffic_row[configuration] = stats.dram_traffic_relative_to(baseline)
@@ -702,7 +713,7 @@ def _slowdown_traffic_tables(study: Study, runner: ExperimentRunner) -> FigureRe
 
 
 register_reducer(
-    "slowdown-traffic", _matrix_specs, _slowdown_traffic_tables,
+    "slowdown-traffic", _matrix_cells, _slowdown_traffic_table,
     axes={"system", "scale", "baseline"},  # always slowdown + DRAM rows
 )
 

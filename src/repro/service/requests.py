@@ -20,30 +20,33 @@ Four request kinds mirror the CLI's simulating surfaces:
     single :class:`~repro.experiments.jobs.MultiProgramSpec`.
 ``study``
     A registered study by name with the same axis overrides the CLI takes
-    (``workloads``/``configs``/``set``); compiles through
-    :meth:`~repro.experiments.study.Study.compile` and reduces to the
-    rendered figure table.
+    (``workloads``/``configs``/``set``); compiles to the unique specs of
+    :meth:`~repro.experiments.study.Study.cells`, and its finalize reduces
+    the job's own results (:meth:`~repro.experiments.study.Study.reduce`)
+    to the rendered figure table.
 ``spec``
     Canonical spec dictionaries verbatim (the manifest's own ``spec``
-    entries) — the round-trip path: a manifest fetched from one daemon can
-    be resubmitted to another and deduped against its store.
+    entries, with the ``systems`` table their keys name) — the round-trip
+    path: a manifest fetched from one daemon can be resubmitted to another
+    and deduped against its store.
 
 An ``explore`` kind compiles a design-space search *description* (the
 ``repro explore describe`` plan — candidates, rungs, budget) without
 simulating: it carries no specs, so the job completes instantly.
 
-Every validation problem raises ``ValueError`` with a user-renderable
-message; the HTTP layer maps those to ``400`` responses, exactly as the
-CLI maps them to exit code 2.
+Every validation problem raises ``ValueError`` with a one-line,
+user-renderable message naming the field; the HTTP layer maps those to
+``400`` responses, exactly as the CLI maps them to exit code 2.
 """
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, field
 from typing import Callable, Mapping, TYPE_CHECKING
 
 from repro.experiments.runner import ExperimentRunner
-from repro.experiments.store import ResultStore, Spec, result_to_record
+from repro.experiments.store import Spec, result_to_record
 from repro.experiments.studies import STUDIES
 from repro.sim.config import SystemConfig
 
@@ -65,6 +68,8 @@ class CompiledRequest:
     #: reduces the completed job's results to the JSON result payload; runs
     #: once, after every spec resolved, outside the scheduler lock.
     finalize: Callable[["Job"], dict] | None = None
+    #: the job's scheduling priority (higher dispatches first).
+    priority: int = 0
 
 
 def _require(payload: Mapping, key: str, kind: str) -> object:
@@ -87,6 +92,15 @@ def _names(value, field_name: str) -> list[str]:
     return value
 
 
+def _integer(payload: Mapping, key: str, default: int) -> int:
+    """An integer field (a JSON bool is not one), ``default`` when absent."""
+
+    value = payload.get(key, default)
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{key} must be an integer, got {value!r}")
+    return value
+
+
 def _positive_int(payload: Mapping, key: str) -> int | None:
     """A positive integer field (a JSON bool is not one), or ``None`` if null."""
 
@@ -96,6 +110,28 @@ def _positive_int(payload: Mapping, key: str) -> int | None:
     if isinstance(value, bool) or not isinstance(value, int) or value <= 0:
         raise ValueError(f"{key} must be a positive integer or null, got {value!r}")
     return value
+
+
+def _scale(payload: Mapping) -> float:
+    """The system scale: a positive, finite real number, 1.0 when absent."""
+
+    value = payload.get("scale", 1.0)
+    real = isinstance(value, (int, float)) and not isinstance(value, bool)
+    if not real or not 0 < value <= sys.float_info.max:
+        raise ValueError(f"scale must be a positive number, got {value!r}")
+    return float(value)
+
+
+def _config_params(payload: Mapping) -> dict | None:
+    """The call-time configuration parameters: a mapping, or null."""
+
+    value = payload.get("config_params")
+    if value is not None and not isinstance(value, Mapping):
+        raise ValueError(
+            f"config_params must be a mapping of parameter names to values or "
+            f"null, got {value!r}"
+        )
+    return dict(value) if value else None
 
 
 def _warmup_fraction(payload: Mapping) -> float:
@@ -124,15 +160,14 @@ def _trace_overrides(payload: Mapping) -> dict:
     return {} if length is None else {"length": length}
 
 
-def _runner_for(payload: Mapping, store: ResultStore | None) -> ExperimentRunner:
+def _runner_for(payload: Mapping) -> ExperimentRunner:
     """The runner a ``run``/``multiprogram`` request's specs compile under."""
 
     return ExperimentRunner(
-        system=SystemConfig.scaled(float(payload.get("scale", 1.0))),
+        system=SystemConfig.scaled(_scale(payload)),
         max_accesses=_positive_int(payload, "max_accesses"),
         trace_overrides=_trace_overrides(payload),
         warmup_fraction=_warmup_fraction(payload),
-        store=store,
     )
 
 
@@ -155,17 +190,20 @@ def _assignments(payload: Mapping) -> dict[str, str]:
 
 
 # -- per-kind compilers -------------------------------------------------------
-def _compile_run(payload: Mapping, store: ResultStore | None) -> CompiledRequest:
+def _compile_run(payload: Mapping) -> CompiledRequest:
     from repro.experiments.store import stats_to_payload
 
     workload = _require(payload, "workload", "run")
+    if not isinstance(workload, str) or not workload:
+        raise ValueError(f"workload must be a workload name, got {workload!r}")
     configurations = _names(
         payload.get("configurations") or ["triage", "triangel"], "configurations"
     )
-    runner = _runner_for(payload, store)
-    params = payload.get("config_params") or None
+    runner = _runner_for(payload)
+    params = _config_params(payload)
     from repro.experiments.configs import CONFIGS
 
+    system = runner.frozen_system()
     cells = [
         (
             configuration,
@@ -173,6 +211,7 @@ def _compile_run(payload: Mapping, store: ResultStore | None) -> CompiledRequest
                 workload,
                 configuration,
                 params if CONFIGS.takes_params(configuration) else None,
+                system,
             ),
         )
         for configuration in configurations
@@ -196,18 +235,16 @@ def _compile_run(payload: Mapping, store: ResultStore | None) -> CompiledRequest
     )
 
 
-def _compile_multiprogram(
-    payload: Mapping, store: ResultStore | None
-) -> CompiledRequest:
+def _compile_multiprogram(payload: Mapping) -> CompiledRequest:
     workloads = _names(_require(payload, "workloads", "multiprogram"), "workloads")
     configuration = _require(payload, "configuration", "multiprogram")
-    runner = _runner_for(payload, store)
+    runner = _runner_for(payload)
     spec = runner.multiprogram_spec_for(
         workloads,
         configuration,
         _positive_int(payload, "max_accesses_per_core"),
         share_metadata=_share_metadata(payload),
-        config_params=payload.get("config_params") or None,
+        config_params=_config_params(payload),
     )
 
     def finalize(job: "Job") -> dict:
@@ -222,7 +259,7 @@ def _compile_multiprogram(
     )
 
 
-def _compile_study(payload: Mapping, store: ResultStore | None) -> CompiledRequest:
+def _compile_study(payload: Mapping) -> CompiledRequest:
     name = _require(payload, "name", "study")
     study = STUDIES.get(name).overridden(
         workloads=_names(payload["workloads"], "workloads")
@@ -243,14 +280,13 @@ def _compile_study(payload: Mapping, store: ResultStore | None) -> CompiledReque
     runner = study.make_runner(
         max_accesses=max_accesses,
         trace_overrides=_trace_overrides(payload),
-        store=store,
     )
-    specs = study.compile(runner)
+    cells = study.cells(runner)
+    specs = list(dict.fromkeys(cells.values()))
 
     def finalize(job: "Job") -> dict:
-        # Every spec is resolved and persisted by now, so the reducer's
-        # second pass replays entirely from the (serial, in-process) store.
-        result = study.run(runner)
+        # The job holds every cell's result: reduce them directly.
+        result = study.reduce(cells, job.results)
         return {
             "figure": result.figure,
             "title": result.title,
@@ -269,12 +305,13 @@ def _compile_study(payload: Mapping, store: ResultStore | None) -> CompiledReque
     )
 
 
-def _compile_spec(payload: Mapping, store: ResultStore | None) -> CompiledRequest:
-    from repro.service.manifest import spec_from_payload
+def _compile_spec(payload: Mapping) -> CompiledRequest:
+    from repro.service.manifest import frozen_systems, spec_from_payload
 
     entries = payload.get("specs")
     if not isinstance(entries, list) or not entries:
         raise ValueError("'spec' request requires a non-empty 'specs' list")
+    systems = frozen_systems(payload.get("systems"))
     specs: list[Spec] = []
     for position, entry in enumerate(entries):
         if not isinstance(entry, Mapping):
@@ -283,7 +320,7 @@ def _compile_spec(payload: Mapping, store: ResultStore | None) -> CompiledReques
         # kind, spec}) so a fetched manifest resubmits verbatim.
         data = entry.get("spec", entry)
         try:
-            specs.append(spec_from_payload(data))
+            specs.append(spec_from_payload(data, systems))
         except (KeyError, TypeError, ValueError) as error:
             raise ValueError(f"specs[{position}] does not parse: {error}") from None
 
@@ -303,7 +340,7 @@ def _compile_spec(payload: Mapping, store: ResultStore | None) -> CompiledReques
     )
 
 
-def _compile_explore(payload: Mapping, store: ResultStore | None) -> CompiledRequest:
+def _compile_explore(payload: Mapping) -> CompiledRequest:
     from repro.experiments import explore
 
     space = explore.overridden_space(
@@ -323,8 +360,8 @@ def _compile_explore(payload: Mapping, store: ResultStore | None) -> CompiledReq
     description = explore.describe_search(
         space,
         strategy=payload.get("strategy", "halving"),
-        budget=payload.get("budget"),
-        seed=int(payload.get("seed", 0)),
+        budget=_positive_int(payload, "budget"),
+        seed=_integer(payload, "seed", 0),
         objective=payload.get("objective", "coverage"),
         trace_overrides=_trace_overrides(payload),
         **tuning,
@@ -348,15 +385,12 @@ _COMPILERS = {
 }
 
 
-def compile_request(
-    payload: Mapping, store: ResultStore | None = None
-) -> CompiledRequest:
+def compile_request(payload: Mapping) -> CompiledRequest:
     """Validate one job payload and compile it (see module docs).
 
-    ``store`` is the scheduler's store: compiled specs dedupe against it,
-    and study finalization replays through it.  Raises ``ValueError`` for
-    anything malformed — unknown kind, missing fields, axis overrides the
-    named study rejects.
+    Raises ``ValueError`` for anything malformed — unknown kind, missing or
+    mistyped fields, axis overrides the named study rejects.  ``priority``,
+    which every kind takes, must be an integer (0 when absent).
     """
 
     if not isinstance(payload, Mapping):
@@ -367,4 +401,7 @@ def compile_request(
         raise ValueError(
             f"unknown request kind {kind!r}; expected one of {list(_COMPILERS)}"
         )
-    return compiler(payload, store)
+    priority = _integer(payload, "priority", 0)
+    compiled = compiler(payload)
+    compiled.priority = priority
+    return compiled

@@ -578,8 +578,7 @@ class Scheduler:
         """Outside the lock: run finalize, then seal the terminal state.
 
         Finalize (the request layer's reduce step — rendering a study
-        table, flattening stats) may itself run batches through a *fresh*
-        one-shot scheduler against the now-warm store; it must never submit
+        table from the job's results, flattening stats) must never submit
         to *this* scheduler, which could deadlock a single-slot backend.
         """
 

@@ -8,10 +8,10 @@ JSON:
 ==========================  =================================================
 ``POST /jobs``              submit a job (see :mod:`repro.service.requests`
                             for the body kinds); returns the job snapshot,
-                            ``429`` over quota, ``400`` on validation errors,
-                            a malformed ``Content-Length`` or any
-                            ``Transfer-Encoding``, ``413`` for bodies over
-                            :data:`MAX_BODY_BYTES`
+                            ``429`` over quota, ``400`` on validation errors
+                            (one line naming the field), a malformed
+                            ``Content-Length`` or any ``Transfer-Encoding``,
+                            ``413`` for bodies over :data:`MAX_BODY_BYTES`
 ``GET /jobs``               list every job's snapshot (without event logs)
 ``GET /jobs/<id>``          one job's status; ``?after=N`` returns only
                             progress events with ``seq > N`` (poll-based
@@ -43,7 +43,9 @@ backend — so a slow simulation never starves ``/healthz``.
 Connections are HTTP/1.1 and kept alive: each accepted connection gets one
 handler thread, which serves its requests in turn until the client closes
 it or the server is closed.  Every route reads the body it was sent, so the
-next request on the connection starts at its own first byte.
+next request on the connection starts at its own first byte.  Any other
+exception a route raises is answered with a one-line JSON ``500`` and
+``Connection: close`` (its traceback goes to stderr), never with silence.
 """
 
 from __future__ import annotations
@@ -54,6 +56,7 @@ import socket
 import sys
 import threading
 import time
+import traceback
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from urllib.parse import parse_qs, urlparse
 
@@ -195,6 +198,7 @@ class _Handler(BaseHTTPRequestHandler):
 
     def _send_bytes(self, status: int, body: bytes, content_type: str) -> None:
         self._status = status
+        self._replied = True
         self.send_response(status)
         self.send_header("Content-Type", content_type)
         self.send_header("Content-Length", str(len(body)))
@@ -255,6 +259,7 @@ class _Handler(BaseHTTPRequestHandler):
 
     # -- routes --------------------------------------------------------------
     _status = 0  # last response status, captured by _send_bytes for metrics
+    _replied = False  # whether the current request's reply has started
 
     def do_GET(self) -> None:  # noqa: N802 - http.server API
         self._observed("GET", self._handle_get)
@@ -283,21 +288,46 @@ class _Handler(BaseHTTPRequestHandler):
         """Read the body, run the route and answer its errors.
 
         Every route reads the body first, even one it ignores: bytes left
-        unread would be parsed as the connection's next request.
+        unread would be parsed as the connection's next request.  Any other
+        exception is a fault of the daemon: its traceback goes to stderr,
+        the client gets a one-line ``500`` (unless a reply had already
+        started) and the connection closes, since what it was in the middle
+        of is unknown.
         """
 
+        self._replied = False
         url = urlparse(self.path)
         parts = [part for part in url.path.split("/") if part]
         try:
             handler(url, parts, self._read_body())
-        except KeyError:
-            self._error(404, f"unknown job {parts[1]!r}")
+        except KeyError as error:
+            if len(parts) >= 2 and parts[0] == "jobs":
+                self._error(404, f"unknown job {parts[1]!r}")
+            else:
+                self._internal_error(url.path, error)
         except QuotaExceededError as error:
             self._error(429, str(error))
         except _BodyTooLarge as error:
             self._error(413, str(error))
         except ValueError as error:
             self._error(400, str(error))
+        except Exception as error:  # noqa: BLE001 - answered, then logged
+            self._internal_error(url.path, error)
+
+    def _internal_error(self, path: str, error: Exception) -> None:
+        """Log the traceback; answer a one-line 500 and close the connection."""
+
+        self.close_connection = True
+        sys.stderr.write(
+            f"repro serve: {self.command} {path} failed:\n" + traceback.format_exc()
+        )
+        if self._replied:
+            return
+        summary = " ".join(f"{type(error).__name__}: {error}".split())
+        try:
+            self._error(500, f"internal error in {self.command} {path}: {summary}")
+        except OSError:
+            pass  # the client has gone
 
     def _handle_get(self, url, parts: list[str], body: bytes) -> None:
         if parts == ["healthz"]:
@@ -352,14 +382,11 @@ class _Handler(BaseHTTPRequestHandler):
             raise ValueError(f"request body is not valid JSON: {error}") from None
         if not isinstance(payload, dict):
             raise ValueError("request body must be a JSON object")
-        compiled = compile_request(payload, self.server.store)
-        priority = payload.get("priority", 0)
-        if not isinstance(priority, int):
-            raise ValueError("priority must be an integer")
+        compiled = compile_request(payload)
         job = self.server.scheduler.submit(
             compiled.specs,
             client=self._client_name(payload),
-            priority=priority,
+            priority=compiled.priority,
             kind=compiled.kind,
             label=compiled.label,
             request=compiled.request,

@@ -136,12 +136,16 @@ class TestRunSpec:
         assert len(jobs._TRACE_MEMO) == 1
 
 
-def _field_values(cls) -> st.SearchStrategy:
-    """Values for every scalar field of a config dataclass, drawn by type."""
+def _field_values(cls, mixed: bool = False) -> st.SearchStrategy:
+    """Values for every scalar field of a config dataclass, drawn by type.
+
+    ``mixed`` also draws ints for float fields and bools for int fields:
+    values that compare equal across types but encode differently.
+    """
 
     by_type = {
-        int: st.integers(),
-        float: st.floats(allow_nan=False),
+        int: st.integers() | st.booleans() if mixed else st.integers(),
+        float: st.floats(allow_nan=False) | st.integers() if mixed else st.floats(allow_nan=False),
         str: st.text(max_size=8),
     }
     return st.fixed_dictionaries(
@@ -151,6 +155,21 @@ def _field_values(cls) -> st.SearchStrategy:
             if type(field.default) in by_type
         }
     )
+
+
+#: Configuration parameter values: scalars and small nested mappings.
+_PARAM_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False) | st.text(max_size=4),
+    lambda inner: st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=6,
+)
+
+
+def _defined_digest(spec) -> str:
+    """A spec's content hash as defined: over the canonical JSON of ``as_dict()``."""
+
+    canonical = json.dumps(spec.as_dict(), sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(f"{code_version()}|{canonical}".encode()).hexdigest()
 
 
 class TestSpecIdentity:
@@ -217,19 +236,67 @@ class TestSpecIdentity:
         assert changed.content_hash() != digest
         assert changed.content_hash() == factory(**change).content_hash()
 
-    def test_runner_interns_equal_specs(self):
+    def test_specs_share_the_frozen_tree_they_are_given(self):
         runner = ExperimentRunner(trace_overrides={"length": 1000}, max_accesses=300)
-        first = runner.spec_for("xalan", "triage")
-        assert runner.spec_for("xalan", "triage") is first
-        capped = runner.spec_for("xalan", "triage-lru", {"max_entries": 64})
-        assert runner.spec_for("xalan", "triage-lru", {"max_entries": 64}) is capped
-        assert runner.spec_for("mcf", "triage") is not first
-        pair = runner.multiprogram_spec_for(["xalan", "mcf"], "triangel", 100)
-        assert runner.multiprogram_spec_for(["xalan", "mcf"], "triangel", 100) is pair
-        # A fresh runner makes its own instances: interning is per runner.
-        other = ExperimentRunner(trace_overrides={"length": 1000}, max_accesses=300)
-        assert other.spec_for("xalan", "triage") == first
-        assert other.spec_for("xalan", "triage") is not first
+        system = runner.frozen_system()
+        run = runner.spec_for("xalan", "triage", system=system)
+        pair = runner.multiprogram_spec_for(["xalan", "mcf"], "triangel", 100, system=system)
+        assert run.system is system and pair.system is system
+        assert run == runner.spec_for("xalan", "triage")
+        assert run.content_hash() == runner.spec_for("xalan", "triage").content_hash()
+        assert make_spec(system=_freeze(SystemConfig.scaled())) == make_spec()
+
+    @pytest.mark.parametrize("factory", [make_spec, make_mp_spec])
+    def test_equal_trees_that_encode_differently_keep_their_own_digests(self, factory):
+        # 25 == 25.0 and -0.0 == 0.0, so these specs compare equal, but their
+        # canonical JSON differs.  Hashed in either order in one process, each
+        # digest stays its own definition's.
+        def system(latency, stall_weight):
+            config = SystemConfig.scaled()
+            config.markov_latency = latency
+            config.timing.stall_weight_l1 = stall_weight
+            return config
+
+        for order in ((25.0, 25), (25, 25.0)):
+            specs = [
+                factory(system=system(latency, stall), config_params={"system": latency})
+                for latency, stall in zip(order, (0.0, -0.0))
+            ]
+            assert specs[0] == specs[1]
+            assert specs[0].content_hash() != specs[1].content_hash()
+            for spec in specs:
+                assert spec.content_hash() == _defined_digest(spec)
+
+    @given(
+        top=_field_values(SystemConfig, mixed=True),
+        hierarchy=_field_values(HierarchyParams, mixed=True),
+        timing=_field_values(TimingParams, mixed=True),
+        overrides=st.dictionaries(
+            st.sampled_from(("length", "seed", "system")), st.integers(1, 10**6), max_size=3
+        ),
+        params=st.dictionaries(
+            st.sampled_from(("max_entries", "system", "kind", "workload")),
+            _PARAM_VALUES,
+            max_size=4,
+        ),
+        multiprogram=st.booleans(),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_content_hash_is_its_definition_for_any_spec(
+        self, top, hierarchy, timing, overrides, params, multiprogram
+    ):
+        system = SystemConfig(
+            hierarchy=HierarchyParams(**hierarchy), timing=TimingParams(**timing), **top
+        )
+        factory = make_mp_spec if multiprogram else make_spec
+        tree = _freeze(system)
+        specs = [
+            factory(system=given, trace_overrides=overrides, config_params=params)
+            for given in (system, tree, tree)
+        ]
+        for spec in specs:
+            assert spec.content_hash() == _defined_digest(spec)
+        assert specs[0].content_hash() == specs[1].content_hash()
 
     @pytest.mark.parametrize(
         ("change", "moves_pair"),
@@ -252,11 +319,6 @@ class TestSpecIdentity:
         assert after.content_hash() != before.content_hash()
         pair_after = runner.multiprogram_spec_for(["xalan", "mcf"], "triangel")
         assert (pair_after != pair_before) is moves_pair
-
-    def test_intern_table_is_private(self):
-        names = {field.name for field in dataclasses.fields(ExperimentRunner) if field.init}
-        assert "_specs" not in names
-        assert "_specs" not in repr(ExperimentRunner())
 
 
 class TestParameterisedSpecs:

@@ -28,11 +28,20 @@ import pytest
 
 from repro.cli import main
 from repro.client import ServiceClient, ServiceError
+from repro.experiments import jobs as jobs_module
 from repro.experiments.jobs import RunSpec, code_version
 from repro.experiments.runner import ExperimentRunner
 from repro.experiments.store import ResultStore, default_store, store_stats_payload
+from repro.experiments.studies import STUDIES
 from repro.service import scheduler as scheduler_module
-from repro.service.manifest import job_manifest, spec_from_payload, spec_payload, verify_manifest
+from repro.service import server as server_module
+from repro.service.manifest import (
+    frozen_systems,
+    job_manifest,
+    spec_from_payload,
+    spec_payload,
+    verify_manifest,
+)
 from repro.service.requests import compile_request
 from repro.service.scheduler import Job, QuotaExceededError, Scheduler
 from repro.service.server import MAX_BODY_BYTES, build_server
@@ -324,6 +333,56 @@ class TestManifest:
         assert len(problems) == 1 and "code_version" in problems[0]
 
 
+    @staticmethod
+    def _two_spec_manifest() -> dict:
+        """A JSON-decoded manifest of two specs that share one system tree."""
+
+        runner = quick_runner(store=None)
+        system = runner.frozen_system()
+        specs = [runner.spec_for(workload, "baseline", system=system) for workload in ("xalan", "mcf")]
+        job = Job(
+            "job-manifest", specs, client="test", priority=0, kind="spec",
+            label="two specs", request={}, finalize=None,
+        )
+        return json.loads(json.dumps(job_manifest(job)))
+
+    def test_v2_manifest_names_one_shared_system(self):
+        manifest = self._two_spec_manifest()
+        assert manifest["manifest_version"] == 2
+        (key,) = manifest["systems"]
+        assert [entry["spec"]["system"] for entry in manifest["specs"]] == [key, key]
+        assert verify_manifest(manifest) == []
+        systems = frozen_systems(manifest["systems"])
+        first, second = (spec_from_payload(entry["spec"], systems) for entry in manifest["specs"])
+        assert first.system is second.system
+        assert [first.content_hash(), second.content_hash()] == [
+            entry["digest"] for entry in manifest["specs"]
+        ]
+
+    @pytest.mark.parametrize(
+        ("edit", "named"),
+        [
+            ("tree", "system"),
+            ("spec", "spec #0"),
+            ("system-key", "unknown system"),
+            ("version", "manifest_version"),
+        ],
+    )
+    def test_each_manifest_fault_is_one_problem(self, edit, named):
+        manifest = self._two_spec_manifest()
+        (key,) = manifest["systems"]
+        if edit == "tree":  # both specs name the edited tree
+            manifest["systems"][key]["markov_latency"] = 26.0
+        elif edit == "spec":
+            manifest["specs"][0]["spec"]["workload"] = "omnet"
+        elif edit == "system-key":
+            manifest["specs"][1]["spec"]["system"] = "0" * 16
+        else:
+            manifest["manifest_version"] = 3
+        problems = verify_manifest(manifest)
+        assert len(problems) == 1 and named in problems[0], problems
+
+
 @pytest.fixture()
 def service(tmp_path):
     """A live daemon on an ephemeral port, plus the store it fronts."""
@@ -428,13 +487,39 @@ class TestHTTPService:
             assert replay_manifest["store"]["hits"] == 1
             assert replay_manifest["store"]["executed"] == 0
 
-            # The manifest's spec entries resubmit verbatim as a spec job.
-            resubmit = client.submit({"kind": "spec", "specs": manifest["specs"]})
+            # The manifest's spec entries and the systems table they name
+            # resubmit verbatim as a spec job.
+            resubmit = client.submit(
+                {"kind": "spec", "specs": manifest["specs"], "systems": manifest["systems"]}
+            )
             client.wait(resubmit["id"], timeout=60)
             fetched = client.result(resubmit["id"])
             digest = manifest["specs"][0]["digest"]
             assert fetched["manifest"]["store"]["executed"] == 0
             assert digest in fetched["result"]["results"]
+
+    def test_spec_job_mixing_two_scales_lists_two_systems(self, service):
+        with ServiceClient(service.url) as client:
+            fetched = []
+            for scale in (1.0, 1.5):
+                job = client.submit(
+                    {**TINY_RUN, "configurations": ["baseline", "triage"], "scale": scale}
+                )
+                assert client.wait(job["id"], timeout=120)["state"] == "completed"
+                fetched.append(client.result(job["id"])["manifest"])
+            systems = {key: tree for old in fetched for key, tree in old["systems"].items()}
+            resubmit = client.submit(
+                {"kind": "spec", "specs": [e for old in fetched for e in old["specs"]],
+                 "systems": systems}
+            )
+            assert client.wait(resubmit["id"], timeout=60)["state"] == "completed"
+            manifest = client.result(resubmit["id"])["manifest"]
+        assert len(manifest["specs"]) == 4
+        assert len(manifest["systems"]) == 2
+        assert manifest["systems"] == systems
+        assert {entry["spec"]["system"] for entry in manifest["specs"]} == set(systems)
+        assert manifest["store"]["executed"] == 0
+        assert verify_manifest(manifest) == []
 
     def test_event_streaming_with_after(self, service):
         with ServiceClient(service.url) as client:
@@ -552,6 +637,62 @@ class TestHTTPService:
             assert field in message
             assert len(message.splitlines()) == 1
             assert client.jobs() == []
+
+    @pytest.mark.parametrize(
+        ("request_body", "field"),
+        [
+            *[
+                ({**TINY_RUN, "scale": value}, "scale")
+                for value in (None, True, "big")
+            ],
+            ({**TINY_RUN, "workload": 5}, "workload"),
+            ({**TINY_RUN, "workload": ""}, "workload"),
+            ({**TINY_RUN, "config_params": 5}, "config_params"),
+            ({**TINY_RUN, "config_params": ["max_entries"]}, "config_params"),
+            (
+                {"kind": "multiprogram", "workloads": ["xalan", "mcf"],
+                 "configuration": "baseline", "config_params": 5},
+                "config_params",
+            ),
+            *[({"kind": "explore", "budget": value}, "budget") for value in ("many", 2.5, True)],
+            *[({"kind": "explore", "seed": value}, "seed") for value in ("x", None, 2.5, True)],
+            ({**TINY_RUN, "priority": True}, "priority"),
+        ],
+    )
+    def test_malformed_fields_are_one_line_400s(self, service, request_body, field):
+        with ServiceClient(service.url) as client:
+            with pytest.raises(ServiceError) as rejected:
+                client.submit(request_body)
+            assert rejected.value.status == 400
+            message = rejected.value.payload["error"]
+            assert field in message
+            assert len(message.splitlines()) == 1
+            assert client.jobs() == []
+
+    def test_unexpected_route_error_is_a_one_line_500_that_closes(
+        self, service, monkeypatch, capsys
+    ):
+        def fail(*args):
+            raise RuntimeError("compile broke\non two lines")
+
+        monkeypatch.setattr(server_module, "compile_request", fail)
+        body = json.dumps(TINY_RUN).encode()
+        request = (
+            b"POST /jobs HTTP/1.1\r\nHost: test\r\nContent-Type: application/json\r\n"
+            b"Content-Length: %d\r\n\r\n" % len(body)
+        ) + body
+        with socket.create_connection(service.server_address[:2], timeout=10) as sock:
+            sock.sendall(request)
+            with sock.makefile("rb") as stream:
+                raw = stream.read()  # returns at end-of-file: the daemon closed
+        head, _, payload = raw.partition(b"\r\n\r\n")
+        assert head.startswith(b"HTTP/1.1 500 "), raw
+        assert b"\r\nconnection: close" in head.lower()
+        message = json.loads(payload)["error"]
+        assert "RuntimeError: compile broke on two lines" in message
+        assert len(message.splitlines()) == 1
+        assert "Traceback" in capsys.readouterr().err
+        assert service.scheduler.jobs() == []
 
     @pytest.mark.parametrize(
         ("declared", "status"),
@@ -721,6 +862,58 @@ class TestHTTPService:
         assert results["alice"]["result"]["rendered"] == results["bob"]["result"]["rendered"]
 
 
+#: One short study request per simulating reducer.
+SERVED_STUDIES = {
+    "matrix": {"name": "fig10", "workloads": ["xalan", "mcf"], "configs": ["triangel"]},
+    "stat": {"name": "fig19", "workloads": ["xalan", "mcf"]},
+    "matrix-pair": {
+        "name": "fig20",
+        "workloads": ["xalan"],
+        "configs": ["ablation-Triage-Deg-4", "ablation-+Set Duel"],
+    },
+    "slowdown-traffic": {"name": "fig17", "workloads": ["xalan"], "configs": ["triangel"]},
+    "multiprogram": {
+        "name": "fig16",
+        "configs": ["triangel"],
+        "set": {"max_accesses_per_core": 150},
+    },
+}
+
+
+class TestServedStudies:
+    @pytest.mark.parametrize("reducer", sorted(SERVED_STUDIES))
+    def test_served_payload_equals_in_process_run(self, service, reducer):
+        request = {"kind": "study", "trace_length": 600, **SERVED_STUDIES[reducer]}
+        if reducer != "multiprogram":
+            request["max_accesses"] = 240
+        with ServiceClient(service.url) as client:
+            job = client.submit(request)
+            assert client.wait(job["id"], timeout=300)["state"] == "completed"
+            served = client.result(job["id"])["result"]
+
+        study = STUDIES.get(request["name"]).overridden(
+            workloads=request.get("workloads"),
+            configurations=request.get("configs"),
+            assignments={key: str(value) for key, value in request.get("set", {}).items()},
+        )
+        assert study.reducer == reducer
+        runner = study.make_runner(
+            max_accesses=request.get("max_accesses"),
+            trace_overrides={"length": 600},
+            store=service.store,
+        )
+        figure = study.run(runner)
+        expected = {
+            "figure": figure.figure,
+            "title": figure.title,
+            "table": figure.table,
+            "columns": figure.columns,
+            "rendered": figure.rendered,
+            "notes": figure.notes,
+        }
+        assert json.dumps(served, sort_keys=True) == json.dumps(expected, sort_keys=True)
+
+
 class TestKeptAliveTransport:
     """Each client keeps one connection to the daemon and reuses it."""
 
@@ -816,12 +1009,12 @@ class TestKeptAliveTransport:
 
 
 class TestSpecIdentityCost:
-    def test_warm_study_canonicalises_each_spec_at_most_twice(
+    def test_warm_study_creates_each_spec_once_and_encodes_its_system_once(
         self, service, monkeypatch
     ):
-        # A warm request needs each spec's canonical form twice: once for
-        # its digest (cached on the instance, which the runner interns, so
-        # compile and finalize share it) and once for its manifest entry.
+        # A warm request makes each of its specs once, over one frozen system
+        # tree that is encoded to JSON once for every digest, and reduces the
+        # job's own results: no second scheduler pass.
         request = {
             "kind": "study",
             "name": "fig10",
@@ -833,14 +1026,26 @@ class TestSpecIdentityCost:
             cold = client.submit(request)
             assert client.wait(cold["id"], timeout=300)["state"] == "completed"
 
-            calls: dict = {}
-            as_dict = RunSpec.as_dict
+            counts = {"create": 0, "encode": 0, "scheduler": 0}
+            create = RunSpec.create.__func__
+            canonical_json = jobs_module._canonical_json
+            scheduler_init = Scheduler.__init__
 
-            def counting(spec):
-                calls[spec] = calls.get(spec, 0) + 1
-                return as_dict(spec)
+            def counting_create(cls, *args, **kwargs):
+                counts["create"] += 1
+                return create(cls, *args, **kwargs)
 
-            monkeypatch.setattr(RunSpec, "as_dict", counting)
+            def counting_json(value):
+                counts["encode"] += isinstance(value, dict) and "hierarchy" in value
+                return canonical_json(value)
+
+            def counting_init(self, *args, **kwargs):
+                counts["scheduler"] += 1
+                scheduler_init(self, *args, **kwargs)
+
+            monkeypatch.setattr(RunSpec, "create", classmethod(counting_create))
+            monkeypatch.setattr(jobs_module, "_canonical_json", counting_json)
+            monkeypatch.setattr(Scheduler, "__init__", counting_init)
             warm = client.submit(request)
             assert client.wait(warm["id"], timeout=60)["state"] == "completed"
             manifest = client.result(warm["id"])["manifest"]
@@ -848,9 +1053,11 @@ class TestSpecIdentityCost:
 
         assert manifest["store"]["executed"] == 0
         distinct = {entry["digest"] for entry in manifest["specs"]}
-        assert len(distinct) == 30  # 5 workloads x (baseline + 5 series)
-        assert len(calls) == len(distinct)
-        assert max(calls.values()) <= 2
+        assert len(distinct) == len(manifest["specs"]) == 30  # 5 x (baseline + 5)
+        assert counts == {"create": 30, "encode": 1, "scheduler": 0}
+        trees = {id(spec.system) for spec in service.scheduler.get(warm["id"]).specs}
+        assert len(trees) == 1
+        assert len(manifest["systems"]) == 1
         assert verify_manifest(manifest) == []
 
 
