@@ -70,7 +70,14 @@ class TriangelTrainingEntry:
 
 
 class TriangelTrainingTable:
-    """Set-associative, PC-indexed table of :class:`TriangelTrainingEntry`."""
+    """Set-associative, PC-indexed table of :class:`TriangelTrainingEntry`.
+
+    Entries are built on allocation.  A set lists only the entries allocated
+    in it, in way order: nothing invalidates an entry, so a set fills its
+    ways from way 0 upwards and its allocated ways are always a prefix.  A
+    way not yet allocated reads as absent (:meth:`entry_at` returns
+    ``None``).
+    """
 
     def __init__(self, config: TriangelConfig | None = None) -> None:
         self.config = config or TriangelConfig()
@@ -79,7 +86,7 @@ class TriangelTrainingTable:
         self.assoc = cfg.training_assoc
         self.num_sets = self.entries // self.assoc
         self._sets: list[list[TriangelTrainingEntry]] = [
-            [self._new_entry() for _ in range(self.assoc)] for _ in range(self.num_sets)
+            [] for _ in range(self.num_sets)
         ]
         self._clock = 0
         self.stats = TriangelTrainingStats()
@@ -112,16 +119,21 @@ class TriangelTrainingTable:
 
         set_index, _tag = self._locate(pc)
         for way, entry in enumerate(self._sets[set_index]):
-            if entry.valid and entry.pc == pc:
+            if entry.pc == pc:
                 return set_index * self.assoc + way
         return -1
 
     def entry_at(self, index: int) -> TriangelTrainingEntry | None:
-        """Return the entry at a Train-Idx (may have been re-allocated)."""
+        """Return the entry at a Train-Idx (may have been re-allocated).
+
+        ``None`` for an index outside the table or a way not yet allocated.
+        """
 
         if not 0 <= index < self.entries:
             return None
-        return self._sets[index // self.assoc][index % self.assoc]
+        ways = self._sets[index // self.assoc]
+        way = index % self.assoc
+        return ways[way] if way < len(ways) else None
 
     def find(self, pc: int) -> TriangelTrainingEntry | None:
         """Return the entry for ``pc`` if present (updates recency)."""
@@ -130,7 +142,7 @@ class TriangelTrainingTable:
         self._clock += 1
         set_index, tag = self._locate(pc)
         for entry in self._sets[set_index]:
-            if entry.valid and entry.pc_tag == tag:
+            if entry.pc_tag == tag:
                 entry.last_use = self._clock
                 self.stats.hits += 1
                 return entry
@@ -151,23 +163,23 @@ class TriangelTrainingTable:
         self._clock += 1
         set_index, tag = self._locate(pc)
         ways = self._sets[set_index]
-        victim_way = None
         for way, entry in enumerate(ways):
-            if entry.valid:
-                if entry.pc_tag == tag:
-                    entry.last_use = self._clock
-                    stats.hits += 1
-                    return entry, set_index * self.assoc + way, False
-            elif victim_way is None:
-                victim_way = way
-        if victim_way is None:
-            victim_way = min(range(self.assoc), key=lambda way: ways[way].last_use)
-            stats.evictions += 1
+            if entry.pc_tag == tag:
+                entry.last_use = self._clock
+                stats.hits += 1
+                return entry, set_index * self.assoc + way, False
         fresh = self._new_entry()
         fresh.valid = True
         fresh.pc_tag = tag
         fresh.pc = pc
         fresh.last_use = self._clock
-        ways[victim_way] = fresh
+        victim_way = len(ways)
+        if victim_way < self.assoc:
+            # Ways fill in order, so the lowest free way is the next one.
+            ways.append(fresh)
+        else:
+            victim_way = min(range(self.assoc), key=lambda way: ways[way].last_use)
+            stats.evictions += 1
+            ways[victim_way] = fresh
         stats.allocations += 1
         return fresh, set_index * self.assoc + victim_way, True

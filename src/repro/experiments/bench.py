@@ -25,6 +25,12 @@ Both kernels must agree bit-for-bit on every statistic; a mismatch makes
 the bench fail (and exit non-zero from the CLI) rather than report a
 meaningless rate.  Timing uses best-of-``repeats`` wall time over the whole
 run, warm-up included.
+
+Each case also records ``fast_calls_per_access``: the Python and C calls
+one fast-kernel run makes, per access, counted by a profile hook in a
+separate untimed pass (:func:`count_fast_calls`).  Unlike a rate, the
+count is exact and repeats from run to run, so it is the ledger a change
+to the per-access path quotes; a speed claim still rests on timed runs.
 """
 
 from __future__ import annotations
@@ -38,6 +44,7 @@ import time
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
+from repro import obs
 from repro.experiments.configs import build_prefetchers
 from repro.sim.config import SystemConfig
 from repro.sim.engine import Simulator
@@ -139,6 +146,42 @@ def _measure(
             best = elapsed
         stats = asdict(result.stats)
     return best, stats
+
+
+def count_fast_calls(
+    case: BenchCase, system: SystemConfig, warmup_fraction: float
+) -> int:
+    """Python and C calls made by one fast-kernel run of ``case`` (untimed).
+
+    Counted with a :func:`sys.setprofile` hook around the kernel call only:
+    the simulator is built, the trace's columns prepared and the telemetry
+    switch resolved (it reads the environment on first use) before the
+    hook is installed, so the count does not depend on what the process
+    ran before.
+    """
+
+    simulator = _simulator(system, case.configuration)
+    warmup = int(len(case.trace) * warmup_fraction)
+    access_columns(case.trace)
+    obs.enabled()
+    calls = 0
+
+    def count(frame, event, arg) -> None:
+        nonlocal calls
+        if event == "call" or event == "c_call":
+            calls += 1
+
+    sys.setprofile(count)
+    try:
+        KERNELS["fast"](
+            simulator,
+            case.trace,
+            workload_name=case.workload,
+            warmup_accesses=warmup,
+        )
+    finally:
+        sys.setprofile(None)
+    return calls
 
 
 def _bench_cases(length: int, trace_dir: Path) -> list[BenchCase]:
@@ -271,6 +314,7 @@ def run_bench(
             accesses = len(case.trace)
             reference_aps = accesses / timings["reference"]
             fast_aps = accesses / timings["fast"]
+            calls = count_fast_calls(case, system, warmup_fraction)
             record["cases"].append(
                 {
                     "name": case.name,
@@ -283,6 +327,7 @@ def run_bench(
                     "reference_accesses_per_second": round(reference_aps),
                     "fast_accesses_per_second": round(fast_aps),
                     "speedup": round(fast_aps / reference_aps, 2),
+                    "fast_calls_per_access": round(calls / accesses, 2),
                     "parity": True,
                 }
             )
@@ -303,7 +348,7 @@ def render_bench(record: dict) -> str:
         f"engine kernel benchmark ({record['python']}, "
         f"best of {record['repeats']}, parity-checked)",
         f"{'case':<18} {'config':<10} {'accesses':>9} "
-        f"{'reference/s':>12} {'fast/s':>12} {'speedup':>8}",
+        f"{'reference/s':>12} {'fast/s':>12} {'speedup':>8} {'calls/access':>13}",
     ]
     for case in record["cases"]:
         lines.append(
@@ -311,7 +356,8 @@ def render_bench(record: dict) -> str:
             f"{case['accesses']:>9} "
             f"{case['reference_accesses_per_second']:>12,} "
             f"{case['fast_accesses_per_second']:>12,} "
-            f"{case['speedup']:>7.2f}x"
+            f"{case['speedup']:>7.2f}x "
+            f"{case['fast_calls_per_access']:>13.2f}"
         )
     trace_io = record.get("trace_io")
     if trace_io:

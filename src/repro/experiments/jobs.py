@@ -277,6 +277,31 @@ class _SpecBase:
         object.__setattr__(self, "_digest", (version, digest))
         return digest
 
+    def __hash__(self) -> int:
+        """The hash of every field's value, computed once per instance.
+
+        Equal specs hash equal, as under the generated dataclass hash, but
+        the walk over the frozen system tree happens once, not on every
+        dict or set operation.  Like the digest, the value is a plain
+        instance attribute; unlike it, it is left out of pickles (see
+        :meth:`__getstate__`), because string hashes are salted per process.
+        """
+
+        cached = self.__dict__.get("_hash")
+        if cached is None:
+            cached = hash(
+                tuple([getattr(self, name) for name in _sorted_field_names(type(self))])
+            )
+            object.__setattr__(self, "_hash", cached)
+        return cached
+
+    def __getstate__(self) -> dict:
+        """The instance state to pickle, without the per-process hash."""
+
+        state = dict(self.__dict__)
+        state.pop("_hash", None)
+        return state
+
 
 @dataclass(frozen=True)
 class RunSpec(_SpecBase):
@@ -306,6 +331,9 @@ class RunSpec(_SpecBase):
     #: (name, digest) pairs of any ``trace:`` file backing the workload,
     #: captured at creation time (empty for generated workloads).
     trace_digests: tuple = ()
+
+    # Declared here, so the dataclass keeps it instead of generating one.
+    __hash__ = _SpecBase.__hash__
 
     @classmethod
     def create(
@@ -392,6 +420,8 @@ class MultiProgramSpec(_SpecBase):
     #: (name, digest) pairs of any ``trace:`` files among the per-core
     #: workloads, captured at creation time (see :class:`RunSpec`).
     trace_digests: tuple = ()
+
+    __hash__ = _SpecBase.__hash__
 
     @classmethod
     def create(

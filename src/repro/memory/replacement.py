@@ -142,11 +142,12 @@ class RandomPolicy(ReplacementPolicy):
 class TreePLRUPolicy(ReplacementPolicy):
     """Tree pseudo-LRU, as used by Arm L1 caches (paper reference [3]).
 
-    The tree is stored as a flat array of internal-node bits per set; a bit
-    of 0 points to the left subtree as the "older" half.  Associativity is
-    rounded up to a power of two internally; candidate filtering falls back
-    to recency order among the requested candidates when the tree's choice
-    is not a candidate (which happens only for the partitioned cache).
+    Each set's internal-node bits are packed into one int, node ``n`` at
+    bit ``n``; a bit of 0 points to the left subtree as the "older" half.
+    Associativity is rounded up to a power of two internally; candidate
+    filtering falls back to recency order among the requested candidates
+    when the tree's choice is not a candidate (which happens only for the
+    partitioned cache).
     """
 
     def __init__(self, num_sets: int, assoc: int) -> None:
@@ -154,36 +155,40 @@ class TreePLRUPolicy(ReplacementPolicy):
         self._leaves = 1
         while self._leaves < assoc:
             self._leaves *= 2
-        self._bits = [[0] * max(1, self._leaves - 1) for _ in range(num_sets)]
+        self._trees = [0] * num_sets
         # Fallback recency for candidate-restricted victim selection.
         self._lru = LRUPolicy(num_sets, assoc)
-        # Every way's root-to-leaf walk as (node, bit) pairs: a touch points
-        # each node on it away from the touched half.
-        paths = []
+        # A touch points every node on the way's root-to-leaf walk away
+        # from the touched half: ``tree & _keep[way] | _point[way]`` clears
+        # the walk's bits and sets those that must point right.
+        keep = []
+        point = []
         for way in range(assoc):
-            path = []
+            walk = 0
+            right = 0
             node = 0
             low, high = 0, self._leaves
             while high - low > 1:
                 mid = (low + high) // 2
+                walk |= 1 << node
                 if way < mid:
-                    path.append((node, 1))
+                    right |= 1 << node
                     node = 2 * node + 1
                     high = mid
                 else:
-                    path.append((node, 0))
                     node = 2 * node + 2
                     low = mid
-            paths.append(tuple(path))
-        self._paths = tuple(paths)
+            keep.append(~walk)
+            point.append(right)
+        self._keep = tuple(keep)
+        self._point = tuple(point)
 
     def on_hit(self, set_index: int, way: int, pc: int | None = None) -> None:
-        # The path writes and the fallback-LRU stamp are written out inline:
+        # The tree update and the fallback-LRU stamp are written out inline:
         # this runs on every hit of every PLRU cache (the L1's entire hot
         # path), where a call chain per touch was measurable.
-        bits = self._bits[set_index]
-        for node, bit in self._paths[way]:
-            bits[node] = bit
+        trees = self._trees
+        trees[set_index] = trees[set_index] & self._keep[way] | self._point[way]
         lru = self._lru
         lru._stamp += 1
         lru._last_use[set_index][way] = lru._stamp
@@ -192,12 +197,12 @@ class TreePLRUPolicy(ReplacementPolicy):
     on_fill = on_hit
 
     def victim(self, set_index: int, candidates: Sequence[int]) -> int:
-        bits = self._bits[set_index]
+        tree = self._trees[set_index]
         node = 0
         low, high = 0, self._leaves
         while high - low > 1:
             mid = (low + high) // 2
-            if bits[node] == 0:
+            if not tree >> node & 1:
                 node = 2 * node + 1
                 high = mid
             else:

@@ -111,19 +111,19 @@ class StridePrefetcher(Prefetcher):
         entry.last_address = line_addr
         stats.training_events += 1
 
-        stride_ok = abs(entry.stride) >= self.min_stride_bytes
-        should_prefetch = (
-            entry.confidence >= self.confidence_threshold
-            and stride_ok
-            # Prefetch on misses and on first use of prefetched lines so the
-            # stream keeps running ahead without re-issuing on every L1 hit.
-            and (
-                result.level != "l1"
-                or result.l1_prefetch_first_use
-                or result.l2_prefetch_first_use
-            )
-        )
-        if not should_prefetch:
+        # Confidence first: most accesses (every L1 hit of an irregular PC)
+        # stop here, before the stride and result reads.
+        if entry.confidence < self.confidence_threshold:
+            return
+        if abs(entry.stride) < self.min_stride_bytes:
+            return
+        # Prefetch on misses and on first use of prefetched lines so the
+        # stream keeps running ahead without re-issuing on every L1 hit.
+        if not (
+            result.level != "l1"
+            or result.l1_prefetch_first_use
+            or result.l2_prefetch_first_use
+        ):
             return
 
         # Candidates already in the L1 are dropped.  Residency is tested

@@ -1,13 +1,14 @@
 """The fast kernel: the fused, allocation-free loop every simulation runs on.
 
 :func:`run_fast` runs a simulation as one fused loop over the workload's
-packed columns (the :mod:`repro.sim.stream` protocol): no access objects,
-one scratch :class:`~repro.memory.hierarchy.DemandResult` and
+packed columns (the :mod:`repro.sim.stream` protocol), in two consecutive
+index ranges, warm-up then sample: no access objects, one scratch
+:class:`~repro.memory.hierarchy.DemandResult` and
 :class:`~repro.memory.hierarchy.PrefetchFillResult` per run, one reusable
 :class:`~repro.prefetch.base.DecisionBuffer` per run, the L1-hit path
-inlined against the cache's tag index, and every hot attribute bound to a
-local.  :func:`step_fast` is the same access step for the interleaved
-multiprogram simulator.
+inlined against the cache's tag index, every hot attribute bound to a
+local, and every pure count added once per range.  :func:`step_fast` is
+the same access step for the interleaved multiprogram simulator.
 
 The readable :meth:`repro.sim.engine.Simulator.run` (and
 ``Simulator.step``) is the oracle: the fast kernel performs exactly its
@@ -21,6 +22,7 @@ reference engine.
 
 from __future__ import annotations
 
+from itertools import islice
 from time import perf_counter
 
 from repro import obs
@@ -141,15 +143,23 @@ def run_fast(
 ):
     """The fused columnar loop (see the module docstring).
 
-    Mirrors ``Simulator.run`` statement for statement: the warm-up phase
-    updates a separate statistics object, sampling begins by resetting every
-    counter while preserving warmed state, and the access cap breaks out of
-    the loop before the capped access executes.
+    Mirrors ``Simulator.run`` statement for statement, as two consecutive
+    index ranges over the columns: the warm-up range updates a separate
+    statistics object, sampling begins between the ranges by resetting
+    every counter while preserving warmed state, and the sampled range is
+    cut short by the access cap.  Both range lengths are known before the
+    loop, so no access tests which phase it belongs to.
     """
 
     from repro.sim.engine import SimulationResult
 
     pcs, addresses, writes, length = access_columns(trace)
+    # Simulator.run's phases as counts: warm-up takes the first accesses,
+    # and the sample the rest, up to the cap.
+    warmup_count = min(max(warmup_accesses, 0), length)
+    sample_count = length - warmup_count
+    if max_accesses is not None:
+        sample_count = min(sample_count, max(max_accesses, 0))
 
     hierarchy = simulator.hierarchy
     timing = simulator.timing
@@ -182,6 +192,10 @@ def run_fast(
     l1_line_bits = l1._line_bits
     l1_set_mask = l1._set_mask
     l1_set_bits = l1._set_bits
+    # Only a power-of-two L1 takes the inlined path; otherwise every access
+    # goes through demand_access, which counts the L1 and the hierarchy
+    # itself.
+    inline_l1 = l1_set_mask is not None
     hstats = hierarchy.stats
     demand_access = hierarchy.demand_access
     demand_after_l1_miss = hierarchy.demand_after_l1_miss
@@ -195,85 +209,58 @@ def run_fast(
     base_cycles = timing.params.base_cycles_per_access
     weights = timing.stall_weights()
     weight_l1 = weights["l1"]
-    level_hits = stats.level_hits
-    warmup_level_hits = warmup_stats.level_hits
 
     # The timing accumulators live in locals and are flushed back at every
     # point the shared objects become observable (_begin_sampling reads
     # timing.cycles; _finalise reads both): identical arithmetic, identical
-    # order, no attribute traffic per access.  The hierarchy's per-access
-    # stall bookkeeping is batched the same way: ``demand_count`` and
-    # ``stall_cycles`` mirror ``hstats.demand_accesses`` /
-    # ``hstats.late_prefetch_stall_cycles`` and are written back (then
-    # reloaded) around the only operations that touch those fields on the
-    # shared object — ``demand_after_l1_miss`` (L2-hit late-prefetch stall)
-    # and the layered ``demand_access`` fallback — and at phase boundaries.
+    # order, no attribute traffic per access.  ``stall_cycles`` mirrors
+    # ``hstats.late_prefetch_stall_cycles`` the same way; it is written back
+    # (then reloaded) around the only operations that add to the shared
+    # field — ``demand_after_l1_miss`` (L2-hit late-prefetch stall) and the
+    # layered ``demand_access`` fallback — so the float sum keeps its order.
+    # Pure counts need no per-access work at all: each range adds its
+    # length (and, on the inlined path, its L1 hits) once, at its end.
     cycles, timing_accesses = timing.checkpoint()
-    demand_count = hstats.demand_accesses
     stall_cycles = hstats.late_prefetch_stall_cycles
 
-    warmed = 0
-    sampling = False
-    target_stats = warmup_stats if warmup_accesses > 0 else stats
-    target_hits = warmup_level_hits if warmup_accesses > 0 else level_hits
-
-    # Telemetry is a coarse per-run sample: one flag read plus at most three
-    # clock reads for the whole loop (start, the single sampling-boundary
-    # crossing, end) — never per-access work, so the disabled path is
-    # bit-and-allocation-identical and the enabled path is O(1) per run.
+    # Telemetry is a coarse per-run sample: one flag read plus three clock
+    # reads for the whole loop (start, the sampling boundary, end) — never
+    # per-access work, so the disabled path is bit-and-allocation-identical
+    # and the enabled path is O(1) per run.
     telemetry = obs.enabled()
     clock_start = perf_counter() if telemetry else 0.0
     clock_sample = clock_start
 
-    index = 0
-    while index < length:
-        if warmed < warmup_accesses:
-            warmed += 1
-        elif not sampling:
+    # One iterator over the columns, consumed by the two ranges in turn.
+    columns = zip(pcs, addresses, writes)
+    for sampling, target_stats, count in (
+        (False, warmup_stats, warmup_count),
+        (True, stats, sample_count),
+    ):
+        if sampling:
             timing.flush(cycles, timing_accesses)
-            hstats.demand_accesses = demand_count
             hstats.late_prefetch_stall_cycles = stall_cycles
             simulator._begin_sampling()
             # _begin_sampling reset the hierarchy counters: reload the
-            # batched locals from the (now zeroed) shared fields.
-            demand_count = hstats.demand_accesses
+            # batched local from the (now zeroed) shared field.
             stall_cycles = hstats.late_prefetch_stall_cycles
-            sampling = True
-            target_stats = stats
-            target_hits = level_hits
             if telemetry:
                 clock_sample = perf_counter()
-        if sampling and max_accesses is not None and stats.accesses >= max_accesses:
-            break
+        target_hits = target_stats.level_hits
+        l1_misses = 0
 
-        pc = pcs[index]
-        address = addresses[index]
-        is_write = writes[index]
-        index += 1
-
-        # -- demand access (L1-hit path inlined) ---------------------------
-        now = cycles
-        demand_count += 1
-        line = address & line_mask
-        hit_way = None
-        if l1_set_mask is not None:
-            line_number = line >> l1_line_bits
-            set_index = line_number & l1_set_mask
-            tag = line_number >> l1_set_bits
-            l1_stats.demand_accesses += 1
-            if l1_observe is not None:
-                l1_observe(set_index, line, pc)
-            hit_way = l1_tag_maps[set_index].get(tag)
-            if hit_way is None:
-                l1_stats.misses += 1
-                # demand_after_l1_miss adds any L2-hit late-prefetch stall
-                # straight onto the shared field: sync the batched local
-                # around the call.
-                hstats.late_prefetch_stall_cycles = stall_cycles
-                demand_after_l1_miss(line, pc, bool(is_write), now, result)
-                stall_cycles = hstats.late_prefetch_stall_cycles
-            else:
-                l1_stats.hits += 1
+        for pc, address, is_write in islice(columns, count):
+            # -- demand access (L1-hit path inlined) -----------------------
+            now = cycles
+            line = address & line_mask
+            hit_way = None
+            if inline_l1:
+                line_number = line >> l1_line_bits
+                set_index = line_number & l1_set_mask
+                if l1_observe is not None:
+                    l1_observe(set_index, line, pc)
+                hit_way = l1_tag_maps[set_index].get(line_number >> l1_set_bits)
+            if hit_way is not None:
                 cache_line = l1_sets[set_index][hit_way]
                 first_use = False
                 if cache_line.prefetched and not cache_line.used_since_prefetch:
@@ -287,92 +274,91 @@ def run_fast(
                 if stall < 0.0:
                     stall = 0.0
                 stall_cycles += stall
+                latency = l1_latency + stall
                 result.level = "l1"
-                result.latency = l1_latency + stall
+                result.latency = latency
                 result.line_address = line
                 result.l2_miss = False
                 result.l2_prefetch_first_use = False
                 result.l1_prefetch_first_use = first_use
                 result.late_prefetch_stall = stall
-        else:
-            # Non-power-of-two geometry: take the layered path wholesale
-            # (demand_access re-charges the hierarchy counter, so undo the
-            # increment above, flush both batched locals, and reload them
-            # after the call — demand_access touches both shared fields).
-            demand_count -= 1
-            hstats.demand_accesses = demand_count
-            hstats.late_prefetch_stall_cycles = stall_cycles
-            demand_access(pc, address, bool(is_write), now, result)
-            demand_count = hstats.demand_accesses
-            stall_cycles = hstats.late_prefetch_stall_cycles
-
-        level = result.level
-        if hit_way is not None:
-            cost = base_cycles + weight_l1 * result.latency
-        else:
-            cost = base_cycles + weights[level] * result.latency
-        cycles = now + cost
-        timing_accesses += 1
-
-        target_stats.accesses += 1
-        target_hits[level] += 1
-        if result.l2_miss:
-            target_stats.l2_demand_misses += 1
-        if result.l2_prefetch_first_use:
-            # Rare branch: share the engine's attribution rules rather than
-            # inlining a third copy of them.
-            simulator._attribute_usefulness(
-                line, target_stats, late=result.late_prefetch_stall > 0
-            )
-
-        # -- prefetchers ---------------------------------------------------
-        actives = (
-            prefetchers
-            if (result.l2_miss or result.l2_prefetch_first_use)
-            else hit_prefetchers
-        )
-        for prefetcher in actives:
-            buffer.count = 0
-            prefetcher.observe_into(pc, line, result, cycles, buffer)
-            count = buffer.count
-            if not count:
-                continue
-            decisions = buffer._decisions
-            for decision_index in range(count):
-                decision = decisions[decision_index]
-                fill = prefetch_fill(
-                    decision.address,
-                    pc,
-                    cycles,
-                    extra_latency=decision.extra_latency,
-                    target_level=decision.target_level,
-                    out=fill_scratch,
-                )
-                if fill.already_present:
-                    continue
-                if decision.metadata_source == "stride":
-                    target_stats.stride_prefetches_issued += 1
-                    source_map[decision.address] = "stride"
+                cycles = now + (base_cycles + weight_l1 * latency)
+                actives = hit_prefetchers
+            else:
+                # demand_after_l1_miss and demand_access add any late-prefetch
+                # stall straight onto the shared field: sync the batched
+                # local around the call.
+                hstats.late_prefetch_stall_cycles = stall_cycles
+                if inline_l1:
+                    l1_misses += 1
+                    demand_after_l1_miss(line, pc, bool(is_write), now, result)
                 else:
-                    target_stats.temporal_prefetches_issued += 1
-                    source_map[decision.address] = "temporal"
+                    demand_access(pc, address, bool(is_write), now, result)
+                stall_cycles = hstats.late_prefetch_stall_cycles
+                level = result.level
+                cycles = now + (base_cycles + weights[level] * result.latency)
+                target_hits[level] += 1
+                if result.l2_miss:
+                    target_stats.l2_demand_misses += 1
+                if result.l2_prefetch_first_use:
+                    # Rare branch: share the engine's attribution rules
+                    # rather than inlining a third copy of them.
+                    simulator._attribute_usefulness(
+                        line, target_stats, late=result.late_prefetch_stall > 0
+                    )
+                actives = (
+                    prefetchers
+                    if (result.l2_miss or result.l2_prefetch_first_use)
+                    else hit_prefetchers
+                )
+
+            # -- prefetchers -----------------------------------------------
+            for prefetcher in actives:
+                buffer.count = 0
+                prefetcher.observe_into(pc, line, result, cycles, buffer)
+                emitted = buffer.count
+                if not emitted:
+                    continue
+                decisions = buffer._decisions
+                for decision_index in range(emitted):
+                    decision = decisions[decision_index]
+                    fill = prefetch_fill(
+                        decision.address,
+                        pc,
+                        cycles,
+                        extra_latency=decision.extra_latency,
+                        target_level=decision.target_level,
+                        out=fill_scratch,
+                    )
+                    if fill.already_present:
+                        continue
+                    if decision.metadata_source == "stride":
+                        target_stats.stride_prefetches_issued += 1
+                        source_map[decision.address] = "stride"
+                    else:
+                        target_stats.temporal_prefetches_issued += 1
+                        source_map[decision.address] = "temporal"
+
+        # -- the range's counts, added once --------------------------------
+        target_stats.accesses += count
+        timing_accesses += count
+        if inline_l1:
+            l1_hits = count - l1_misses
+            target_hits["l1"] += l1_hits
+            l1_stats.demand_accesses += count
+            l1_stats.hits += l1_hits
+            l1_stats.misses += l1_misses
+            hstats.demand_accesses += count
 
     timing.flush(cycles, timing_accesses)
-    hstats.demand_accesses = demand_count
     hstats.late_prefetch_stall_cycles = stall_cycles
-    if not sampling:
-        # Warm-up consumed the whole trace: reset the counters anyway so
-        # the (empty) sample reports zeros rather than warm-up activity.
-        simulator._begin_sampling()
     simulator._finalise(stats)
     if telemetry:
         clock_end = perf_counter()
-        if not sampling:
-            clock_sample = clock_end  # everything was warm-up: empty sample
         obs.record_replay(
             workload_name,
             accesses=stats.accesses,
-            prefix_accesses=warmed,
+            prefix_accesses=warmup_count,
             prefix_seconds=clock_sample - clock_start,
             sample_seconds=clock_end - clock_sample,
         )

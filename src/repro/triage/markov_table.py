@@ -18,6 +18,9 @@ on after fixing Triage's inconsistencies:
 * when the partition is resized the sub-set mapping changes, so a set is
   *rearranged* the first time it is touched under the new indexing policy —
   entries that no longer fit are dropped (section 3.2);
+* a set's lines are built by the first training event that touches it,
+  and until then every read sees the set empty, so a fresh table costs
+  nothing per set;
 * one confidence bit per entry controls same-index replacement: an existing
   target is only replaced when its confidence bit is clear, and the bit is
   set when training confirms the existing target (section 3.4).
@@ -91,13 +94,9 @@ class MarkovTable:
         self.format = metadata_format
         self.tag_bits = tag_bits
         self.entries_per_line = metadata_format.entries_per_line
-        self._lines: list[list[list[MarkovEntry]]] = [
-            [
-                [MarkovEntry() for _ in range(self.entries_per_line)]
-                for _ in range(max_ways)
-            ]
-            for _ in range(l3_sets)
-        ]
+        # Each set's ``max_ways`` lines, built by the first training event
+        # that touches the set (see :meth:`_build_set`); ``None`` until then.
+        self._lines: list[list[list[MarkovEntry]] | None] = [None] * l3_sets
         # One replacement-policy "set" per (cache set, way) line.
         self._policy: ReplacementPolicy = make_replacement_policy(
             replacement, l3_sets * max_ways, self.entries_per_line
@@ -153,20 +152,35 @@ class MarkovTable:
     def _policy_set(self, set_index: int, way: int) -> int:
         return set_index * self.max_ways + way
 
+    # -- sets built on first touch ----------------------------------------------
+    def _build_set(self, set_index: int) -> list[list[MarkovEntry]]:
+        """Build a set's lines of empty entries (its first training event).
+
+        A set nothing has trained holds no entry, so every read treats an
+        unbuilt set as empty: a fresh table costs nothing per set, and a
+        short run builds only the sets it trains.
+        """
+
+        lines = [
+            [MarkovEntry() for _ in range(self.entries_per_line)]
+            for _ in range(self.max_ways)
+        ]
+        self._lines[set_index] = lines
+        return lines
+
     # -- rearrangement on resize ----------------------------------------------
     def _maybe_rearrange(self, set_index: int) -> None:
         if self._indexing_ways[set_index] == self._ways:
             return
-        if not any(
-            entry.valid for line in self._lines[set_index] for entry in line
-        ):
+        lines = self._lines[set_index]
+        if lines is None or not any(entry.valid for line in lines for entry in line):
             # Nothing to move: adopt the new indexing policy silently.
             self._indexing_ways[set_index] = self._ways
             return
         self.stats.rearrangements += 1
         survivors: list[MarkovEntry] = []
-        for way in range(self.max_ways):
-            for entry in self._lines[set_index][way]:
+        for line in lines:
+            for entry in line:
                 if entry.valid:
                     survivors.append(
                         MarkovEntry(
@@ -211,8 +225,11 @@ class MarkovTable:
             return None
         set_index, tag = self.locate(line_address)
         self._maybe_rearrange(set_index)
+        lines = self._lines[set_index]
+        if lines is None:
+            return None
         way = self._sub_set(tag)
-        line = self._lines[set_index][way]
+        line = lines[way]
         policy_set = self._policy_set(set_index, way)
         for slot, entry in enumerate(line):
             if entry.valid and entry.tag == tag:
@@ -229,10 +246,10 @@ class MarkovTable:
         if self._ways == 0:
             return None
         set_index, tag = self.locate(line_address)
-        if self._indexing_ways[set_index] != self._ways:
+        lines = self._lines[set_index]
+        if lines is None or self._indexing_ways[set_index] != self._ways:
             return None
-        line = self._lines[set_index][self._sub_set(tag)]
-        for entry in line:
+        for entry in lines[self._sub_set(tag)]:
             if entry.valid and entry.tag == tag:
                 return entry
         return None
@@ -253,8 +270,11 @@ class MarkovTable:
             return TrainOutcome(action="dropped")
         set_index, tag = self.locate(index_line_address)
         self._maybe_rearrange(set_index)
+        lines = self._lines[set_index]
+        if lines is None:
+            lines = self._build_set(set_index)
         way = self._sub_set(tag)
-        line = self._lines[set_index][way]
+        line = lines[way]
         policy_set = self._policy_set(set_index, way)
 
         for slot, entry in enumerate(line):

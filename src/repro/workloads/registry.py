@@ -209,9 +209,11 @@ def generate_workload(name: str, **overrides) -> Trace:
 
     ``overrides`` are forwarded to the underlying generator (``length`` and
     ``seed`` for the SPEC-like workloads, ``max_accesses``/``seed`` for
-    Graph500, and the micro generators' own parameters).  Names with the
-    ``trace:`` prefix load packed trace files from the search path instead
-    of generating; they accept only the ``length`` override.
+    Graph500, and the micro generators' own parameters).  Graph500 also
+    takes ``length``, as its ``max_accesses``, so one ``length`` override
+    sizes every generated trace.  Names with the ``trace:`` prefix load
+    packed trace files from the search path instead of generating; they
+    accept only the ``length`` override.
     """
 
     if name.startswith(TRACE_PREFIX):
@@ -220,6 +222,13 @@ def generate_workload(name: str, **overrides) -> Trace:
     if key in SPEC_SPECS:
         return generate_spec_trace(key, **overrides)
     if key in GRAPH500_SPECS:
+        if "length" in overrides:
+            if "max_accesses" in overrides:
+                raise ValueError(
+                    f"{name}: give 'length' or 'max_accesses', not both "
+                    f"(length is the trace's max_accesses)"
+                )
+            overrides["max_accesses"] = overrides.pop("length")
         return generate_graph500_trace(key, **overrides)
     if key in _MICRO_GENERATORS:
         return _MICRO_GENERATORS[key](**overrides)

@@ -37,6 +37,7 @@ class TestRunBench:
                 / case["reference_accesses_per_second"],
                 rel=0.01,
             )
+            assert case["fast_calls_per_access"] > 1
         assert record["packed_trace_speedup"] == record["cases"][1]["speedup"]
         trace_io = record["trace_io"]
         assert set(trace_io) == {
@@ -51,6 +52,12 @@ class TestRunBench:
             trace_io["bytes"] / trace_io["accesses"], 3
         )
         assert trace_io["full_load_seconds"] > 0
+
+    def test_call_count_repeats_exactly(self, tmp_path):
+        system = bench.SystemConfig.scaled()
+        for case in bench._bench_cases(600, tmp_path):
+            counts = [bench.count_fast_calls(case, system, 0.25) for _ in range(2)]
+            assert counts[0] == counts[1] > len(case.trace)
 
     def test_rejects_bad_arguments(self):
         with pytest.raises(ValueError):

@@ -56,6 +56,21 @@ class TestCommands:
         assert "speedup" in output
         assert "triage" in output
 
+    def test_run_graph500_with_trace_length(self, capsys):
+        code = main(
+            [
+                "run",
+                "graph500_s16",
+                "--config",
+                "triangel",
+                "--trace-length",
+                "600",
+                "--no-cache",
+            ]
+        )
+        assert code == 0
+        assert "360 sampled accesses" in capsys.readouterr().out
+
     def test_figure_table1_is_analytic_and_fast(self, capsys):
         assert main(["figure", "table1"]) == 0
         output = capsys.readouterr().out

@@ -3,7 +3,11 @@
 import dataclasses
 import hashlib
 import json
+import os
 import pickle
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -54,9 +58,12 @@ def make_mp_spec(**overrides) -> MultiProgramSpec:
 
 class TestRunSpec:
     def test_identical_specs_are_equal_and_hash_equal(self):
+        # Built from distinct but equal system trees.
         first, second = make_spec(), make_spec()
+        assert first.system is not second.system
         assert first == second
-        assert hash(first) == hash(second)
+        assert hash(first) == hash(first) == hash(second)
+        assert {first: "cell"}[second] == "cell"
         assert first.content_hash() == second.content_hash()
 
     def test_specs_are_immutable(self):
@@ -170,6 +177,43 @@ def _defined_digest(spec) -> str:
 
     canonical = json.dumps(spec.as_dict(), sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(f"{code_version()}|{canonical}".encode()).hexdigest()
+
+
+_SRC_ROOT = Path(__file__).resolve().parent.parent / "src"
+
+#: Run with ``dump PATH`` (hash both spec kinds, then pickle them) or ``load
+#: PATH`` (unpickle, then compare with freshly built equal specs).
+_HASH_SEED_CHILD = """
+import json, pickle, sys
+from repro.experiments.jobs import MultiProgramSpec, RunSpec
+from repro.sim.config import SystemConfig
+
+def fresh():
+    return [
+        RunSpec.create("xalan", "triage", SystemConfig.scaled(), {"length": 2000}),
+        MultiProgramSpec.create(("xalan", "omnet"), "triangel", SystemConfig.scaled()),
+    ]
+
+mode, path = sys.argv[1], sys.argv[2]
+if mode == "dump":
+    specs = fresh()
+    hashes = [hash(spec) for spec in specs]
+    with open(path, "wb") as handle:
+        pickle.dump(specs, handle)
+    print(json.dumps([{"hash": value} for value in hashes]))
+else:
+    with open(path, "rb") as handle:
+        loaded = pickle.load(handle)
+    report = []
+    for restored, built in zip(loaded, fresh()):
+        report.append({
+            "equal": restored == built,
+            "found": {built: True}.get(restored, False),
+            "loaded_hash": hash(restored),
+            "fresh_hash": hash(built),
+        })
+    print(json.dumps(report))
+"""
 
 
 class TestSpecIdentity:
@@ -298,6 +342,33 @@ class TestSpecIdentity:
             assert spec.content_hash() == _defined_digest(spec)
         assert specs[0].content_hash() == specs[1].content_hash()
 
+    def test_pickled_spec_hashes_as_a_fresh_one_under_another_hash_seed(self, tmp_path):
+        # The per-instance hash is salted by the process that computed it,
+        # so a spec pickled after hashing (as a pool worker's result or a
+        # later process would see it) must hash again where it is loaded.
+        pickled = tmp_path / "specs.pickle"
+
+        def run(seed: int, mode: str) -> list:
+            env = dict(os.environ, PYTHONHASHSEED=str(seed))
+            env["PYTHONPATH"] = str(_SRC_ROOT) + os.pathsep + env.get("PYTHONPATH", "")
+            completed = subprocess.run(
+                [sys.executable, "-c", _HASH_SEED_CHILD, mode, str(pickled)],
+                env=env,
+                capture_output=True,
+                text=True,
+                timeout=120,
+                check=True,
+            )
+            return json.loads(completed.stdout)
+
+        dumped = run(1, "dump")
+        loaded = run(2, "load")
+        for spec in loaded:
+            assert spec["equal"] and spec["found"]
+            assert spec["loaded_hash"] == spec["fresh_hash"]
+        # The seed does move the hash: a pickled cache would have shown.
+        assert [spec["hash"] for spec in dumped] != [spec["fresh_hash"] for spec in loaded]
+
     @pytest.mark.parametrize(
         ("change", "moves_pair"),
         [
@@ -364,8 +435,12 @@ class TestParameterisedSpecs:
 
 class TestMultiProgramSpec:
     def test_identical_specs_are_equal_and_hash_equal(self):
+        # Built from distinct but equal system trees.
         first, second = make_mp_spec(), make_mp_spec()
+        assert first.system is not second.system
         assert first == second
+        assert hash(first) == hash(first) == hash(second)
+        assert {first: "cell"}[second] == "cell"
         assert first.content_hash() == second.content_hash()
 
     @pytest.mark.parametrize(

@@ -144,11 +144,12 @@ class TestParityMatrix:
         reference engine's per-access bookkeeping leaves them.
 
         The fast kernels batch ``hstats.demand_accesses``,
-        ``hstats.late_prefetch_stall_cycles``, the timing clock and the
-        DRAM event counters into locals/slots flushed at phase boundaries;
-        this asserts the *flushed shared objects themselves* — not just the
-        derived SimulationStats — are bit-identical after a run, on both a
-        prefetch-heavy and a write-bearing stream."""
+        ``hstats.late_prefetch_stall_cycles``, the timing clock, the L1's
+        access counters and the DRAM event counters into locals/slots
+        flushed at phase boundaries; this asserts the *flushed shared
+        objects themselves* — not just the derived SimulationStats — are
+        bit-identical after a run, on both a prefetch-heavy and a
+        write-bearing stream."""
 
         sizing = (
             {"max_accesses": 1500} if workload.startswith("graph500")
@@ -164,6 +165,7 @@ class TestParityMatrix:
                 hierarchy.stats.demand_accesses,
                 hierarchy.stats.late_prefetch_stall_cycles,
                 asdict(hierarchy.dram.stats),
+                asdict(hierarchy.l1d.stats),
                 simulator.timing.cycles,
                 simulator.timing.accesses,
             )
@@ -257,7 +259,17 @@ class TestParityEdges:
 
     @pytest.mark.parametrize(
         ("warmup", "cap"),
-        [(0, None), (0, 0), (200, 100), (600, None), (599, None), (0, 10**9)],
+        [
+            (0, None),
+            (0, 0),
+            (200, 100),
+            (600, None),
+            (599, None),
+            (0, 10**9),
+            (700, None),
+            (200, 10**9),
+            (200, 400),
+        ],
     )
     def test_warmup_and_cap_edges(self, warmup, cap):
         trace = self.make_trace()

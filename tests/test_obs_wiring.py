@@ -82,12 +82,12 @@ def _simulator(configuration: str = "baseline") -> Simulator:
 # kernel
 # ---------------------------------------------------------------------------
 class TestKernelTelemetry:
-    def _run(self, counting=None, monkeypatch=None):
+    def _run(self, counting=None, monkeypatch=None, warmup=450):
         if counting is not None:
             monkeypatch.setattr(kernel_module, "perf_counter", counting)
         trace = trace_for_workload("xalan", {"length": 1500})
         return kernel_module.run_fast(
-            _simulator(), trace, workload_name="xalan", warmup_accesses=450
+            _simulator(), trace, workload_name="xalan", warmup_accesses=warmup
         )
 
     def test_disabled_run_reads_no_clock(self, no_telemetry, monkeypatch):
@@ -126,13 +126,17 @@ class TestKernelTelemetry:
         accesses = obs.REGISTRY.counter(
             "repro_replay_accesses_total", labels=("phase",)
         )
-        base_sample = accesses.value(phase="sample")
-        with obs.collect() as roots:
-            result = self._run()
-        phases = obs.breakdown(roots)
-        assert "sampled_window" in phases
-        assert "prefix_replay" in phases
-        assert accesses.value(phase="sample") - base_sample == result.stats.accesses
+        # The second warm-up runs past the end of the 1 500-access trace.
+        for warmup in (450, 2000):
+            base_sample = accesses.value(phase="sample")
+            base_prefix = accesses.value(phase="prefix")
+            with obs.collect() as roots:
+                result = self._run(warmup=warmup)
+            phases = obs.breakdown(roots)
+            assert "sampled_window" in phases
+            assert "prefix_replay" in phases
+            assert accesses.value(phase="sample") - base_sample == result.stats.accesses
+            assert accesses.value(phase="prefix") - base_prefix == min(warmup, 1500)
 
 
 # ---------------------------------------------------------------------------

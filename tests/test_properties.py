@@ -300,8 +300,13 @@ class TestMarkovTableProperties:
         # sets of 12-entry lines fill within a few dozen trains, so shrinks
         # drop entries.
         def scanned(table):
+            # A set no training event has touched is unbuilt (None): empty.
             return sum(
-                entry.valid for per_set in table._lines for line in per_set for entry in line
+                entry.valid
+                for per_set in table._lines
+                if per_set is not None
+                for line in per_set
+                for entry in line
             )
 
         table = MarkovTable(2, 3, Full42Format(), replacement=replacement, initial_ways=3)

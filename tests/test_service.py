@@ -914,6 +914,16 @@ class TestServedStudies:
         assert json.dumps(served, sort_keys=True) == json.dumps(expected, sort_keys=True)
 
 
+    def test_fig17_over_graph500_with_a_trace_length_completes(self, service):
+        # trace_length reaches the Graph500 generator as its access cap.
+        request = {"kind": "study", "name": "fig17", "configs": ["triangel"], "trace_length": 600}
+        with ServiceClient(service.url) as client:
+            job = client.submit(request)
+            assert client.wait(job["id"], timeout=300)["state"] == "completed"
+            table = client.result(job["id"])["result"]["table"]
+        assert {"graph500_s16 slowdown", "graph500_s21 slowdown"} <= set(table)
+
+
 class TestKeptAliveTransport:
     """Each client keeps one connection to the daemon and reuses it."""
 

@@ -159,6 +159,16 @@ class TestGraph500:
         trace = generate_graph500_trace("graph500_s16", max_accesses=5000)
         assert any(access.is_write for access in trace)
 
+    def test_length_override_caps_like_max_accesses(self):
+        by_length = generate_workload("graph500_s16", length=600)
+        by_cap = generate_workload("graph500_s16", max_accesses=600)
+        assert len(by_length) == 600
+        assert list(by_length) == list(by_cap)
+
+    def test_length_and_max_accesses_together_refused(self):
+        with pytest.raises(ValueError, match="'length' or 'max_accesses'"):
+            generate_workload("graph500_s16", length=600, max_accesses=600)
+
 
 class TestMicroAndRegistry:
     def test_pointer_chase_repeats_exactly(self):
