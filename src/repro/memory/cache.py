@@ -190,9 +190,10 @@ class SetAssociativeCache:
             self.policy = replacement
         else:
             self.policy = make_replacement_policy(replacement, self.num_sets, assoc)
-        self._sets: list[list[CacheLine]] = [
-            [CacheLine() for _ in range(assoc)] for _ in range(self.num_sets)
-        ]
+        #: Each set's lines, built by its first :meth:`fill` (``None`` until
+        #: then: a set that never holds a line never costs one).  A line is
+        #: read only after its tag-map hit, so an unbuilt set is never read.
+        self._sets: list[list[CacheLine] | None] = [None] * self.num_sets
         #: Per-set ``{tag: way}`` index mirroring ``_sets``; every fill,
         #: eviction and invalidation updates it, making lookups O(1).
         self._tag_maps: list[dict[int, int]] = [{} for _ in range(self.num_sets)]
@@ -259,7 +260,7 @@ class SetAssociativeCache:
 
         addresses = []
         for set_index, ways in enumerate(self._sets):
-            for line in ways:
+            for line in ways or ():
                 if line.valid:
                     addresses.append(
                         (line.tag * self.num_sets + set_index) * self.line_size
@@ -339,6 +340,8 @@ class SetAssociativeCache:
             set_index, tag = self.locate(address)
         tag_map = self._tag_maps[set_index]
         ways = self._sets[set_index]
+        if ways is None:
+            ways = self._sets[set_index] = [CacheLine() for _ in range(self.assoc)]
         way = tag_map.get(tag)
         if way is not None:
             # Re-filling a resident line (e.g. a prefetch racing a demand

@@ -80,10 +80,13 @@ class PartitionedCache(SetAssociativeCache):
             return []
         displaced: list[EvictionInfo] = []
         if ways > self._reserved_ways:
-            # The newly reserved ways are the highest-indexed data ways.
-            for set_index in range(self.num_sets):
+            # The newly reserved ways are the highest-indexed data ways; a set
+            # no fill has built holds no line to displace.
+            for set_index, lines in enumerate(self._sets):
+                if lines is None:
+                    continue
                 for way in range(self.assoc - ways, self.assoc - self._reserved_ways):
-                    line = self._sets[set_index][way]
+                    line = lines[way]
                     if line.valid:
                         # _evict returns the cache's scratch record; copy it,
                         # since this list outlives the next eviction.

@@ -34,6 +34,11 @@ An ``explore`` kind compiles a design-space search *description* (the
 ``repro explore describe`` plan — candidates, rungs, budget) without
 simulating: it carries no specs, so the job completes instantly.
 
+A daemon compiles each distinct ``study`` request once: a
+:class:`PlanCache` keeps the compiled specs and finalize of recent study
+requests, so a repeated request reuses spec instances whose digests are
+already computed (see :class:`PlanCache`).
+
 Every validation problem raises ``ValueError`` with a one-line,
 user-renderable message naming the field; the HTTP layer maps those to
 ``400`` responses, exactly as the CLI maps them to exit code 2.
@@ -41,13 +46,18 @@ user-renderable message naming the field; the HTTP layer maps those to
 
 from __future__ import annotations
 
+import json
 import sys
+import threading
+from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Callable, Mapping, TYPE_CHECKING
 
+from repro.experiments.jobs import _trace_digests
 from repro.experiments.runner import ExperimentRunner
 from repro.experiments.store import Spec, result_to_record
 from repro.experiments.studies import STUDIES
+from repro.service.scheduler import FINISHED_JOB_LIMIT
 from repro.sim.config import SystemConfig
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -405,3 +415,112 @@ def compile_request(payload: Mapping) -> CompiledRequest:
     compiled = compiler(payload)
     compiled.priority = priority
     return compiled
+
+
+@dataclass(frozen=True)
+class _Plan:
+    """The reusable parts of one compiled ``study`` request."""
+
+    kind: str
+    label: str
+    specs: tuple
+    finalize: Callable[["Job"], dict] | None
+    #: workload -> content digest of every ``trace:`` file the specs replay.
+    traces: Mapping[str, str]
+
+    def current(self) -> bool:
+        """Whether every trace file still holds the bytes the specs digested."""
+
+        if not self.traces:
+            return True
+        try:
+            return _trace_digests(list(self.traces)) == self.traces
+        except (OSError, ValueError):  # the file is gone: recompile to report it
+            return False
+
+
+class PlanCache:
+    """Compiled ``study`` requests, so each distinct one compiles once.
+
+    Keyed by the request's canonical JSON (sorted keys, compact
+    separators), so key order does not matter but every value does.  A hit
+    builds a fresh :class:`CompiledRequest` around the plan's kind, label,
+    specs and finalize, with this request's own ``request`` and
+    ``priority``: the job reuses spec instances whose digest and ``hash()``
+    are already computed, and no study, runner or spec is made.  A plan
+    over ``trace:`` workloads is reused only while each file's digest (a
+    ``stat`` through the digest memo) is unchanged; otherwise the request
+    compiles afresh.  A compile that raises is never kept, and a
+    code-version change needs nothing, because each spec re-keys its own
+    digest.  Other request kinds always compile.
+
+    At most :data:`~repro.service.scheduler.FINISHED_JOB_LIMIT` plans are
+    kept (the least recently used goes first), so a long-running daemon's
+    memory does not grow with the requests it has served.  Handler threads
+    share one cache under its lock; two threads that miss on the same
+    request both compile, and the later plan is kept.
+    """
+
+    def __init__(self) -> None:
+        self.limit = FINISHED_JOB_LIMIT
+        self.hits = 0
+        self.misses = 0
+        self._plans: OrderedDict[str, _Plan] = OrderedDict()
+        self._lock = threading.Lock()
+
+    def compile(
+        self, payload: Mapping, compiler: Callable[[Mapping], CompiledRequest]
+    ) -> CompiledRequest:
+        """``compiler(payload)``, or the kept plan of an identical study request.
+
+        The daemon passes :func:`compile_request`, looked up when it handles
+        the request, so a substitute installed on the server module is used.
+        """
+
+        if payload.get("kind") != "study":
+            return compiler(payload)
+        key = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+        with self._lock:
+            plan = self._plans.get(key)
+            if plan is not None:
+                self._plans.move_to_end(key)
+        if plan is not None and plan.current():
+            with self._lock:
+                self.hits += 1
+            return CompiledRequest(
+                kind=plan.kind,
+                label=plan.label,
+                specs=list(plan.specs),
+                request=dict(payload),
+                finalize=plan.finalize,
+                priority=_integer(payload, "priority", 0),
+            )
+        with self._lock:
+            self.misses += 1
+            if plan is not None and self._plans.get(key) is plan:
+                del self._plans[key]  # its trace files changed
+        compiled = compiler(payload)
+        plan = _Plan(
+            kind=compiled.kind,
+            label=compiled.label,
+            specs=tuple(compiled.specs),
+            finalize=compiled.finalize,
+            traces=dict(pair for spec in compiled.specs for pair in spec.trace_digests),
+        )
+        with self._lock:
+            self._plans[key] = plan
+            self._plans.move_to_end(key)
+            while len(self._plans) > self.limit:
+                self._plans.popitem(last=False)
+        return compiled
+
+    def stats(self) -> dict:
+        """JSON-safe counters (the ``plans`` object of ``/healthz``)."""
+
+        with self._lock:
+            return {
+                "size": len(self._plans),
+                "limit": self.limit,
+                "hits": self.hits,
+                "misses": self.misses,
+            }

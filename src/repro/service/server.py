@@ -21,7 +21,8 @@ JSON:
 ``GET /jobs/<id>/result``   the reduced result payload plus the run
                             manifest; ``409`` until the job completes
 ``POST /jobs/<id>/cancel``  cooperative cancellation
-``GET /healthz``            liveness + scheduler counters + code version
+``GET /healthz``            liveness + scheduler and plan-cache counters +
+                            code version
 ``GET /store/stats``        the shared store's machine-readable statistics
                             (the same serializer ``repro cache show --json``
                             prints)
@@ -64,7 +65,7 @@ from repro import obs
 from repro.experiments.jobs import code_version
 from repro.experiments.store import ResultStore, store_stats_payload
 from repro.service.manifest import job_manifest
-from repro.service.requests import compile_request
+from repro.service.requests import PlanCache, compile_request
 from repro.service.scheduler import QuotaExceededError, Scheduler
 
 #: Default bind address of ``repro serve``.
@@ -124,6 +125,10 @@ class _BodyTooLarge(Exception):
 class ServiceServer(ThreadingHTTPServer):
     """The HTTP server plus the scheduler/store it fronts.
 
+    ``plans`` keeps this daemon's compiled ``study`` requests (see
+    :class:`~repro.service.requests.PlanCache`); each server starts with
+    none.
+
     :meth:`server_close` also ends every open connection, because a
     kept-alive connection's handler thread would otherwise outlive the
     server (``daemon_threads`` are never joined) and keep answering from a
@@ -139,6 +144,7 @@ class ServiceServer(ThreadingHTTPServer):
         self.scheduler = scheduler
         self.store = store
         self.verbose = verbose
+        self.plans = PlanCache()
         #: Set by :meth:`server_close`; handlers then serve no new request.
         self.closed = False
         self._connections: set[socket.socket] = set()
@@ -337,6 +343,7 @@ class _Handler(BaseHTTPRequestHandler):
                     "status": "ok",
                     "code_version": code_version(),
                     "scheduler": self.server.scheduler.stats(),
+                    "plans": self.server.plans.stats(),
                     "store": store_stats_payload(self.server.store)
                     if self.server.store is not None
                     else None,
@@ -382,7 +389,7 @@ class _Handler(BaseHTTPRequestHandler):
             raise ValueError(f"request body is not valid JSON: {error}") from None
         if not isinstance(payload, dict):
             raise ValueError("request body must be a JSON object")
-        compiled = compile_request(payload)
+        compiled = self.server.plans.compile(payload, compile_request)
         job = self.server.scheduler.submit(
             compiled.specs,
             client=self._client_name(payload),

@@ -22,6 +22,7 @@ import sys
 import threading
 import time
 from concurrent.futures import Future
+from contextlib import contextmanager
 from pathlib import Path
 
 import pytest
@@ -42,9 +43,11 @@ from repro.service.manifest import (
     spec_payload,
     verify_manifest,
 )
-from repro.service.requests import compile_request
-from repro.service.scheduler import Job, QuotaExceededError, Scheduler
+from repro.service.requests import CompiledRequest, PlanCache, compile_request
+from repro.service.scheduler import FINISHED_JOB_LIMIT, Job, QuotaExceededError, Scheduler
 from repro.service.server import MAX_BODY_BYTES, build_server
+from repro.traces.format import trace_file_digest
+from repro.traces.recorder import record_workload
 
 
 def quick_runner(**overrides) -> ExperimentRunner:
@@ -383,21 +386,30 @@ class TestManifest:
         assert len(problems) == 1 and named in problems[0], problems
 
 
-@pytest.fixture()
-def service(tmp_path):
-    """A live daemon on an ephemeral port, plus the store it fronts."""
+@contextmanager
+def running_daemon(store):
+    """A live daemon on an ephemeral port over ``store``, shut down on exit."""
 
-    store = ResultStore(tmp_path / "service-store")
     server = build_server(store, port=0, jobs=1)
     thread = threading.Thread(
         target=server.serve_forever, kwargs={"poll_interval": 0.05}, daemon=True
     )
     thread.start()
-    yield server
-    server.shutdown()
-    server.server_close()
-    server.scheduler.close()
-    thread.join(timeout=5)
+    try:
+        yield server
+    finally:
+        server.shutdown()
+        server.server_close()
+        server.scheduler.close()
+        thread.join(timeout=5)
+
+
+@pytest.fixture()
+def service(tmp_path):
+    """A live daemon on an ephemeral port, plus the store it fronts."""
+
+    with running_daemon(ResultStore(tmp_path / "service-store")) as server:
+        yield server
 
 
 TINY_RUN = {
@@ -458,6 +470,7 @@ class TestHTTPService:
             assert health["status"] == "ok"
             assert health["code_version"] == code_version()
             assert health["scheduler"]["backend_slots"] == 1
+            assert health["plans"] == {"size": 0, "limit": 128, "hits": 0, "misses": 0}
             stats = client.store_stats()
             assert stats == json.loads(json.dumps(store_stats_payload(service.store)))
 
@@ -880,6 +893,30 @@ SERVED_STUDIES = {
 }
 
 
+def _rendered_in_process(request: dict, store) -> dict:
+    """The result payload a study request renders in-process over ``store``."""
+
+    study = STUDIES.get(request["name"]).overridden(
+        workloads=request.get("workloads"),
+        configurations=request.get("configs"),
+        assignments={key: str(value) for key, value in request.get("set", {}).items()},
+    )
+    runner = study.make_runner(
+        max_accesses=request.get("max_accesses"),
+        trace_overrides={"length": request["trace_length"]},
+        store=store,
+    )
+    figure = study.run(runner)
+    return {
+        "figure": figure.figure,
+        "title": figure.title,
+        "table": figure.table,
+        "columns": figure.columns,
+        "rendered": figure.rendered,
+        "notes": figure.notes,
+    }
+
+
 class TestServedStudies:
     @pytest.mark.parametrize("reducer", sorted(SERVED_STUDIES))
     def test_served_payload_equals_in_process_run(self, service, reducer):
@@ -891,26 +928,8 @@ class TestServedStudies:
             assert client.wait(job["id"], timeout=300)["state"] == "completed"
             served = client.result(job["id"])["result"]
 
-        study = STUDIES.get(request["name"]).overridden(
-            workloads=request.get("workloads"),
-            configurations=request.get("configs"),
-            assignments={key: str(value) for key, value in request.get("set", {}).items()},
-        )
-        assert study.reducer == reducer
-        runner = study.make_runner(
-            max_accesses=request.get("max_accesses"),
-            trace_overrides={"length": 600},
-            store=service.store,
-        )
-        figure = study.run(runner)
-        expected = {
-            "figure": figure.figure,
-            "title": figure.title,
-            "table": figure.table,
-            "columns": figure.columns,
-            "rendered": figure.rendered,
-            "notes": figure.notes,
-        }
+        assert STUDIES.get(request["name"]).reducer == reducer
+        expected = _rendered_in_process(request, service.store)
         assert json.dumps(served, sort_keys=True) == json.dumps(expected, sort_keys=True)
 
 
@@ -1018,57 +1037,270 @@ class TestKeptAliveTransport:
         assert len(log.accepted) == 2
 
 
+#: A 30-spec fig10 request: 5 workloads x (baseline + 5 configurations).
+WARM_FIG10 = {
+    "kind": "study",
+    "name": "fig10",
+    "workloads": ["astar", "gcc_166", "mcf", "omnet", "xalan"],
+    "trace_length": 600,
+    "max_accesses": 240,
+}
+
+
+def _submit_and_wait(client: ServiceClient, request: dict, timeout: float = 300) -> dict:
+    """Submit one request, wait for it, and return its result (job completed)."""
+
+    job = client.submit(request)
+    assert client.wait(job["id"], timeout=timeout)["state"] == "completed"
+    return client.result(job["id"])
+
+
+def _count_identity_work(monkeypatch) -> dict:
+    """Live counts of spec creations, system-tree encodes, compiles and schedulers."""
+
+    counts = {"create": 0, "encode": 0, "compile": 0, "scheduler": 0}
+    create = RunSpec.create.__func__
+    canonical_json = jobs_module._canonical_json
+    compile_request_ = server_module.compile_request
+    scheduler_init = Scheduler.__init__
+
+    def counting_create(cls, *args, **kwargs):
+        counts["create"] += 1
+        return create(cls, *args, **kwargs)
+
+    def counting_json(value):
+        counts["encode"] += isinstance(value, dict) and "hierarchy" in value
+        return canonical_json(value)
+
+    def counting_compile(payload):
+        counts["compile"] += 1
+        return compile_request_(payload)
+
+    def counting_init(self, *args, **kwargs):
+        counts["scheduler"] += 1
+        scheduler_init(self, *args, **kwargs)
+
+    monkeypatch.setattr(RunSpec, "create", classmethod(counting_create))
+    monkeypatch.setattr(jobs_module, "_canonical_json", counting_json)
+    monkeypatch.setattr(server_module, "compile_request", counting_compile)
+    monkeypatch.setattr(Scheduler, "__init__", counting_init)
+    return counts
+
+
 class TestSpecIdentityCost:
     def test_warm_study_creates_each_spec_once_and_encodes_its_system_once(
         self, service, monkeypatch
     ):
-        # A warm request makes each of its specs once, over one frozen system
-        # tree that is encoded to JSON once for every digest, and reduces the
-        # job's own results: no second scheduler pass.
-        request = {
-            "kind": "study",
-            "name": "fig10",
-            "workloads": ["astar", "gcc_166", "mcf", "omnet", "xalan"],
-            "trace_length": 600,
-            "max_accesses": 240,
-        }
+        # A warm request the daemon has not compiled makes each of its specs
+        # once, over one frozen system tree that is encoded to JSON once for
+        # every digest, and reduces the job's own results: no second
+        # scheduler pass.  The first daemon warms the store; a second daemon
+        # over the same store sees the request for the first time.
+        request = dict(WARM_FIG10)
         with ServiceClient(service.url) as client:
-            cold = client.submit(request)
-            assert client.wait(cold["id"], timeout=300)["state"] == "completed"
+            assert _submit_and_wait(client, request)["manifest"]["store"]["executed"] == 30
 
-            counts = {"create": 0, "encode": 0, "scheduler": 0}
-            create = RunSpec.create.__func__
-            canonical_json = jobs_module._canonical_json
-            scheduler_init = Scheduler.__init__
-
-            def counting_create(cls, *args, **kwargs):
-                counts["create"] += 1
-                return create(cls, *args, **kwargs)
-
-            def counting_json(value):
-                counts["encode"] += isinstance(value, dict) and "hierarchy" in value
-                return canonical_json(value)
-
-            def counting_init(self, *args, **kwargs):
-                counts["scheduler"] += 1
-                scheduler_init(self, *args, **kwargs)
-
-            monkeypatch.setattr(RunSpec, "create", classmethod(counting_create))
-            monkeypatch.setattr(jobs_module, "_canonical_json", counting_json)
-            monkeypatch.setattr(Scheduler, "__init__", counting_init)
+        with running_daemon(service.store) as second, ServiceClient(second.url) as client:
+            counts = _count_identity_work(monkeypatch)
             warm = client.submit(request)
             assert client.wait(warm["id"], timeout=60)["state"] == "completed"
             manifest = client.result(warm["id"])["manifest"]
             monkeypatch.undo()
+            specs = second.scheduler.get(warm["id"]).specs
 
         assert manifest["store"]["executed"] == 0
         distinct = {entry["digest"] for entry in manifest["specs"]}
         assert len(distinct) == len(manifest["specs"]) == 30  # 5 x (baseline + 5)
+        assert counts.pop("compile") == 1
         assert counts == {"create": 30, "encode": 1, "scheduler": 0}
-        trees = {id(spec.system) for spec in service.scheduler.get(warm["id"]).specs}
+        trees = {id(spec.system) for spec in specs}
         assert len(trees) == 1
         assert len(manifest["systems"]) == 1
         assert verify_manifest(manifest) == []
+
+    def test_repeated_study_reuses_its_plan_and_derives_nothing(
+        self, service, monkeypatch
+    ):
+        # The same request sent again to the same daemon reuses the compiled
+        # plan: no compile, no spec creation, no system-tree encode.
+        request = dict(WARM_FIG10)
+        with ServiceClient(service.url) as client:
+            first = _submit_and_wait(client, request)
+            counts = _count_identity_work(monkeypatch)
+            again = _submit_and_wait(client, request, timeout=60)
+            monkeypatch.undo()
+
+        assert counts == {"create": 0, "encode": 0, "compile": 0, "scheduler": 0}
+        manifest = again["manifest"]
+        assert manifest["store"]["executed"] == 0
+        assert verify_manifest(manifest) == []
+        assert [entry["digest"] for entry in manifest["specs"]] == [
+            entry["digest"] for entry in first["manifest"]["specs"]
+        ]
+        assert again["result"] == first["result"]
+        assert service.plans.stats() == {"size": 1, "limit": 128, "hits": 1, "misses": 1}
+
+
+def _plans(**counts) -> dict:
+    """A ``/healthz`` ``plans`` object at the default limit."""
+
+    return {"limit": FINISHED_JOB_LIMIT, **counts}
+
+
+class TestPlanCache:
+    """Each distinct study request compiles once per daemon, and only while valid."""
+
+    @staticmethod
+    def _trace_request(name: str) -> dict:
+        return {
+            "kind": "study",
+            "name": "fig10",
+            "workloads": [f"trace:{name}"],
+            "configs": ["triangel"],
+            "max_accesses": 240,
+        }
+
+    def test_rerecorded_trace_recompiles_and_executes(self, service, tmp_path, monkeypatch):
+        directory = tmp_path / "traces"
+        monkeypatch.setenv("REPRO_TRACE_DIR", str(directory))
+        path = record_workload("xalan", directory, name="replan", overrides={"length": 600})
+        request = self._trace_request("replan")
+        with ServiceClient(service.url) as client:
+            first = client.submit(request)
+            assert client.wait(first["id"], timeout=300)["state"] == "completed"
+            old_digest = trace_file_digest(path)
+            record_workload("mcf", directory, name="replan", overrides={"length": 600})
+            second = client.submit(request)
+            assert client.wait(second["id"], timeout=300)["state"] == "completed"
+            manifest = client.result(second["id"])["manifest"]
+
+        new_digest = trace_file_digest(path)
+        assert new_digest != old_digest
+        for spec in service.scheduler.get(second["id"]).specs:
+            assert spec.trace_digests_dict() == {"trace:replan": new_digest}
+        assert manifest["store"]["executed"] == 2  # baseline + triangel, afresh
+        assert service.plans.stats() == _plans(size=1, hits=0, misses=2)
+
+    def test_removed_trace_drops_its_plan_and_is_refused(self, service, tmp_path, monkeypatch):
+        directory = tmp_path / "traces"
+        monkeypatch.setenv("REPRO_TRACE_DIR", str(directory))
+        path = record_workload("xalan", directory, name="gone", overrides={"length": 600})
+        request = self._trace_request("gone")
+        with ServiceClient(service.url) as client:
+            _submit_and_wait(client, request)
+            path.unlink()
+            with pytest.raises(ServiceError) as rejected:
+                client.submit(request)
+        assert rejected.value.status == 400
+        assert "trace:gone" in rejected.value.payload["error"]
+        assert service.plans.stats() == _plans(size=0, hits=0, misses=2)
+
+    def test_failed_compile_is_not_kept(self, service, tmp_path, monkeypatch):
+        directory = tmp_path / "traces"
+        monkeypatch.setenv("REPRO_TRACE_DIR", str(directory))
+        request = self._trace_request("later")
+        with ServiceClient(service.url) as client:
+            with pytest.raises(ServiceError) as rejected:
+                client.submit(request)
+            assert rejected.value.status == 400
+            assert "trace:later" in rejected.value.payload["error"]
+            assert service.plans.stats() == _plans(size=0, hits=0, misses=1)
+            record_workload("xalan", directory, name="later", overrides={"length": 600})
+            result = _submit_and_wait(client, request)
+        assert result["manifest"]["store"]["executed"] == 2
+        assert service.plans.stats() == _plans(size=1, hits=0, misses=2)
+
+    def test_key_order_shares_a_plan_and_workload_order_does_not(self, service):
+        request = {
+            "kind": "study",
+            "name": "fig10",
+            "workloads": ["xalan", "mcf"],
+            "configs": ["triangel"],
+            "trace_length": 600,
+            "max_accesses": 240,
+        }
+        reordered = dict(reversed(list(request.items())))
+        swapped = {**request, "workloads": ["mcf", "xalan"]}
+        with ServiceClient(service.url) as client:
+            first = _submit_and_wait(client, request)
+            same = _submit_and_wait(client, reordered)
+            assert client.healthz()["plans"] == _plans(size=1, hits=1, misses=1)
+            other = _submit_and_wait(client, swapped)
+            assert client.healthz()["plans"] == _plans(size=2, hits=1, misses=2)
+            # Other request kinds compile every time and keep no plan.
+            _submit_and_wait(client, TINY_RUN)
+            _submit_and_wait(client, TINY_RUN)
+            assert client.healthz()["plans"] == _plans(size=2, hits=1, misses=2)
+        assert same["result"] == first["result"]
+        assert other["manifest"]["store"]["executed"] == 0
+        assert other["result"]["rendered"] != first["result"]["rendered"]
+
+    def test_plans_are_bounded_and_the_least_recently_used_goes_first(self):
+        plans = PlanCache()
+        assert plans.limit == FINISHED_JOB_LIMIT == 128
+        compiled: list[int] = []
+
+        def compiler(payload) -> CompiledRequest:
+            compiled.append(payload["n"])
+            return CompiledRequest(kind="study", label=f"study {payload['n']}")
+
+        requests = [{"kind": "study", "name": "fig10", "n": n} for n in range(129)]
+        for request in requests[:128]:
+            plans.compile(request, compiler)
+        reused = plans.compile(requests[0], compiler)  # a hit: now the newest
+        assert (reused.kind, reused.label, reused.priority) == ("study", "study 0", 0)
+        plans.compile(requests[128], compiler)  # evicts requests[1], the oldest
+        assert plans.stats() == {"size": 128, "limit": 128, "hits": 1, "misses": 129}
+        compiled.clear()
+        plans.compile(requests[0], compiler)
+        plans.compile(requests[1], compiler)
+        assert compiled == [1]
+        assert plans.stats() == {"size": 128, "limit": 128, "hits": 2, "misses": 130}
+
+    def test_threads_sharing_plans_all_get_the_in_process_table(self, service):
+        base = {"kind": "study", "configs": ["triangel"], "trace_length": 600, "max_accesses": 240}
+        distinct = [
+            {**base, "name": "fig10", "workloads": ["xalan"]},
+            {**base, "name": "fig11", "workloads": ["xalan"]},
+            {**base, "name": "fig10", "workloads": ["mcf"]},
+            {**base, "name": "fig12", "workloads": ["mcf", "xalan"]},
+        ]
+        threads_count = (os.cpu_count() or 1) + 2
+        rounds = 2
+        served: list[tuple[int, dict]] = []
+        errors: list[str] = []
+
+        def send(offset: int) -> None:
+            order = distinct[offset % len(distinct):] + distinct[: offset % len(distinct)]
+            try:
+                with ServiceClient(service.url) as client:
+                    for _ in range(rounds):
+                        for request in order:
+                            result = _submit_and_wait(client, request, timeout=120)
+                            served.append((distinct.index(request), result["result"]))
+            except Exception as error:  # noqa: BLE001 - reported below
+                errors.append(repr(error))
+
+        threads = [threading.Thread(target=send, args=(n,)) for n in range(threads_count)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=240)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        submissions = threads_count * rounds * len(distinct)
+        assert len(served) == submissions
+        expected = [_rendered_in_process(request, service.store) for request in distinct]
+        for index, result in served:
+            assert result == expected[index]
+        stats = service.plans.stats()
+        assert stats["hits"] + stats["misses"] == submissions
+        assert stats["size"] == len(distinct)
 
 
 def _hammer_store(path, pairs) -> None:
