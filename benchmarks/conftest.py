@@ -4,19 +4,17 @@ One :class:`~repro.experiments.runner.ExperimentRunner` is shared by every
 benchmark module in the session, and its result store points at a directory
 shared *across* sessions (``.repro_cache/benchmarks`` at the repository
 root, overridable with ``REPRO_CACHE_DIR``).  Each benchmark runs one
-registered :class:`~repro.experiments.study.Study` through its legacy
-``figure_N`` wrapper; figures 10-15 compile to overlapping (workload ×
-configuration) batches, so the first module to execute pays for the
-simulations and the rest replay them from the store — and because *every*
-simulation flows through the store (figure 16's multiprogrammed pairs and
-the parameterised replacement study included, each keyed by spec hash +
-code version), a *re-run* of the harness in a fresh process re-executes
-**zero** simulations until the simulator's sources change.
+registered :class:`~repro.experiments.study.Study` from
+:data:`~repro.experiments.studies.STUDIES`; figures 10-15 compile to
+overlapping (workload × configuration) batches, so the first module to
+execute pays for the simulations and the rest replay them from the store —
+and because *every* simulation flows through the store (figure 16's
+multiprogrammed pairs and the parameterised replacement study included,
+each keyed by spec hash + code version), a *re-run* of the harness in a
+fresh process re-executes **zero** simulations until the simulator's
+sources change.
 
-Set ``REPRO_JOBS=N`` to run store misses in N worker processes, and
-``REPRO_PREWARM=1`` to batch-submit the full figure 10-15 matrix before any
-benchmark runs (useful with ``REPRO_JOBS`` to fill the store in parallel;
-it shifts the simulation cost out of the individual benchmark timings).
+Set ``REPRO_JOBS=N`` to run store misses in N worker processes.
 
 Each benchmark prints the reproduced figure as a text table — the same rows
 and series the paper plots — and asserts the *shape* relationships the paper
@@ -30,7 +28,6 @@ from pathlib import Path
 
 import pytest
 
-from repro.experiments.figures import main_matrix_specs
 from repro.experiments.runner import ExperimentRunner
 from repro.experiments.store import CACHE_DIR_ENV, ResultStore
 from repro.service.backends import resolve_jobs
@@ -52,10 +49,7 @@ def runner(store) -> ExperimentRunner:
 
     # resolve_jobs validates REPRO_JOBS up front: a typo'd value fails the
     # session with one clear line instead of a traceback mid-benchmark.
-    runner = ExperimentRunner(
+    return ExperimentRunner(
         jobs=resolve_jobs(),
         store=store,
     )
-    if os.environ.get("REPRO_PREWARM") == "1":
-        runner.submit(main_matrix_specs(runner))
-    return runner

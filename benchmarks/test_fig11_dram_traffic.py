@@ -2,11 +2,11 @@
 
 from bench_utils import run_once
 
-from repro.experiments import figures
+from repro.experiments.studies import STUDIES
 
 
 def test_figure_11_dram_traffic(benchmark, runner):
-    result = run_once(benchmark, figures.figure_11_dram_traffic, runner)
+    result = run_once(benchmark, STUDIES.run, "fig11", runner)
     print()
     print(result.rendered)
 

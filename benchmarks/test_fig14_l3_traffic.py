@@ -2,11 +2,11 @@
 
 from bench_utils import run_once
 
-from repro.experiments import figures
+from repro.experiments.studies import STUDIES
 
 
 def test_figure_14_l3_traffic(benchmark, runner):
-    result = run_once(benchmark, figures.figure_14_l3_traffic, runner)
+    result = run_once(benchmark, STUDIES.run, "fig14", runner)
     print()
     print(result.rendered)
 

@@ -2,11 +2,11 @@
 
 from bench_utils import run_once
 
-from repro.experiments import figures
+from repro.experiments.studies import STUDIES
 
 
 def test_figure_18_metadata_formats(benchmark, runner):
-    result = run_once(benchmark, figures.figure_18_metadata_formats, runner)
+    result = run_once(benchmark, STUDIES.run, "fig18", runner)
     print()
     print(result.rendered)
 

@@ -8,11 +8,12 @@ constrained version of that comparison.
 
 from bench_utils import run_once
 
-from repro.experiments import figures
+from repro.experiments.studies import STUDIES
 
 
 def test_replacement_study_constrained_capacity(benchmark, runner):
-    result = run_once(benchmark, figures.replacement_study, runner, 768)
+    study = STUDIES.get("replacement-study").with_config_params(max_entries=768)
+    result = run_once(benchmark, study.run, runner)
     print()
     print(result.rendered)
 

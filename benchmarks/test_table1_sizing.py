@@ -3,11 +3,11 @@
 import pytest
 from bench_utils import run_once
 
-from repro.experiments import figures
+from repro.experiments.studies import STUDIES
 
 
 def test_table_1_structure_sizes(benchmark):
-    result = run_once(benchmark, figures.table_1_structure_sizes)
+    result = run_once(benchmark, STUDIES.run, "table1")
     print()
     print(result.rendered)
 

@@ -2,12 +2,12 @@
 
 from bench_utils import run_once
 
-from repro.experiments import figures
+from repro.experiments import studies
 from repro.sim.config import SystemConfig
 
 
 def test_table_2_paper_configuration(benchmark):
-    result = run_once(benchmark, figures.table_2_system_config, SystemConfig.paper())
+    result = run_once(benchmark, studies.system_config_result, SystemConfig.paper())
     print()
     print(result.rendered)
 
@@ -20,7 +20,7 @@ def test_table_2_paper_configuration(benchmark):
 
 
 def test_table_2_scaled_configuration(benchmark):
-    result = figures.table_2_system_config(SystemConfig.scaled())
+    result = studies.system_config_result(SystemConfig.scaled())
     print()
     print(result.rendered)
     assert "sim-scale" in result.title

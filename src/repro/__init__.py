@@ -30,16 +30,15 @@ This package implements, from scratch, the systems described in
 
 Quick start::
 
-    from repro import ExperimentRunner, figures
+    from repro import STUDIES, ExperimentRunner
 
     runner = ExperimentRunner()
-    result = figures.figure_10_speedup(runner)
+    result = STUDIES.run("fig10", runner)
     print(result.rendered)
 """
 
 from repro.client import ServiceClient
 from repro.core import TriangelConfig, TriangelPrefetcher
-from repro.experiments import figures
 from repro.experiments.configs import available_configurations, build_prefetchers
 from repro.experiments.runner import ExperimentRunner
 from repro.experiments.studies import STUDIES
@@ -82,7 +81,6 @@ __all__ = [
     "Scheduler",
     "ServiceClient",
     "Study",
-    "figures",
     "available_configurations",
     "build_prefetchers",
     "available_workloads",

@@ -9,13 +9,11 @@ The subcommands cover the common workflows without writing any Python:
     Simulate one workload under one (or several) configurations and print
     the paper's headline metrics, normalised against the stride-only
     baseline.
-``figure``
-    Regenerate one of the paper's figures or tables and print it as a text
-    table (the same output the benchmark harness produces).
 ``study``
     Work with the declarative study registry: ``list`` the registered
     studies, ``describe`` one study's axes and compiled batch, or ``run``
-    a study — optionally with its axes overridden (``--workloads``,
+    a study — one of the paper's figures or tables, printed as a text
+    table — optionally with its axes overridden (``--workloads``,
     ``--configs``, and ``--set key=value`` for the system scale, metric, or
     any configuration parameter).  ``run --all`` regenerates every study;
     against a warm store that re-executes zero simulations.
@@ -31,13 +29,12 @@ The subcommands cover the common workflows without writing any Python:
     overrides, multiprogram pairs.
 ``explore``
     Search the configuration design space (:mod:`repro.experiments.
-    explore`): ``run`` a grid, seeded-random, or successive-halving search
-    — halving screens candidates on cheap sampled trace windows before
-    promoting survivors to full-trace confirmation — ``describe`` the
-    compiled plan without simulating, or ``resume`` a killed search from
-    its directory's manifest.  Every evaluated point is a normal spec in
-    the result store, so resumed (or re-run) searches replay completed
-    evaluations and re-execute nothing; results land as a Pareto front of
+    explore`): ``run`` a grid or seeded-random search — every selected
+    candidate runs the full trace — ``describe`` the compiled plan without
+    simulating, or ``resume`` a killed search from its directory's
+    manifest.  Every evaluated point is a normal spec in the result store,
+    so resumed (or re-run) searches replay completed evaluations and
+    re-execute nothing; results land as a Pareto front of
     coverage/accuracy against metadata traffic (``front.json``) plus a
     provenance log (``log.jsonl``).  Axis overrides (``--workloads``,
     ``--configs``, ``--set max_entries=64,4096``, ``--set scale=0.5,1``)
@@ -71,7 +68,7 @@ The subcommands cover the common workflows without writing any Python:
     fetches the reduced tables plus the run manifest (spec digests,
     code-version salt, store provenance); ``cancel`` stops a queued job.
 
-``run``, ``figure`` and ``study run`` accept ``--jobs N`` to execute
+``run``, ``study run`` and ``explore run`` accept ``--jobs N`` to execute
 simulation matrices in N worker processes (default: the ``REPRO_JOBS``
 environment variable, or 1), and ``--cache-dir`` to relocate the result
 store (the ``REPRO_CACHE_DIR`` environment variable does the same).  A
@@ -83,10 +80,10 @@ Examples::
     python -m repro list
     python -m repro run xalan --config triangel --config triage
     python -m repro run mcf --trace-length 20000 --max-accesses 10000
-    python -m repro figure fig10 --jobs 4
-    python -m repro figure table1
     python -m repro study list
     python -m repro study describe fig16
+    python -m repro study run fig10 --jobs 4
+    python -m repro study run table1
     python -m repro study run fig10 --workloads mcf,astar --jobs 4
     python -m repro study run replacement-study --set max_entries=2048
     python -m repro study run --all
@@ -96,7 +93,7 @@ Examples::
     python -m repro trace sample trace:leela --window 5000:20000 --name leela_hot
     python -m repro study run fig10 --workloads trace:leela --configs triangel
     python -m repro explore describe --set max_entries=64,256,1024
-    python -m repro explore run --strategy halving --budget 12 --jobs 4
+    python -m repro explore run --jobs 4
     python -m repro explore run --strategy random --seed 7 --set scale=0.5,1.0
     python -m repro explore resume --dir .repro_search
     python -m repro bench
@@ -118,11 +115,10 @@ import os
 import sys
 import time
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Sequence
 
 from repro import obs
 from repro.client import ServiceClient, ServiceError
-from repro.experiments import figures
 from repro.experiments.configs import configuration_signatures
 from repro.experiments.runner import ExperimentRunner
 from repro.experiments.store import ResultStore, default_store
@@ -131,29 +127,6 @@ from repro.experiments.study import parse_assignments
 from repro.service.backends import resolve_jobs
 from repro.sim.config import SystemConfig
 from repro.workloads.registry import available_workloads
-
-#: Figure/table name → harness function.  Functions that take a runner get
-#: one; the table reproductions are analytic and take none.
-FIGURE_COMMANDS: dict[str, Callable] = {
-    "fig10": figures.figure_10_speedup,
-    "fig11": figures.figure_11_dram_traffic,
-    "fig12": figures.figure_12_accuracy,
-    "fig13": figures.figure_13_coverage,
-    "fig14": figures.figure_14_l3_traffic,
-    "fig15": figures.figure_15_energy,
-    "fig16": figures.figure_16_multiprogram,
-    "fig17": figures.figure_17_graph500,
-    "fig18": figures.figure_18_metadata_formats,
-    "fig19": figures.figure_19_lut_accuracy,
-    "fig20": figures.figure_20_ablation,
-    "replacement-study": figures.replacement_study,
-}
-
-ANALYTIC_COMMANDS: dict[str, Callable] = {
-    "table1": figures.table_1_structure_sizes,
-    "table2": figures.table_2_system_config,
-}
-
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -187,22 +160,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--scale", type=float, default=1.0, help="system scale factor (1.0 = default sim scale)"
     )
     _add_execution_arguments(run_parser)
-
-    figure_parser = subparsers.add_parser(
-        "figure", help="regenerate one of the paper's figures or tables"
-    )
-    figure_parser.add_argument(
-        "name",
-        choices=sorted(FIGURE_COMMANDS) + sorted(ANALYTIC_COMMANDS),
-        help="which figure/table to reproduce",
-    )
-    figure_parser.add_argument(
-        "--trace-length", type=int, default=None, help="override every trace's length"
-    )
-    figure_parser.add_argument(
-        "--max-accesses", type=int, default=None, help="cap the sampled accesses per run"
-    )
-    _add_execution_arguments(figure_parser)
 
     study_parser = subparsers.add_parser(
         "study", help="list, describe, or run declarative studies"
@@ -327,8 +284,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     explore_parser = subparsers.add_parser(
         "explore",
-        help="search the configuration design space "
-        "(grid, random, successive halving on sampled windows)",
+        help="search the configuration design space (grid or seeded random)",
     )
     explore_subparsers = explore_parser.add_subparsers(
         dest="explore_command", required=True
@@ -339,21 +295,21 @@ def build_parser() -> argparse.ArgumentParser:
 
         parser.add_argument(
             "--strategy",
-            choices=("grid", "random", "halving"),
-            default="halving",
-            help="search strategy (default: halving — screen on sampled "
-            "windows, confirm survivors on the full trace)",
+            choices=("grid", "random"),
+            default="grid",
+            help="search strategy (default: grid — every candidate in "
+            "declaration order; random — a seeded shuffle)",
         )
         parser.add_argument(
             "--budget",
             type=int,
             default=None,
-            help="cap on candidate evaluations (rung entrants summed); the "
-            "selection shrinks to fit, never exceeding it",
+            help="cap on candidate evaluations; the selection shrinks to "
+            "fit, never exceeding it",
         )
         parser.add_argument(
             "--seed", type=int, default=0,
-            help="seed of the random/halving candidate order (default: 0)",
+            help="seed of the random candidate order (default: 0)",
         )
         parser.add_argument(
             "--workloads",
@@ -385,32 +341,10 @@ def build_parser() -> argparse.ArgumentParser:
             help="metric the strategies rank candidates by (default: coverage)",
         )
         parser.add_argument(
-            "--screen-accesses",
-            type=int,
-            default=None,
-            help="first screen rung's window length (default: 2000; doubles "
-            "by --eta per rung)",
-        )
-        parser.add_argument(
-            "--eta",
-            type=int,
-            default=None,
-            help="halving rate: survivors per rung ≈ entrants/eta, screen "
-            "windows grow by eta (default: 2)",
-        )
-        parser.add_argument(
-            "--confirm",
-            type=int,
-            default=None,
-            help="stop screening at this many survivors and run them on the "
-            "full trace (default: 3)",
-        )
-        parser.add_argument(
             "--trace-length",
             type=int,
             default=None,
-            help="truncate/extend generated source traces to N accesses "
-            "(screens are carved from the overridden stream)",
+            help="truncate/extend generated traces to N accesses",
         )
 
     explore_run_parser = explore_subparsers.add_parser(
@@ -421,12 +355,12 @@ def build_parser() -> argparse.ArgumentParser:
         "--dir",
         dest="search_dir",
         default=None,
-        help="search directory for the manifest, screens, log and front "
+        help="search directory for the manifest, log and front "
         "(default: .repro_search)",
     )
     _add_execution_arguments(explore_run_parser)
     explore_describe_parser = explore_subparsers.add_parser(
-        "describe", help="show a search's candidates and rung plan (no simulation)"
+        "describe", help="show a search's candidates and plan (no simulation)"
     )
     _add_search_arguments(explore_describe_parser)
     explore_resume_parser = explore_subparsers.add_parser(
@@ -731,13 +665,6 @@ def _command_run(args: argparse.Namespace) -> str:
             f"{stats.markov_final_ways:>12d}"
         )
     return "\n".join(lines)
-
-
-def _command_figure(args: argparse.Namespace) -> str:
-    if args.name in ANALYTIC_COMMANDS:
-        return ANALYTIC_COMMANDS[args.name]().rendered
-    runner = _make_runner(args)
-    return FIGURE_COMMANDS[args.name](runner).rendered
 
 
 def _split_names(raw: str | None, flag: str) -> list[str] | None:
@@ -1068,17 +995,6 @@ def _command_explore(args: argparse.Namespace) -> str:
         configurations=_split_names(args.configs, "--configs"),
         assignments=parse_assignments(args.sets),
     )
-    # None-guarded so `describe` and `run` share the library defaults with
-    # programmatic callers instead of re-declaring them here.
-    tuning = {
-        key: value
-        for key, value in (
-            ("screen_accesses", args.screen_accesses),
-            ("eta", args.eta),
-            ("confirm", args.confirm),
-        )
-        if value is not None
-    }
     if args.explore_command == "describe":
         return explore.describe_search(
             space,
@@ -1087,7 +1003,6 @@ def _command_explore(args: argparse.Namespace) -> str:
             seed=args.seed,
             objective=args.objective,
             trace_overrides=_trace_overrides(args),
-            **tuning,
         )
     result = explore.run_search(
         space,
@@ -1100,7 +1015,6 @@ def _command_explore(args: argparse.Namespace) -> str:
         store=_store_for(args),
         use_cache=not args.no_cache,
         jobs=_resolve_jobs(args),
-        **tuning,
     )
     return explore.render_search(result)
 
@@ -1426,8 +1340,6 @@ def main(argv: Sequence[str] | None = None) -> int:
             print(_command_list())
         elif args.command == "run":
             print(_command_run(args))
-        elif args.command == "figure":
-            print(_command_figure(args))
         elif args.command == "study":
             output = _command_study(args)
             if output is not None:

@@ -1,4 +1,4 @@
-"""Experiment harness: studies, specs, the store, and figures.
+"""Experiment harness: studies, specs, the store, and search.
 
 Execution is layered: a declarative :class:`~repro.experiments.study.Study`
 (axes: workloads × configurations(+params) × system × metric reducer)
@@ -15,9 +15,9 @@ policy (system, jobs, store), and
 the paper as a registered study.
 
 On top of that pipeline, :mod:`repro.experiments.explore` searches the
-configuration design space (grid, seeded random, successive halving on
-sampled trace windows) with every evaluated point persisted through the
-same store, reducing to Pareto fronts of coverage/accuracy against
+configuration design space (grid or seeded random, every point on the
+full trace) with every evaluated point persisted through the same store,
+reducing to Pareto fronts of coverage/accuracy against
 metadata traffic.
 """
 
@@ -60,7 +60,6 @@ from repro.experiments.store import (
 )
 from repro.experiments.study import FigureResult, Reducer, Study, StudyRegistry
 from repro.experiments.studies import STUDIES
-from repro.experiments import figures
 
 __all__ = [
     "ABLATION_LADDER",
@@ -86,5 +85,4 @@ __all__ = [
     "execute_spec",
     "set_default_store",
     "store_stats_payload",
-    "figures",
 ]

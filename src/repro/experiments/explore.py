@@ -10,30 +10,25 @@ pieces:
   × system scales.  :meth:`SearchSpace.candidates` enumerates the
   deterministic cartesian product as :class:`Candidate` values.
 * :func:`plan_search` — a pure planner that turns a candidate count plus a
-  strategy (``grid`` | ``random`` | ``halving``) into a
-  :class:`SearchPlan`: the seeded evaluation order, the budget-trimmed
-  selection, and for successive halving a ladder of :class:`Rung` values —
-  cheap sampled-window screens whose survivors are promoted rung by rung
-  until a final full-trace confirmation rung.  Being pure, every plan
-  invariant (rungs partition the selection, budgets are never exceeded,
-  identical seeds reproduce identical orders) is property-testable without
-  simulating anything.
-* :class:`Explorer` — the evaluator.  Screen rungs are materialised as
-  on-disk ``.rtrc`` prefix windows (:func:`repro.traces.samplers.
-  sample_prefix`) under ``<search dir>/screens/`` and registered on the
-  trace search path, so *every* evaluated point — screen or full — is a
-  normal :class:`~repro.experiments.jobs.RunSpec` keyed by file-content
-  digest and flows through :class:`~repro.service.scheduler.Scheduler` +
-  :class:`~repro.experiments.store.ResultStore`.  Searches are therefore
-  warm-restartable: a killed search re-run with :func:`resume_search`
-  replays every completed point from the store and re-executes nothing.
+  strategy (``grid`` | ``random``) into a :class:`SearchPlan`: the seeded
+  evaluation order and the budget-trimmed selection.  Being pure, every
+  plan invariant (budgets are never exceeded, identical seeds reproduce
+  identical orders) is property-testable without simulating anything.
+* :class:`Explorer` — the evaluator.  Every selected candidate runs the
+  full (possibly overridden) trace of every workload as a normal
+  :class:`~repro.experiments.jobs.RunSpec`, in one batch through
+  :class:`~repro.service.scheduler.Scheduler` +
+  :class:`~repro.experiments.store.ResultStore`, so every point a search
+  reports is an exact result.  Searches are therefore warm-restartable: a
+  killed search re-run with :func:`resume_search` replays every completed
+  point from the store and executes only the rest.
 * :func:`pareto_front` — the non-dominated set over (coverage ↑,
   accuracy ↑, metadata traffic ↓), canonically ordered so membership and
   output bytes are invariant to evaluation order.
 
 Provenance: the search directory holds ``search.json`` (the manifest
 :func:`resume_search` replays), ``log.jsonl`` (one record per evaluated
-(candidate, rung) with strategy, seed, rung, scores and spec digests) and
+candidate with strategy, seed, scores and spec digests) and
 ``front.json`` (the deterministic final front — byte-identical across a
 resume).
 """
@@ -42,7 +37,6 @@ from __future__ import annotations
 
 import itertools
 import json
-import math
 import random
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -56,7 +50,7 @@ from repro.service.scheduler import Scheduler
 from repro.sim.config import system_for
 
 #: The search strategies :func:`plan_search` understands.
-STRATEGIES = ("grid", "random", "halving")
+STRATEGIES = ("grid", "random")
 
 #: Default axes of the CLI search space: the replacement-policy ladder of
 #: the paper swept over the Markov-table capacity, on one representative
@@ -77,17 +71,11 @@ OBJECTIVES: dict[str, bool] = {
 PARETO_MAXIMIZE = ("coverage", "accuracy")
 PARETO_MINIMIZE = ("metadata_traffic",)
 
-DEFAULT_SCREEN_ACCESSES = 2000
-DEFAULT_ETA = 2
-#: Entrant count at which screening stops and the final full-trace
-#: confirmation rung runs (the Pareto front needs more than one full point).
-DEFAULT_CONFIRM = 3
 DEFAULT_SEARCH_DIR = ".repro_search"
 
 MANIFEST_FILENAME = "search.json"
 LOG_FILENAME = "log.jsonl"
 FRONT_FILENAME = "front.json"
-SCREENS_DIRNAME = "screens"
 MANIFEST_KIND = "repro-explore"
 MANIFEST_VERSION = 1
 
@@ -328,73 +316,38 @@ def overridden_space(
 
 
 # ---------------------------------------------------------------------------
-# The plan: strategies, rungs, budgets (pure — no simulation)
+# The plan: strategies and budgets (pure — no simulation)
 # ---------------------------------------------------------------------------
 @dataclass(frozen=True)
-class Rung:
-    """One stage of a search: how many enter, how many survive, how long.
-
-    ``accesses`` is the screen-window length replayed at this rung, or
-    ``None`` for the full trace (always the final rung).  ``survivors``
-    equals the next rung's ``entrants`` — the eliminated sets of every
-    rung plus the final rung's entrants therefore partition the selected
-    candidates, which :func:`plan_search` guarantees by construction and
-    the property tests re-check.
-    """
-
-    index: int
-    entrants: int
-    survivors: int
-    accesses: int | None
-
-    def describe(self) -> str:
-        """One line: entrants → survivors at this rung's replay length."""
-
-        window = "full trace" if self.accesses is None else f"{self.accesses}-access screen"
-        keep = "" if self.survivors == self.entrants else f" -> keep {self.survivors}"
-        return f"rung {self.index}: {self.entrants} candidate(s) @ {window}{keep}"
-
-
-@dataclass(frozen=True)
 class SearchPlan:
-    """A strategy compiled against a candidate count: order, selection, rungs."""
+    """A strategy compiled against a candidate count: order and selection."""
 
     strategy: str
     seed: int
     budget: int | None
     #: candidate indices in evaluation order, already trimmed to the budget.
     selected: tuple
-    rungs: tuple
     #: candidates the budget could not fund (never evaluated).
     dropped: int
-
-    @property
-    def total_evaluations(self) -> int:
-        """Candidate evaluations the plan spends (Σ rung entrants ≤ budget)."""
-
-        return sum(rung.entrants for rung in self.rungs)
 
     def describe(self) -> list[str]:
         """The plan as indented text lines (the ``describe`` CLI body)."""
 
-        lines = [
+        return [
             f"strategy:    {self.strategy} (seed {self.seed}"
             + (f", budget {self.budget}" if self.budget is not None else "")
             + ")",
-            f"selected:    {len(self.selected)} candidate(s)"
+            f"selected:    {len(self.selected)} candidate(s), each on the full trace"
             + (f" ({self.dropped} dropped by the budget)" if self.dropped else ""),
         ]
-        lines.extend(f"  {rung.describe()}" for rung in self.rungs)
-        lines.append(f"evaluations: {self.total_evaluations}")
-        return lines
 
 
 def candidate_order(count: int, strategy: str, seed: int = 0) -> list[int]:
     """The deterministic evaluation order over candidate indices.
 
-    ``grid`` keeps declaration order; ``random`` and ``halving`` shuffle
-    with a :class:`random.Random` seeded by ``seed``, so identical seeds
-    always reproduce identical candidate sequences.
+    ``grid`` keeps declaration order; ``random`` shuffles with a
+    :class:`random.Random` seeded by ``seed``, so identical seeds always
+    reproduce identical candidate sequences.
     """
 
     order = list(range(count))
@@ -403,34 +356,17 @@ def candidate_order(count: int, strategy: str, seed: int = 0) -> list[int]:
     return order
 
 
-def _halving_sizes(start: int, eta: int, confirm: int) -> list[int]:
-    """Entrant counts per rung, screening until ``confirm`` or fewer remain."""
-
-    sizes = [start]
-    while sizes[-1] > confirm:
-        sizes.append(max(confirm, math.ceil(sizes[-1] / eta)))
-    return sizes
-
-
 def plan_search(
     count: int,
-    strategy: str = "halving",
+    strategy: str = "grid",
     budget: int | None = None,
     seed: int = 0,
-    eta: int = DEFAULT_ETA,
-    screen_accesses: int = DEFAULT_SCREEN_ACCESSES,
-    confirm: int = DEFAULT_CONFIRM,
 ) -> SearchPlan:
     """Compile a strategy against ``count`` candidates into a :class:`SearchPlan`.
 
-    ``budget`` caps the total number of candidate evaluations (rung
-    entrants summed); plans never exceed it — the selection shrinks
-    instead, dropping the tail of the seeded order.  ``grid`` and
-    ``random`` evaluate every selected candidate once on the full trace;
-    ``halving`` screens the selection on sampled prefix windows whose
-    length grows by ``eta`` each rung (starting at ``screen_accesses``),
-    keeps the best ``1/eta`` per rung, and promotes the last ``confirm``
-    (or fewer) survivors to a full-trace confirmation rung.
+    ``budget`` caps the number of candidate evaluations; plans never exceed
+    it — the selection shrinks instead, dropping the tail of the (seeded)
+    order.  Every selected candidate is evaluated once, on the full trace.
     """
 
     if strategy not in STRATEGIES:
@@ -441,50 +377,13 @@ def plan_search(
         raise ValueError("the search space has no candidates")
     if budget is not None and budget < 1:
         raise ValueError(f"--budget must be at least 1, got {budget}")
-    if eta < 2:
-        raise ValueError(f"--eta must be at least 2, got {eta}")
-    if confirm < 1:
-        raise ValueError(f"--confirm must be at least 1, got {confirm}")
-    if screen_accesses < 1:
-        raise ValueError(
-            f"--screen-accesses must be at least 1, got {screen_accesses}"
-        )
-    order = candidate_order(count, strategy, seed)
-
-    if strategy in ("grid", "random"):
-        keep = count if budget is None else min(budget, count)
-        return SearchPlan(
-            strategy=strategy,
-            seed=seed,
-            budget=budget,
-            selected=tuple(order[:keep]),
-            rungs=(Rung(index=0, entrants=keep, survivors=keep, accesses=None),),
-            dropped=count - keep,
-        )
-
-    start = count
-    if budget is not None:
-        while start > 1 and sum(_halving_sizes(start, eta, confirm)) > budget:
-            start -= 1
-    sizes = _halving_sizes(start, eta, confirm)
-    rungs = []
-    for index, entrants in enumerate(sizes):
-        last = index == len(sizes) - 1
-        rungs.append(
-            Rung(
-                index=index,
-                entrants=entrants,
-                survivors=entrants if last else sizes[index + 1],
-                accesses=None if last else screen_accesses * eta**index,
-            )
-        )
+    keep = count if budget is None else min(budget, count)
     return SearchPlan(
         strategy=strategy,
         seed=seed,
         budget=budget,
-        selected=tuple(order[:start]),
-        rungs=tuple(rungs),
-        dropped=count - start,
+        selected=tuple(candidate_order(count, strategy, seed)[:keep]),
+        dropped=count - keep,
     )
 
 
@@ -493,12 +392,9 @@ def plan_search(
 # ---------------------------------------------------------------------------
 @dataclass
 class Evaluation:
-    """One candidate scored at one rung: metrics, score, spec provenance."""
+    """One candidate scored on the full traces: metrics, score, spec provenance."""
 
     candidate: Candidate
-    rung: int
-    #: the rung's nominal screen length (``None`` = full trace).
-    accesses: int | None
     #: the ranking score: the objective metric, workload-averaged.
     score: float
     #: workload-averaged metrics (coverage, accuracy, speedup, metadata_traffic).
@@ -515,8 +411,6 @@ class Evaluation:
 
         return {
             "candidate": self.candidate.as_dict(),
-            "rung": self.rung,
-            "accesses": self.accesses,
             "score": self.score,
             "metrics": dict(self.metrics),
             "per_workload": {
@@ -597,7 +491,7 @@ def _ranked(evaluations: Sequence[Evaluation], objective: str) -> list[Evaluatio
 
 
 # ---------------------------------------------------------------------------
-# The explorer: rung evaluation through the scheduler + store
+# The explorer: evaluation through the scheduler + store
 # ---------------------------------------------------------------------------
 @dataclass
 class SearchResult:
@@ -611,22 +505,12 @@ class SearchResult:
     candidates: list
     evaluations: list
     front: list
-    #: the best full-trace evaluation by the objective.
-    confirmed_top: Evaluation | None
-    #: the first screen rung's best candidate (``None`` without screens).
-    screen_top: Candidate | None
+    #: the best evaluation by the objective.
+    top: Evaluation
     #: store activity during this search: replayed (hits) vs executed (puts).
     store_replayed: int | None
     store_executed: int | None
     directory: Path
-
-    @property
-    def screen_confirms(self) -> bool | None:
-        """Whether the screen's top pick also won full confirmation."""
-
-        if self.screen_top is None or self.confirmed_top is None:
-            return None
-        return self.screen_top == self.confirmed_top.candidate
 
     def front_payload(self) -> dict:
         """The deterministic ``front.json`` payload (resume-stable bytes)."""
@@ -642,11 +526,7 @@ class SearchResult:
             "candidates": len(self.candidates),
             "evaluations": len(self.evaluations),
             "front": [evaluation.as_dict() for evaluation in self.front],
-            "confirmed_top": (
-                self.confirmed_top.as_dict() if self.confirmed_top else None
-            ),
-            "screen_top": self.screen_top.as_dict() if self.screen_top else None,
-            "screen_confirms": self.screen_confirms,
+            "top": self.top.as_dict(),
         }
 
 
@@ -659,13 +539,6 @@ def _atomic_write_text(path: Path, text: str) -> None:
     tmp.replace(path)
 
 
-def _slug(workload: str) -> str:
-    """A filesystem-safe stem for a workload's screen files."""
-
-    stem = workload.split(":", 1)[-1]
-    return "".join(ch if ch.isalnum() or ch in "._-" else "_" for ch in stem)
-
-
 @dataclass
 class Explorer:
     """Evaluates candidates of one :class:`SearchSpace` through the store.
@@ -673,13 +546,7 @@ class Explorer:
     Execution policy mirrors :class:`~repro.experiments.runner.
     ExperimentRunner`: an optional persistent store (``use_cache=False``
     disables it) and ``jobs`` worker processes.
-    ``trace_overrides`` applies to the source workloads (screen windows are
-    carved from the overridden stream).
-
-    Screen traces are written under ``<directory>/screens/`` and that
-    directory joins the trace search path for the explorer's lifetime —
-    use the explorer as a context manager (or :func:`run_search`, which
-    does) to unregister it afterwards.
+    ``trace_overrides`` applies to every workload's trace.
     """
 
     space: SearchSpace
@@ -687,9 +554,6 @@ class Explorer:
     objective: str = "coverage"
     warmup_fraction: float = 0.4
     trace_overrides: dict = field(default_factory=dict)
-    screen_accesses: int = DEFAULT_SCREEN_ACCESSES
-    eta: int = DEFAULT_ETA
-    confirm: int = DEFAULT_CONFIRM
     store: ResultStore | None = None
     use_cache: bool = True
     jobs: int = 1
@@ -703,25 +567,6 @@ class Explorer:
                 f"available: {sorted(OBJECTIVES)}"
             )
         self.directory = Path(self.directory)
-        self._sources: dict[str, object] = {}
-        self._screens: dict[tuple[str, int], str] = {}
-        self._screens_registered = False
-
-    # -- context management --------------------------------------------------
-    def __enter__(self) -> "Explorer":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
-
-    def close(self) -> None:
-        """Unregister the screens directory from the trace search path."""
-
-        if self._screens_registered:
-            from repro.workloads.registry import remove_trace_directory
-
-            remove_trace_directory(self.directory / SCREENS_DIRNAME)
-            self._screens_registered = False
 
     # -- execution plumbing --------------------------------------------------
     def _store(self) -> ResultStore | None:
@@ -729,103 +574,42 @@ class Explorer:
             return None
         return self.store if self.store is not None else default_store()
 
-    def _source(self, workload: str):
-        """The packed source stream of one workload (memoised per explorer)."""
-
-        from repro.experiments.jobs import trace_for_workload
-        from repro.traces.format import pack_trace
-
-        packed = self._sources.get(workload)
-        if packed is None:
-            packed = pack_trace(
-                trace_for_workload(workload, self.trace_overrides), name=workload
-            )
-            self._sources[workload] = packed
-        return packed
-
-    def _screen_workload(self, workload: str, accesses: int) -> tuple[str, dict]:
-        """The (workload name, trace overrides) evaluating one screen cell.
-
-        Materialises the first ``accesses`` of the source as an on-disk
-        ``.rtrc`` prefix window (idempotent: :func:`~repro.traces.format.
-        save_trace` writes deterministic bytes, so a resume re-saves the
-        identical file and every spec digest — hence store key — is
-        stable).  A screen at least as long as the source replays the
-        source workload itself, so saturated screens share the full run's
-        store entries instead of duplicating them.
-        """
-
-        source = self._source(workload)
-        if accesses >= len(source):
-            return workload, dict(self.trace_overrides)
-        key = (workload, accesses)
-        name = self._screens.get(key)
-        if name is None:
-            from repro.traces.format import save_trace
-            from repro.traces.samplers import sample_prefix
-            from repro.workloads.registry import TRACE_PREFIX, add_trace_directory
-
-            screens_dir = self.directory / SCREENS_DIRNAME
-            stem = f"{_slug(workload)}__screen{accesses}"
-            window = sample_prefix(source, accesses, name=stem)
-            save_trace(window, screens_dir / f"{stem}.rtrc")
-            add_trace_directory(screens_dir)
-            self._screens_registered = True
-            name = f"{TRACE_PREFIX}{stem}"
-            self._screens[key] = name
-        return name, {}
-
-    def _spec(self, configuration: str, workload: str, overrides: Mapping,
-              scale: float, params: Mapping | None) -> RunSpec:
+    def _spec(self, configuration: str, workload: str, scale: float,
+              params: Mapping | None) -> RunSpec:
         """One canonical spec of this search."""
 
         return RunSpec.create(
             workload=workload,
             configuration=configuration,
             system=system_for(self.space.system, scale),
-            trace_overrides=overrides,
+            trace_overrides=self.trace_overrides,
             warmup_fraction=self.warmup_fraction,
             config_params=params,
         )
 
     # -- evaluation ----------------------------------------------------------
-    def evaluate(
-        self,
-        candidates: Sequence[Candidate],
-        rung_index: int = 0,
-        accesses: int | None = None,
-    ) -> list[Evaluation]:
-        """Score candidates at one rung through a single deduplicated batch.
+    def evaluate(self, candidates: Sequence[Candidate]) -> list[Evaluation]:
+        """Score candidates on the full traces through one deduplicated batch.
 
-        ``accesses=None`` evaluates the full (possibly overridden) traces;
-        an integer screens on that prefix window.  Every candidate cell
-        and its per-(workload, scale) baseline run goes into one
-        :meth:`~repro.service.scheduler.Scheduler.run` call, so the store
-        is consulted once, ``jobs`` parallelises across candidates,
-        workloads and baselines alike, and warm cells replay instead of
-        re-executing.
+        Every candidate cell and its per-(workload, scale) baseline run
+        goes into one :meth:`~repro.service.scheduler.Scheduler.run` call,
+        so the store is consulted once, ``jobs`` parallelises across
+        candidates, workloads and baselines alike, and warm cells replay
+        instead of re-executing.
         """
-
-        cells: list[tuple[str, str, dict]] = []
-        for workload in self.space.workloads:
-            if accesses is None:
-                cells.append((workload, workload, dict(self.trace_overrides)))
-            else:
-                name, overrides = self._screen_workload(workload, accesses)
-                cells.append((workload, name, overrides))
 
         candidate_specs: dict[tuple[Candidate, str], RunSpec] = {}
         baseline_specs: dict[tuple[float, str], RunSpec] = {}
         for candidate in candidates:
-            for workload, name, overrides in cells:
+            for workload in self.space.workloads:
                 candidate_specs[(candidate, workload)] = self._spec(
-                    candidate.configuration, name, overrides, candidate.scale,
+                    candidate.configuration, workload, candidate.scale,
                     candidate.params_dict() or None,
                 )
                 key = (candidate.scale, workload)
                 if key not in baseline_specs:
                     baseline_specs[key] = self._spec(
-                        self.space.baseline, name, overrides, candidate.scale, None
+                        self.space.baseline, workload, candidate.scale, None
                     )
         batch = list(candidate_specs.values()) + list(baseline_specs.values())
         with Scheduler(store=self._store(), jobs=self.jobs) as scheduler:
@@ -836,7 +620,7 @@ class Explorer:
             per_workload: dict[str, dict] = {}
             digests: dict[str, str] = {}
             baseline_digests: dict[str, str] = {}
-            for workload, _, _ in cells:
+            for workload in self.space.workloads:
                 spec = candidate_specs[(candidate, workload)]
                 base_spec = baseline_specs[(candidate.scale, workload)]
                 per_workload[workload] = candidate_metrics(
@@ -852,8 +636,6 @@ class Explorer:
             evaluations.append(
                 Evaluation(
                     candidate=candidate,
-                    rung=rung_index,
-                    accesses=accesses,
                     score=metrics[self.objective],
                     metrics=metrics,
                     per_workload=per_workload,
@@ -863,7 +645,7 @@ class Explorer:
             )
         return evaluations
 
-    # -- the search loop -----------------------------------------------------
+    # -- the search ----------------------------------------------------------
     def _manifest(self, strategy: str, budget: int | None, seed: int) -> dict:
         """The resumable description of this search (``search.json``)."""
 
@@ -875,9 +657,6 @@ class Explorer:
             "budget": budget,
             "seed": seed,
             "objective": self.objective,
-            "eta": self.eta,
-            "confirm": self.confirm,
-            "screen_accesses": self.screen_accesses,
             "warmup_fraction": self.warmup_fraction,
             "trace_overrides": dict(self.trace_overrides),
         }
@@ -894,29 +673,22 @@ class Explorer:
 
     def run(
         self,
-        strategy: str = "halving",
+        strategy: str = "grid",
         budget: int | None = None,
         seed: int = 0,
     ) -> SearchResult:
         """Run one search end to end and write its artifacts.
 
         Writes ``search.json`` up front (so a killed search can resume),
-        appends a ``log.jsonl`` record per evaluation as rungs complete,
-        and finishes with the deterministic ``front.json``.  Against a
-        warm store the whole search replays without executing a single
-        simulation — that *is* the resume path (:func:`resume_search`).
+        evaluates the plan's selection in one batch, appends a
+        ``log.jsonl`` record per evaluation, and finishes with the
+        deterministic ``front.json``.  Against a warm store the whole
+        search replays without executing a single simulation — that *is*
+        the resume path (:func:`resume_search`).
         """
 
         candidates = self.space.candidates()
-        plan = plan_search(
-            len(candidates),
-            strategy=strategy,
-            budget=budget,
-            seed=seed,
-            eta=self.eta,
-            screen_accesses=self.screen_accesses,
-            confirm=self.confirm,
-        )
+        plan = plan_search(len(candidates), strategy=strategy, budget=budget, seed=seed)
         _atomic_write_text(
             self.directory / MANIFEST_FILENAME,
             json.dumps(self._manifest(strategy, budget, seed), indent=2, sort_keys=True)
@@ -925,83 +697,46 @@ class Explorer:
         store = self._store()
         hits0, puts0 = (store.hits, store.puts) if store is not None else (0, 0)
 
-        try:
-            active = [candidates[index] for index in plan.selected]
-            evaluations: list[Evaluation] = []
-            screen_top: Candidate | None = None
-            for rung in plan.rungs:
-                entrants = active[: rung.entrants]
-                rung_evaluations = self.evaluate(
-                    entrants, rung_index=rung.index, accesses=rung.accesses
+        evaluations = self.evaluate([candidates[index] for index in plan.selected])
+        for evaluation in evaluations:
+            self._log(
+                dict(
+                    evaluation.as_dict(),
+                    strategy=strategy,
+                    seed=seed,
+                    objective=self.objective,
                 )
-                ranked = _ranked(rung_evaluations, self.objective)
-                survivors = {
-                    id(evaluation)
-                    for evaluation in ranked[: rung.survivors]
-                }
-                for evaluation in rung_evaluations:
-                    record = evaluation.as_dict()
-                    record.update(
-                        strategy=strategy,
-                        seed=seed,
-                        objective=self.objective,
-                        promoted=id(evaluation) in survivors,
-                    )
-                    self._log(record)
-                evaluations.extend(rung_evaluations)
-                if screen_top is None and rung.accesses is not None:
-                    screen_top = ranked[0].candidate
-                active = [
-                    evaluation.candidate for evaluation in ranked[: rung.survivors]
-                ]
-
-            final = [
-                evaluation for evaluation in evaluations if evaluation.accesses is None
-            ]
-            front = pareto_front(final)
-            confirmed_top = _ranked(final, self.objective)[0] if final else None
-            store = self._store()
-            result = SearchResult(
-                strategy=strategy,
-                seed=seed,
-                budget=budget,
-                objective=self.objective,
-                plan=plan,
-                candidates=candidates,
-                evaluations=evaluations,
-                front=front,
-                confirmed_top=confirmed_top,
-                screen_top=screen_top,
-                store_replayed=store.hits - hits0 if store is not None else None,
-                store_executed=store.puts - puts0 if store is not None else None,
-                directory=self.directory,
             )
-            _atomic_write_text(
-                self.directory / FRONT_FILENAME,
-                json.dumps(result.front_payload(), indent=2, sort_keys=True) + "\n",
-            )
-            return result
-        finally:
-            self.close()
+        result = SearchResult(
+            strategy=strategy,
+            seed=seed,
+            budget=budget,
+            objective=self.objective,
+            plan=plan,
+            candidates=candidates,
+            evaluations=evaluations,
+            front=pareto_front(evaluations),
+            top=_ranked(evaluations, self.objective)[0],
+            store_replayed=store.hits - hits0 if store is not None else None,
+            store_executed=store.puts - puts0 if store is not None else None,
+            directory=self.directory,
+        )
+        _atomic_write_text(
+            self.directory / FRONT_FILENAME,
+            json.dumps(result.front_payload(), indent=2, sort_keys=True) + "\n",
+        )
+        return result
 
     def describe(
         self,
-        strategy: str = "halving",
+        strategy: str = "grid",
         budget: int | None = None,
         seed: int = 0,
     ) -> str:
         """The search's axes and compiled plan, without simulating anything."""
 
         candidates = self.space.candidates()
-        plan = plan_search(
-            len(candidates),
-            strategy=strategy,
-            budget=budget,
-            seed=seed,
-            eta=self.eta,
-            screen_accesses=self.screen_accesses,
-            confirm=self.confirm,
-        )
+        plan = plan_search(len(candidates), strategy=strategy, budget=budget, seed=seed)
         space = self.space
         grid = space.param_grid_dict()
         lines = [
@@ -1027,7 +762,7 @@ class Explorer:
 # ---------------------------------------------------------------------------
 def run_search(
     space: SearchSpace,
-    strategy: str = "halving",
+    strategy: str = "grid",
     budget: int | None = None,
     seed: int = 0,
     directory: str | Path = DEFAULT_SEARCH_DIR,
@@ -1035,13 +770,13 @@ def run_search(
 ) -> SearchResult:
     """Run one search (see :meth:`Explorer.run`); ``options`` configure it."""
 
-    with Explorer(space=space, directory=Path(directory), **options) as explorer:
-        return explorer.run(strategy=strategy, budget=budget, seed=seed)
+    explorer = Explorer(space=space, directory=Path(directory), **options)
+    return explorer.run(strategy=strategy, budget=budget, seed=seed)
 
 
 def describe_search(
     space: SearchSpace,
-    strategy: str = "halving",
+    strategy: str = "grid",
     budget: int | None = None,
     seed: int = 0,
     **options,
@@ -1076,50 +811,36 @@ def load_manifest(directory: str | Path) -> dict:
 def resume_search(directory: str | Path, **options) -> SearchResult:
     """Re-run the search described by a directory's manifest.
 
-    The manifest replays the identical space, strategy, seed, budget and
-    screen parameters; because every evaluated point is a content-hashed
-    spec in the store (screen windows re-save byte-identically, so their
-    digests are stable), everything the killed search completed is served
-    from the store and **zero** specs re-execute.  ``options`` override
-    only execution policy (store, jobs) — never the search itself.
+    The manifest replays the identical space, strategy, seed and budget;
+    because every evaluated point is a content-hashed spec in the store,
+    everything the killed search completed is served from the store and
+    only the rest executes.  ``options`` override only execution policy
+    (store, jobs) — never the search itself.
     """
 
     manifest = load_manifest(directory)
-    space = SearchSpace.from_dict(manifest["space"])
     explorer = Explorer(
-        space=space,
+        space=SearchSpace.from_dict(manifest["space"]),
         directory=Path(directory),
         objective=manifest["objective"],
         warmup_fraction=manifest["warmup_fraction"],
         trace_overrides=dict(manifest.get("trace_overrides") or {}),
-        screen_accesses=manifest["screen_accesses"],
-        eta=manifest["eta"],
-        confirm=manifest["confirm"],
         **options,
     )
-    with explorer:
-        return explorer.run(
-            strategy=manifest["strategy"],
-            budget=manifest["budget"],
-            seed=manifest["seed"],
-        )
+    return explorer.run(
+        strategy=manifest["strategy"],
+        budget=manifest["budget"],
+        seed=manifest["seed"],
+    )
 
 
 def render_search(result: SearchResult) -> str:
     """The text report of one finished search (the CLI output)."""
 
-    plan = result.plan
-    ladder = " -> ".join(
-        f"[{rung.entrants} @ "
-        + ("full" if rung.accesses is None else str(rung.accesses))
-        + "]"
-        for rung in plan.rungs
-    )
     lines = [
-        f"explore: {result.strategy} search over {len(plan.selected)} of "
+        f"explore: {result.strategy} search over {len(result.plan.selected)} of "
         f"{len(result.candidates)} candidate(s), seed {result.seed}, "
         f"objective {result.objective}",
-        f"rungs: {ladder}",
     ]
     if result.store_replayed is not None:
         lines.append(
@@ -1128,17 +849,7 @@ def render_search(result: SearchResult) -> str:
         )
     else:
         lines.append("store: disabled (--no-cache)")
-    if result.screen_top is not None:
-        lines.append(f"screen top pick:  {result.screen_top.label()}")
-    if result.confirmed_top is not None:
-        verdict = ""
-        if result.screen_confirms is not None:
-            verdict = (
-                "  (screen pick confirmed)"
-                if result.screen_confirms
-                else "  (screen pick NOT confirmed)"
-            )
-        lines.append(f"confirmed top:    {result.confirmed_top.candidate.label()}{verdict}")
+    lines.append(f"top pick: {result.top.candidate.label()}")
     lines.append(
         "Pareto front (maximise coverage, accuracy; minimise metadata traffic):"
     )

@@ -3,9 +3,8 @@
 This module is the catalogue: each entry in :data:`STUDIES` names one
 experiment — its workloads, configurations (with call-time parameters),
 system axis, metric and reducer — and the spec/scheduler/store pipeline does
-the rest.  The legacy ``figure_N`` entry points in
-:mod:`repro.experiments.figures` are thin wrappers over these declarations,
-and the ``repro study`` CLI runs them (with axis overrides) directly.
+the rest.  ``STUDIES.run(name, runner)`` reproduces one, and the ``repro
+study`` CLI runs them (with axis overrides) directly.
 
 To define a new study, declare it here (or register your own at runtime)::
 
@@ -43,7 +42,6 @@ from repro.experiments.configs import (
     MULTIPROGRAM_SERIES,
     REPLACEMENT_POLICIES,
 )
-from repro.experiments.runner import ExperimentRunner
 from repro.experiments.study import (
     FigureResult,
     Study,
@@ -284,20 +282,3 @@ STUDIES.register(Study.create(
     system="paper",
     description="analytic description of the simulated system (the system axis)",
 ))
-
-#: The studies whose union of compiled cells is the main single-core matrix
-#: (figures 10-15 share it; submitting it warms the store for all six).
-MAIN_MATRIX_STUDIES: tuple[str, ...] = ("fig10", "fig11", "fig12", "fig13", "fig14", "fig15")
-
-
-def main_matrix_specs(runner: ExperimentRunner) -> list:
-    """Every RunSpec figures 10-15 need (the union of their compiled batches).
-
-    Submitting this list through the runner warms the store for
-    all six figures in a single deduplicated, parallelisable batch.
-    """
-
-    specs: list = []
-    for name in MAIN_MATRIX_STUDIES:
-        specs.extend(STUDIES.get(name).compile(runner))
-    return list(dict.fromkeys(specs))

@@ -26,7 +26,9 @@ deep inside the scheduler.
 from __future__ import annotations
 
 import os
+import signal
 import threading
+import time
 from concurrent.futures import Future, ProcessPoolExecutor
 from typing import Protocol, runtime_checkable
 
@@ -34,6 +36,9 @@ from typing import Protocol, runtime_checkable
 #: Environment variable supplying a default worker count for entry points
 #: that take one (the CLI's ``--jobs``, the benchmark harness).
 JOBS_ENV = "REPRO_JOBS"
+
+#: How often a pool worker checks that the process feeding it still lives.
+_PARENT_POLL_S = 0.5
 
 
 def _positive_count(value, what: str) -> int:
@@ -112,11 +117,39 @@ class InlineBackend:
         """Nothing to release."""
 
 
+def _init_worker() -> None:
+    """Make a pool worker exit with the process that created the pool.
+
+    Forked workers inherit their parent's signal handlers — the daemon's
+    SIGTERM handler starts a ``server.shutdown()`` that waits forever in a
+    worker — and its open descriptors, so a worker outliving a killed
+    parent keeps the daemon's socket and stdout pipe open.  Default signal
+    handling plus a thread that exits once the parent is gone fixes both.
+    """
+
+    signal.signal(signal.SIGTERM, signal.SIG_DFL)
+    signal.signal(signal.SIGINT, signal.SIG_DFL)
+    # Read here rather than passed in: under the forkserver start method a
+    # worker's parent is the fork server, which exits with the pool's creator.
+    parent = os.getppid()
+
+    def watch_parent() -> None:
+        while os.getppid() == parent:
+            time.sleep(_PARENT_POLL_S)
+        os._exit(1)
+
+    threading.Thread(
+        target=watch_parent, name="repro-parent-watch", daemon=True
+    ).start()
+
+
 class ProcessPoolBackend:
     """Fans calls out to ``jobs`` worker processes (created lazily).
 
     The pool spawns on the first :meth:`submit`, so schedulers whose every
     spec is satisfied from the store never pay for worker processes.
+    Workers exit on their own once the process that created the pool dies
+    (see :func:`_init_worker`).
     """
 
     def __init__(self, jobs: int) -> None:
@@ -129,7 +162,9 @@ class ProcessPoolBackend:
 
         with self._lock:
             if self._pool is None:
-                self._pool = ProcessPoolExecutor(max_workers=self.slots)
+                self._pool = ProcessPoolExecutor(
+                    max_workers=self.slots, initializer=_init_worker
+                )
             pool = self._pool
         return pool.submit(fn, *args)
 

@@ -31,7 +31,7 @@ Four request kinds mirror the CLI's simulating surfaces:
     and deduped against its store.
 
 An ``explore`` kind compiles a design-space search *description* (the
-``repro explore describe`` plan — candidates, rungs, budget) without
+``repro explore describe`` plan — candidates, strategy, budget) without
 simulating: it carries no specs, so the job completes instantly.
 
 A daemon compiles each distinct ``study`` request once: a
@@ -362,24 +362,18 @@ def _compile_explore(payload: Mapping) -> CompiledRequest:
         else None,
         assignments=_assignments(payload),
     )
-    tuning = {
-        key: payload[key]
-        for key in ("screen_accesses", "eta", "confirm")
-        if payload.get(key) is not None
-    }
     description = explore.describe_search(
         space,
-        strategy=payload.get("strategy", "halving"),
+        strategy=payload.get("strategy", "grid"),
         budget=_positive_int(payload, "budget"),
         seed=_integer(payload, "seed", 0),
         objective=payload.get("objective", "coverage"),
         trace_overrides=_trace_overrides(payload),
-        **tuning,
     )
 
     return CompiledRequest(
         kind="explore",
-        label=f"explore describe ({payload.get('strategy', 'halving')})",
+        label=f"explore describe ({payload.get('strategy', 'grid')})",
         specs=[],
         request=dict(payload),
         finalize=lambda job: {"description": description},

@@ -6,9 +6,6 @@ them.  Two samplers cover the common cases:
 
 * :func:`sample_window` — one contiguous region (SimPoint-style: simulate
   the region the full run identified as representative);
-* :func:`sample_prefix` — the leading window (the design-space screen of
-  :mod:`repro.experiments.explore`: a cheap first look whose verdict the
-  full trace later confirms);
 * :func:`sample_systematic` — periodic systematic sampling (every
   ``period`` accesses keep a block of ``block`` accesses), which preserves
   long-range temporal structure at a fixed 1-in-N cost.
@@ -67,17 +64,6 @@ def sample_window(trace, start: int, length: int, name: str | None = None) -> Pa
         trace,
         {"sampler": "window", "start": start, "length": len(window)},
     )
-
-
-def sample_prefix(trace, length: int, name: str | None = None) -> PackedTrace:
-    """The leading ``length`` accesses of a trace (clipped at the end).
-
-    Equivalent to :func:`sample_window` at ``start=0``; the separate entry
-    point exists because prefix screens are the common successive-halving
-    case and deserve their own provenance-carrying idiom.
-    """
-
-    return sample_window(trace, 0, length, name=name)
 
 
 def sample_systematic(

@@ -1,8 +1,8 @@
 """Tests keeping the documentation honest.
 
 Runs the same link checker the CI docs job uses, and cross-checks the
-figure-reproduction guide against the CLI's actual figure registry so the
-table can never drift from the commands it documents.
+figure-reproduction guide against the study registry so the table can
+never drift from the studies it documents.
 """
 
 import re
@@ -27,22 +27,13 @@ class TestDocs:
         )
         assert result.returncode == 0, result.stderr
 
-    def test_reproducing_figures_covers_every_figure_command(self):
-        """Every `repro figure NAME` choice appears in the reproduction guide."""
-
-        from repro.cli import ANALYTIC_COMMANDS, FIGURE_COMMANDS
-
-        text = (ROOT / "docs" / "reproducing-figures.md").read_text()
-        for name in list(FIGURE_COMMANDS) + list(ANALYTIC_COMMANDS):
-            assert f"repro figure {name}" in text, f"{name} missing from the guide"
-
     def test_guide_mentions_only_real_figure_commands(self):
-        from repro.cli import ANALYTIC_COMMANDS, FIGURE_COMMANDS
+        """Figures have one spelling, `repro study run NAME`: no page may
+        document the removed `figure` verb."""
 
-        known = set(FIGURE_COMMANDS) | set(ANALYTIC_COMMANDS)
-        text = (ROOT / "docs" / "reproducing-figures.md").read_text()
-        for name in re.findall(r"repro figure ([\w-]+)", text):
-            assert name in known, f"guide documents unknown figure {name!r}"
+        for page in ("docs/reproducing-figures.md", "README.md"):
+            text = (ROOT / page).read_text()
+            assert not re.search(r"repro\s+figure\b", text), page
 
     def test_readme_links_to_both_doc_pages(self):
         text = (ROOT / "README.md").read_text()

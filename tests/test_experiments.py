@@ -8,7 +8,6 @@ still covering the orchestration logic end to end.
 import pytest
 
 from repro.core.triangel import TriangelPrefetcher
-from repro.experiments import figures
 from repro.experiments.configs import (
     ABLATION_LADDER,
     CONFIGS,
@@ -19,6 +18,7 @@ from repro.experiments.configs import (
     configuration_signatures,
 )
 from repro.experiments.runner import ExperimentRunner, clear_caches
+from repro.experiments.studies import STUDIES, system_config_result
 from repro.prefetch.stride import StridePrefetcher
 from repro.sim.config import SystemConfig
 from repro.triage.triage import TriagePrefetcher
@@ -194,7 +194,7 @@ class TestRunner:
 
 class TestFigureHarness:
     def test_figure_10_structure(self, quick_runner):
-        result = figures.figure_10_speedup(quick_runner)
+        result = STUDIES.run("fig10", quick_runner)
         assert result.figure == "Figure 10"
         assert "geomean" in result.table
         assert set(result.columns) == {
@@ -207,47 +207,47 @@ class TestFigureHarness:
         assert "xalan" in result.rendered
 
     def test_figures_11_to_15_reuse_cached_runs(self, quick_runner):
-        figures.figure_10_speedup(quick_runner)
-        for figure_fn in (
-            figures.figure_11_dram_traffic,
-            figures.figure_12_accuracy,
-            figures.figure_13_coverage,
-        ):
-            result = figure_fn(quick_runner)
+        STUDIES.run("fig10", quick_runner)
+        for name in ("fig11", "fig12", "fig13"):
+            result = STUDIES.run(name, quick_runner)
             assert "geomean" in result.table
 
     def test_figure_16_runs_through_the_store(self, quick_runner):
         from repro.experiments.store import default_store
 
-        result = figures.figure_16_multiprogram(quick_runner, max_accesses_per_core=250)
+        study = STUDIES.get("fig16").overridden(
+            assignments={"max_accesses_per_core": "250"}
+        )
+        result = study.run(quick_runner)
         assert result.figure == "Figure 16"
         assert "geomean" in result.table
         summary = default_store().kind_summary()
         assert summary.get("multiprogram", 0) > 0
         # A second invocation replays every run from the store.
         puts_before = default_store().puts
-        figures.figure_16_multiprogram(quick_runner, max_accesses_per_core=250)
+        study.run(quick_runner)
         assert default_store().puts == puts_before
 
     def test_replacement_study_variants_do_not_collide(self, quick_runner):
         from repro.experiments.store import default_store
 
-        first = figures.replacement_study(quick_runner, max_entries=64)
-        second = figures.replacement_study(quick_runner, max_entries=128)
+        study = STUDIES.get("replacement-study")
+        first = study.with_config_params(max_entries=64).run(quick_runner)
+        second = study.with_config_params(max_entries=128).run(quick_runner)
         assert set(first.table) == set(second.table)
         summary = default_store().kind_summary()
         # Two capacity variants => two full sets of parameterised records.
         assert summary.get("parameterised run", 0) >= 2 * 3
 
     def test_table_1_sizes_match_paper(self):
-        result = figures.table_1_structure_sizes()
+        result = STUDIES.run("table1")
         total_bytes = result.table["Total"]["bytes"]
         assert total_bytes == pytest.approx(17.6 * 1024, rel=0.08)
         assert result.table["Training Table"]["bytes"] == pytest.approx(7808, rel=0.02)
         assert result.table["History Sampler"]["bytes"] == pytest.approx(6080, rel=0.05)
 
     def test_table_2_describes_system(self):
-        result = figures.table_2_system_config(SystemConfig.paper())
+        result = system_config_result(SystemConfig.paper())
         description = result.extras["description"]
         assert "L3 Cache" in description
         assert "2048 KiB" in description["L3 Cache"]

@@ -2,16 +2,14 @@
 
 Three groups:
 
-* property-based tests (hypothesis) on the pure planner — rungs partition
-  the selection, budgets are never exceeded, identical seeds reproduce
-  identical candidate sequences, Pareto membership is order-invariant;
-* a differential screen-vs-full test on a recorded ``.rtrc`` workload —
-  the sampled-window screen must rank the known-separable
-  ``max_entries`` 64 vs 4096 pair exactly as the full runs do, within a
-  recorded rank-error bound;
-* resumability — a search killed mid-rung resumes from the store with
-  zero re-executed specs and a byte-identical final front — plus the
-  ``repro explore`` CLI wiring.
+* property-based tests (hypothesis) on the pure planner — budgets are
+  never exceeded, identical seeds reproduce identical candidate
+  sequences, Pareto membership is order-invariant;
+* resumability — a search killed mid-batch resumes from the store,
+  executing only what the killed run did not store, and a second resume
+  executes nothing and rewrites a byte-identical front;
+* the ``repro explore`` CLI wiring, including the refusal of manifests
+  and requests that name a strategy this build does not have.
 """
 
 from __future__ import annotations
@@ -23,12 +21,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.cli import main
+from repro.experiments import jobs
 from repro.experiments.explore import (
     DEFAULT_CONFIGURATIONS,
     STRATEGIES,
     Candidate,
     Evaluation,
-    Explorer,
     SearchSpace,
     candidate_order,
     overridden_space,
@@ -42,8 +40,6 @@ from repro.experiments.store import ResultStore
 counts = st.integers(min_value=1, max_value=160)
 budgets = st.one_of(st.none(), st.integers(min_value=1, max_value=400))
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
-etas = st.integers(min_value=2, max_value=5)
-confirms = st.integers(min_value=1, max_value=8)
 strategies = st.sampled_from(STRATEGIES)
 
 
@@ -51,43 +47,16 @@ strategies = st.sampled_from(STRATEGIES)
 # The pure planner
 # ---------------------------------------------------------------------------
 class TestPlanProperties:
-    @given(
-        count=counts, budget=budgets, seed=seeds, eta=etas,
-        confirm=confirms, strategy=strategies,
-    )
+    @given(count=counts, budget=budgets, seed=seeds, strategy=strategies)
     @settings(max_examples=120, deadline=None)
-    def test_budget_never_exceeded(self, count, budget, seed, eta, confirm, strategy):
-        plan = plan_search(
-            count, strategy, budget=budget, seed=seed, eta=eta, confirm=confirm
-        )
+    def test_budget_never_exceeded(self, count, budget, seed, strategy):
+        plan = plan_search(count, strategy, budget=budget, seed=seed)
         if budget is not None:
-            assert plan.total_evaluations <= budget
+            assert len(plan.selected) <= budget
         assert len(plan.selected) + plan.dropped == count
         # The selection is a subset of the space, each candidate at most once.
         assert len(set(plan.selected)) == len(plan.selected)
         assert all(0 <= index < count for index in plan.selected)
-
-    @given(count=counts, budget=budgets, seed=seeds, eta=etas, confirm=confirms)
-    @settings(max_examples=120, deadline=None)
-    def test_halving_rungs_partition_the_selection(
-        self, count, budget, seed, eta, confirm
-    ):
-        plan = plan_search(
-            count, "halving", budget=budget, seed=seed, eta=eta, confirm=confirm
-        )
-        rungs = plan.rungs
-        assert rungs[0].entrants == len(plan.selected)
-        # Survivors of one rung are exactly the next rung's entrants, so the
-        # per-rung eliminated sets plus the final rung partition the selection.
-        for before, after in zip(rungs, rungs[1:]):
-            assert before.survivors == after.entrants
-            assert before.survivors < before.entrants
-        eliminated = sum(rung.entrants - rung.survivors for rung in rungs)
-        assert eliminated + rungs[-1].entrants == len(plan.selected)
-        # Screens first (geometric ladder), full-trace confirmation last.
-        assert rungs[-1].accesses is None
-        for rung in rungs[:-1]:
-            assert rung.accesses == 2000 * eta**rung.index
 
     @given(count=counts, budget=budgets, seed=seeds, strategy=strategies)
     @settings(max_examples=120, deadline=None)
@@ -108,9 +77,10 @@ class TestPlanProperties:
         assert list(plan.selected) == list(range(len(plan.selected)))
 
     def test_degenerate_budget_still_evaluates_one_candidate(self):
-        plan = plan_search(40, "halving", budget=1)
-        assert plan.total_evaluations == 1
-        assert plan.rungs[-1].accesses is None  # straight to full trace
+        for strategy in STRATEGIES:
+            plan = plan_search(40, strategy, budget=1)
+            assert len(plan.selected) == 1
+            assert plan.dropped == 39
 
     def test_bad_inputs_rejected(self):
         with pytest.raises(ValueError, match="unknown strategy"):
@@ -119,8 +89,8 @@ class TestPlanProperties:
             plan_search(0, "grid")
         with pytest.raises(ValueError, match="--budget"):
             plan_search(4, "grid", budget=0)
-        with pytest.raises(ValueError, match="--eta"):
-            plan_search(4, "halving", eta=1)
+        with pytest.raises(ValueError, match="unknown strategy"):
+            plan_search(4, "halving")
 
 
 metric_triples = st.tuples(
@@ -140,8 +110,6 @@ def _evaluation(index: int, triple) -> Evaluation:
     }
     return Evaluation(
         candidate=Candidate(configuration=f"cfg{index}"),
-        rung=0,
-        accesses=None,
         score=metrics["coverage"],
         metrics=metrics,
     )
@@ -248,79 +216,7 @@ class TestSearchSpace:
 
 
 # ---------------------------------------------------------------------------
-# Differential: the sampled-window screen vs the full trace
-# ---------------------------------------------------------------------------
-class TestScreenVersusFull:
-    def test_screen_ranks_separable_pair_like_full_runs(self, tmp_path, monkeypatch):
-        """A 6000-access prefix screen of a recorded 8000-access xalan trace
-        ranks ``max_entries`` 64 vs 4096 exactly as the full trace does.
-
-        Measured on this seed-fixed workload: coverage 0.0126 (cap 64) vs
-        0.1780 (cap 4096) at the screen, 0.0391 vs 0.3767 at the full
-        trace — same ranking, and the per-candidate screen-vs-full score
-        error stays below the recorded 0.25 bound (measured: 0.027 for
-        cap 64, 0.199 for cap 4096).
-        """
-
-        from repro.traces.recorder import record_workload
-
-        monkeypatch.setenv("REPRO_TRACE_DIR", str(tmp_path / "traces"))
-        record_workload(
-            "xalan", tmp_path / "traces", name="xl", overrides={"length": 8000}
-        )
-        space = SearchSpace.create(
-            workloads=("trace:xl",),
-            configurations=("triage-lru",),
-            param_grid={"max_entries": (64, 4096)},
-        )
-        explorer = Explorer(
-            space=space,
-            directory=tmp_path / "search",
-            store=ResultStore(tmp_path / "store"),
-            objective="coverage",
-        )
-        with explorer:
-            candidates = space.candidates()
-            screen = {
-                e.candidate: e for e in explorer.evaluate(candidates, accesses=6000)
-            }
-            full = {e.candidate: e for e in explorer.evaluate(candidates)}
-
-        def ranking(evaluations):
-            return sorted(
-                evaluations, key=lambda candidate: -evaluations[candidate].score
-            )
-
-        assert ranking(screen) == ranking(full)
-        # The screen separates the pair decisively, not by a float hair.
-        screen_scores = sorted(e.score for e in screen.values())
-        assert screen_scores[1] - screen_scores[0] > 0.05
-        # Rank-error bound: the screen's score may drift from the full
-        # trace's, but never by enough to flip this pair.
-        for candidate in candidates:
-            assert abs(screen[candidate].score - full[candidate].score) < 0.25
-
-    def test_saturated_screen_reuses_the_full_runs(self, tmp_path, monkeypatch):
-        """A screen at least as long as the source IS the full run (shared
-        store entries, no duplicate screen file)."""
-
-        monkeypatch.setenv("REPRO_TRACE_DIR", str(tmp_path / "traces"))
-        space = SearchSpace.create(workloads=("xalan",), configurations=("triangel",))
-        explorer = Explorer(
-            space=space,
-            directory=tmp_path / "search",
-            store=ResultStore(tmp_path / "store"),
-            trace_overrides={"length": 1000},
-        )
-        with explorer:
-            [screened] = explorer.evaluate(space.candidates(), accesses=5000)
-            [full] = explorer.evaluate(space.candidates())
-        assert screened.spec_digests == full.spec_digests
-        assert not (tmp_path / "search" / "screens").exists()
-
-
-# ---------------------------------------------------------------------------
-# Resumability: kill mid-rung, resume with zero re-execution
+# Resumability: kill mid-batch, resume executing only the rest
 # ---------------------------------------------------------------------------
 class TestResume:
     def test_killed_search_resumes_with_zero_reexecution(self, tmp_path, monkeypatch):
@@ -332,48 +228,45 @@ class TestResume:
         )
         directory = tmp_path / "search"
         store_dir = tmp_path / "store"
-        options = dict(
-            objective="metadata_traffic",
-            trace_overrides={"length": 1600},
-            screen_accesses=500,
-            confirm=2,
-        )
+        options = dict(objective="metadata_traffic", trace_overrides={"length": 1600})
+        # 4 candidates + 1 baseline, all on the full trace.
+        total = 5
 
-        # Kill the search mid-rung: the first (screen) rung completes and
-        # persists, then the executor dies before the confirmation rung.
-        real_evaluate = Explorer.evaluate
+        # Kill the search mid-batch: the scheduler looks ``execute`` up
+        # through the module on every call, so its third call dies.
+        real_execute = jobs.execute
         calls = {"count": 0}
 
-        def dying_evaluate(self, *args, **kwargs):
-            if calls["count"] == 1:
-                raise RuntimeError("killed mid-rung")
+        def dying_execute(spec):
             calls["count"] += 1
-            return real_evaluate(self, *args, **kwargs)
+            if calls["count"] == 3:
+                raise RuntimeError("killed mid-batch")
+            return real_execute(spec)
 
-        monkeypatch.setattr(Explorer, "evaluate", dying_evaluate)
+        monkeypatch.setattr(jobs, "execute", dying_execute)
         interrupted_store = ResultStore(store_dir)
-        with pytest.raises(RuntimeError, match="killed mid-rung"):
+        with pytest.raises(RuntimeError, match="killed mid-batch"):
             run_search(
                 space,
-                strategy="halving",
-                seed=3,
+                strategy="grid",
                 directory=directory,
                 store=interrupted_store,
                 **options,
             )
-        monkeypatch.setattr(Explorer, "evaluate", real_evaluate)
-        # Rung 0 persisted: 4 screen candidates + the screen baseline.
-        assert interrupted_store.puts == 5
+        monkeypatch.setattr(jobs, "execute", real_execute)
+        stored = interrupted_store.puts
+        assert 0 < stored < total
         assert (directory / "search.json").exists()
+        assert not (directory / "front.json").exists()
 
-        # Resume re-runs the same plan; the screen rung replays from the
-        # store (digest-stable screen re-save) and only the final rung's
-        # cells — 2 survivors + the full-trace baseline — execute.
+        # Resume re-runs the same plan: everything the killed run stored
+        # replays, and only the rest executes.
         resumed_store = ResultStore(store_dir)
         result = resume_search(directory, store=resumed_store)
-        assert resumed_store.hits == 5
-        assert resumed_store.puts == 3
-        assert result.store_executed == 3
+        assert resumed_store.hits == stored
+        assert resumed_store.puts == total - stored
+        assert result.store_replayed == stored
+        assert result.store_executed == total - stored
         front_bytes = (directory / "front.json").read_bytes()
 
         # A second resume re-executes nothing, byte-identically.
@@ -382,12 +275,42 @@ class TestResume:
         assert warm_store.misses == 0
         assert warm_store.puts == 0
         assert warm.store_executed == 0
-        assert warm.store_replayed == 8
+        assert warm.store_replayed == total
         assert (directory / "front.json").read_bytes() == front_bytes
 
     def test_resume_without_manifest_fails_cleanly(self, tmp_path):
         with pytest.raises(FileNotFoundError, match="no search manifest"):
             resume_search(tmp_path / "nowhere")
+
+    def test_earlier_grid_manifest_still_resumes(self, tmp_path, monkeypatch):
+        """A manifest from a build with screen tuning keys resumes; the
+        keys are ignored, since no strategy reads them."""
+
+        monkeypatch.setenv("REPRO_TRACE_DIR", str(tmp_path / "traces"))
+        space = SearchSpace.create(
+            workloads=("xalan",),
+            configurations=("triage-lru",),
+            param_grid={"max_entries": (64, 4096)},
+        )
+        directory = tmp_path / "search"
+        directory.mkdir()
+        (directory / "search.json").write_text(
+            json.dumps(_earlier_manifest(space, "grid"), indent=2, sort_keys=True)
+        )
+        store_dir = tmp_path / "store"
+        result = resume_search(directory, store=ResultStore(store_dir))
+        assert result.strategy == "grid"
+        assert len(result.evaluations) == 2
+        assert "eta" not in json.loads((directory / "search.json").read_text())
+        # The rewritten manifest names the identical search.
+        fresh = run_search(
+            space,
+            directory=tmp_path / "fresh",
+            store=ResultStore(store_dir),
+            trace_overrides={"length": 1200},
+        )
+        assert fresh.store_executed == 0
+        assert fresh.front_payload() == result.front_payload()
 
     def test_log_records_provenance(self, tmp_path, monkeypatch):
         monkeypatch.setenv("REPRO_TRACE_DIR", str(tmp_path / "traces"))
@@ -398,24 +321,40 @@ class TestResume:
         )
         result = run_search(
             space,
-            strategy="halving",
+            strategy="random",
             seed=7,
             directory=tmp_path / "search",
             store=ResultStore(tmp_path / "store"),
             trace_overrides={"length": 1200},
-            screen_accesses=400,
-            confirm=1,
         )
         records = [
             json.loads(line)
             for line in (tmp_path / "search" / "log.jsonl").read_text().splitlines()
         ]
-        assert len(records) == len(result.evaluations)
+        assert len(records) == len(result.evaluations) == 2
         for record in records:
-            assert record["strategy"] == "halving"
+            assert record["strategy"] == "random"
             assert record["seed"] == 7
-            assert "rung" in record and "spec_digests" in record
-            assert isinstance(record["promoted"], bool)
+            assert "score" in record and "spec_digests" in record
+
+
+def _earlier_manifest(space: SearchSpace, strategy: str) -> dict:
+    """A ``search.json`` as a build with successive halving wrote it."""
+
+    return {
+        "kind": "repro-explore",
+        "version": 1,
+        "space": space.as_dict(),
+        "strategy": strategy,
+        "budget": None,
+        "seed": 0,
+        "objective": "coverage",
+        "eta": 2,
+        "confirm": 3,
+        "screen_accesses": 2000,
+        "warmup_fraction": 0.4,
+        "trace_overrides": {"length": 1200},
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -426,7 +365,7 @@ class TestExploreCli:
         assert main(["explore", "describe", "--set", "max_entries=64,4096"]) == 0
         output = capsys.readouterr().out
         assert "candidate(s)" in output
-        assert "rung 0" in output
+        assert "strategy:    grid" in output
 
     def test_run_then_resume_replays_everything(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setenv("REPRO_TRACE_DIR", str(tmp_path / "traces"))
@@ -437,13 +376,11 @@ class TestExploreCli:
         code = main(
             [
                 "explore", "run",
-                "--strategy", "halving",
+                "--strategy", "random",
                 "--configs", "triage-lru",
                 "--set", "max_entries=64,4096",
                 "--budget", "6",
                 "--trace-length", "1200",
-                "--screen-accesses", "400",
-                "--confirm", "1",
                 *base,
             ]
         )
@@ -471,3 +408,23 @@ class TestExploreCli:
     def test_unknown_strategy_rejected_by_parser(self):
         with pytest.raises(SystemExit):
             main(["explore", "run", "--strategy", "anneal"])
+
+    def test_resuming_a_halving_search_exits_2_in_one_line(self, tmp_path, capsys):
+        """Successive halving is gone: its manifests are refused, untouched."""
+
+        directory = tmp_path / "search"
+        directory.mkdir()
+        manifest = directory / "search.json"
+        space = SearchSpace.create(workloads=("xalan",), configurations=("triage-lru",))
+        manifest.write_text(json.dumps(_earlier_manifest(space, "halving")))
+        before = manifest.read_bytes()
+        code = main(
+            ["explore", "resume", "--dir", str(directory),
+             "--cache-dir", str(tmp_path / "store")]
+        )
+        assert code == 2
+        error = capsys.readouterr().err
+        assert "unknown strategy 'halving'" in error
+        assert len(error.strip().splitlines()) == 1
+        assert manifest.read_bytes() == before
+        assert sorted(path.name for path in directory.iterdir()) == ["search.json"]

@@ -567,7 +567,7 @@ class TestRunFastDirect:
 
 class TestRecordedTraceReplay:
     def test_sampled_windows_of_a_recorded_trace(self, tmp_path, monkeypatch):
-        """Sampler-derived traces (explore's screen windows) replay identically.
+        """Sampler-derived traces replay identically.
 
         Carves prefix, mid-stream and systematic samples out of a recorded
         chunked trace, saves them as first-class ``.rtrc`` workloads,
@@ -577,17 +577,13 @@ class TestRecordedTraceReplay:
 
         from repro.traces.format import load_trace, save_trace
         from repro.traces.recorder import record_workload
-        from repro.traces.samplers import (
-            sample_prefix,
-            sample_systematic,
-            sample_window,
-        )
+        from repro.traces.samplers import sample_systematic, sample_window
 
         monkeypatch.setenv("REPRO_TRACE_DIR", str(tmp_path))
         path = record_workload("xalan", directory=tmp_path, overrides={"length": 3000})
         source = load_trace(path)  # chunked: windows inflate only their chunks
         samples = {
-            "xl_prefix": sample_prefix(source, 1200, name="xl_prefix"),
+            "xl_prefix": sample_window(source, 0, 1200, name="xl_prefix"),
             "xl_window": sample_window(source, 700, 1300, name="xl_window"),
             "xl_sys": sample_systematic(source, period=3, block=2, name="xl_sys"),
         }

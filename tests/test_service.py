@@ -572,6 +572,16 @@ class TestHTTPService:
                 nobody.healthz()
         assert unreachable.value.status == 0
 
+    def test_halving_explore_request_is_a_one_line_400(self, service):
+        with ServiceClient(service.url) as client:
+            with pytest.raises(ServiceError) as rejected:
+                client.submit({"kind": "explore", "strategy": "halving"})
+            assert rejected.value.status == 400
+            message = rejected.value.payload["error"]
+            assert "unknown strategy 'halving'" in message
+            assert len(message.splitlines()) == 1
+            assert client.jobs() == []
+
     def test_spec_with_unknown_field_is_a_one_line_400(self, service):
         with ServiceClient(service.url) as client:
             entry = {
@@ -1352,18 +1362,27 @@ SRC_ROOT = Path(__file__).resolve().parent.parent / "src"
 
 
 class _Daemon:
-    """``python -m repro serve --port 0`` as a subprocess, read line by line."""
+    """``python -m repro serve --port 0`` as a subprocess, read line by line.
 
-    def __init__(self, cache_dir) -> None:
+    The daemon leads its own process group, so :meth:`stop` can kill
+    whatever it leaves behind (pool workers included).  ``jobs`` is passed
+    as ``--jobs``; without it the daemon inherits ``REPRO_JOBS``.
+    """
+
+    def __init__(self, cache_dir, jobs: int | None = None) -> None:
         env = dict(os.environ, PYTHONPATH=str(SRC_ROOT))
         env.pop("REPRO_TELEMETRY", None)
+        command = [sys.executable, "-m", "repro", "serve", "--port", "0",
+                   "--cache-dir", str(cache_dir)]
+        if jobs is not None:
+            command += ["--jobs", str(jobs)]
         self.process = subprocess.Popen(
-            [sys.executable, "-m", "repro", "serve", "--port", "0",
-             "--cache-dir", str(cache_dir)],
+            command,
             stdout=subprocess.PIPE,
             stderr=subprocess.STDOUT,
             text=True,
             env=env,
+            start_new_session=True,
         )
         self.lines: queue.Queue = queue.Queue()
         self._reader = threading.Thread(target=self._read, daemon=True)
@@ -1402,38 +1421,50 @@ class _Daemon:
             if self.process.poll() is None:
                 self.process.kill()
                 self.process.wait(timeout=30)
+            try:
+                os.killpg(self.process.pid, signal.SIGKILL)
+            except ProcessLookupError:
+                pass  # nothing of the daemon's group is left
             self._reader.join(timeout=30)
             self.process.stdout.close()
         assert not self._reader.is_alive()
         return code
 
 
+def _await_executed_spec(client: ServiceClient, job_id: str) -> None:
+    """Poll until the job reports its first executed (not replayed) spec."""
+
+    deadline = time.monotonic() + 120
+    while True:
+        events = client.status(job_id)["events"]
+        if any(
+            event["event"] == "spec_resolved" and event["source"] == "executed"
+            for event in events
+        ):
+            return
+        assert time.monotonic() < deadline, "no spec executed in time"
+        time.sleep(0.01)
+
+
 class TestDaemonKill:
+    # 2 workloads x (baseline + 5 series) = 12 cells of ~0.1 s each.
+    REQUEST = {
+        "kind": "study",
+        "name": "fig10",
+        "workloads": ["xalan", "mcf"],
+        "trace_length": 3000,
+    }
+
     def test_sigkill_mid_job_keeps_the_store_and_resubmission_replays(self, tmp_path):
         cache_dir = tmp_path / "killed-store"
-        # 2 workloads x (baseline + 5 series) = 12 cells of ~0.1 s each.
-        request = {
-            "kind": "study",
-            "name": "fig10",
-            "workloads": ["xalan", "mcf"],
-            "trace_length": 3000,
-        }
+        request = self.REQUEST
         daemon = _Daemon(cache_dir)
         try:
             with ServiceClient(daemon.url, timeout=30) as client:
                 job = client.submit(request)
                 total = job["specs"]["total"]
                 assert total >= 8
-                deadline = time.monotonic() + 120
-                while True:
-                    events = client.status(job["id"])["events"]
-                    if any(
-                        event["event"] == "spec_resolved" and event["source"] == "executed"
-                        for event in events
-                    ):
-                        break
-                    assert time.monotonic() < deadline, "no spec executed in time"
-                    time.sleep(0.01)
+                _await_executed_spec(client, job["id"])
         finally:
             code = daemon.stop(signal.SIGKILL)
         assert code == -signal.SIGKILL
@@ -1453,6 +1484,25 @@ class TestDaemonKill:
         assert manifest["store"]["hits"] == stored
         assert manifest["store"]["executed"] == total - stored
         assert verify_manifest(manifest) == []
+
+    def test_pool_workers_exit_with_a_killed_daemon(self, tmp_path):
+        """Forked pool workers hold the daemon's stdout pipe and listening
+        socket; once the daemon is SIGKILLed they must exit on their own,
+        so its output ends and its port refuses connections."""
+
+        daemon = _Daemon(tmp_path / "store", jobs=2)
+        try:
+            with ServiceClient(daemon.url, timeout=30) as client:
+                _await_executed_spec(client, client.submit(self.REQUEST)["id"])
+            port = int(daemon.url.rsplit(":", 1)[1])
+            daemon.process.kill()
+            daemon.process.wait(timeout=30)
+            daemon._reader.join(timeout=10)
+            assert not daemon._reader.is_alive(), "daemon output never ended"
+            with pytest.raises(ConnectionRefusedError):
+                socket.create_connection(("127.0.0.1", port), timeout=5).close()
+        finally:
+            daemon.stop(signal.SIGKILL)
 
 
 class TestServiceCLI:

@@ -3,8 +3,8 @@
 Covers the acceptance properties of the study API: registry completeness,
 deterministic compilation (within and across processes), disjoint store
 keys for overridden axes, zero re-execution against a warm store, and
-byte-identical output between the legacy ``figure_N`` entry points and
-their :class:`~repro.experiments.study.Study` declarations.
+byte-identical output between hand-built pre-redesign tables and their
+:class:`~repro.experiments.study.Study` declarations.
 """
 
 import dataclasses
@@ -16,18 +16,22 @@ from pathlib import Path
 import pytest
 
 from repro.analysis.report import render_figure
-from repro.cli import ANALYTIC_COMMANDS, FIGURE_COMMANDS
-from repro.experiments import figures
 from repro.experiments.configs import MAIN_SERIES, REPLACEMENT_POLICIES
 from repro.experiments.runner import ExperimentRunner, clear_caches
 from repro.experiments.store import default_store
-from repro.experiments.studies import STUDIES, main_matrix_specs
+from repro.experiments.studies import (
+    STUDIES,
+    structure_sizes_result,
+    system_config_result,
+)
 from repro.experiments.study import (
     REDUCERS,
     Study,
     StudyRegistry,
     parse_assignments,
+    render_result,
 )
+from repro.sim.config import SystemConfig
 from repro.workloads.registry import SPEC_WORKLOADS
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -48,7 +52,10 @@ class TestRegistry:
     def test_every_figure_command_is_a_registered_study(self):
         """Acceptance: every figure/table/replacement output has a Study."""
 
-        for name in list(FIGURE_COMMANDS) + list(ANALYTIC_COMMANDS):
+        names = [f"fig{number}" for number in range(10, 21)]
+        names += ["replacement-study", "table1", "table2"]
+        assert len(names) == 14
+        for name in names:
             assert name in STUDIES, f"{name} missing from STUDIES"
 
     def test_every_study_names_a_known_reducer(self):
@@ -343,14 +350,6 @@ class TestWarmStoreRoundTrip:
         study.run(quick_runner)
         assert store.puts == puts_after_warm
 
-    def test_main_matrix_specs_cover_figures_10_to_15(self, quick_runner):
-        quick_runner.submit(main_matrix_specs(quick_runner))
-        store = default_store()
-        puts_after_warm = store.puts
-        for name in ("fig10", "fig11", "fig12", "fig13", "fig14", "fig15"):
-            STUDIES.run(name, quick_runner)
-        assert store.puts == puts_after_warm
-
 
 class TestLegacyParity:
     """The Study declarations reproduce the pre-redesign tables byte-for-byte."""
@@ -371,7 +370,8 @@ class TestLegacyParity:
         assert result.rendered == legacy
 
     def test_replacement_study_matches_hand_built_legacy_table(self, quick_runner):
-        result = figures.replacement_study(quick_runner, max_entries=64)
+        study = STUDIES.get("replacement-study").with_config_params(max_entries=64)
+        result = study.run(quick_runner)
         series = [f"triage-{policy}" for policy in REPLACEMENT_POLICIES]
         table = quick_runner.normalized_matrix(
             SPEC_WORKLOADS, series, "speedup", config_params={"max_entries": 64}
@@ -385,17 +385,9 @@ class TestLegacyParity:
         )
         assert result.rendered == legacy
 
-    def test_figure_wrappers_match_their_studies(self, quick_runner):
-        pairs = [
-            (figures.figure_10_speedup, "fig10"),
-            (figures.figure_11_dram_traffic, "fig11"),
-            (figures.figure_12_accuracy, "fig12"),
-            (figures.figure_13_coverage, "fig13"),
-            (figures.figure_19_lut_accuracy, "fig19"),
-        ]
-        for wrapper, name in pairs:
-            assert wrapper(quick_runner).rendered == STUDIES.run(name, quick_runner).rendered
-
     def test_analytic_tables_match_their_studies(self):
-        assert figures.table_1_structure_sizes().rendered == STUDIES.run("table1").rendered
-        assert figures.table_2_system_config().rendered == STUDIES.run("table2").rendered
+        # The table benchmarks call the analytic builders directly.
+        table1 = render_result(structure_sizes_result())
+        assert table1.rendered == STUDIES.run("table1").rendered
+        table2 = system_config_result(SystemConfig.paper())
+        assert table2.rendered == STUDIES.run("table2").rendered
